@@ -40,24 +40,23 @@ class _Hyp:
 
 
 def prompt_log_prob(ckpt: Checkpoint, enc_input: EncodedInput):
-    """Consume the prompt tokens one by one.
+    """Consume the whole prompt in one teacher-forced decoder pass.
 
     Returns (state after the prompt, next-token log-distribution, encoder
-    summary, accumulated prompt log-prob).
+    summary, accumulated prompt log-prob). The log-prob sums, in order, the
+    log-probs of prompt tokens 2..n; the first token is given, not predicted.
     """
     prompt = list(enc_input.prompt_tokens)
     if not prompt:
         raise ValueError("empty prompt")
-    summary = model.encode(enc_input.encoder_tokens, ckpt)[None, :]
-    state = model.initial_state(ckpt)[None, :]
+    summary = model.encode(enc_input.encoder_tokens, ckpt)
+    tokens = np.array([prompt])
+    hidden, _ = model.decoder_forward(ckpt, tokens, np.ones(tokens.shape), summary[None, :])
+    logp = log_softmax(hidden[0] @ ckpt.params["out_W"] + ckpt.params["out_b"], axis=1)
     score = 0.0
-    logp = None
-    for j, tok in enumerate(prompt):
-        state, logits = model.step_batch(state, np.array([tok]), summary, ckpt)
-        logp = log_softmax(logits[0])
-        if j + 1 < len(prompt):
-            score += float(logp[prompt[j + 1]])
-    return state[0], logp, summary[0], score
+    for j in range(len(prompt) - 1):
+        score += float(logp[j, prompt[j + 1]])
+    return hidden[0, -1], logp[-1], summary, score
 
 
 def constrained_beam_search(
@@ -128,9 +127,17 @@ def rank_of_gold(predictions: list[Prediction], gold_ids) -> int | None:
 
 
 def sequence_score(ckpt: Checkpoint, enc_input: EncodedInput, entity_tokens) -> float:
-    """Prompt log-prob plus entity log-prob: comparable to Prediction.score."""
-    _, _, _, base = prompt_log_prob(ckpt, enc_input)
-    return base + model.log_prob(entity_tokens, enc_input, ckpt)
+    """Prompt log-prob plus entity log-prob: comparable to Prediction.score.
+
+    One teacher-forced pass with every decoder position scored, so the sum
+    covers prompt tokens 2..n and then the entity, as a beam hypothesis does.
+    """
+    entity = model._validate_entity(entity_tokens, ckpt.vocab.eos_id)
+    pad = ckpt.vocab.pad_id
+    enc_tokens, enc_mask = model.pad_batch([list(enc_input.encoder_tokens)], pad)
+    dec_tokens, dec_mask, targets, _ = model.build_decoder_batch([list(enc_input.prompt_tokens)], [entity], pad)
+    cache = model.forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask)
+    return float(model.sequence_log_probs(cache, targets, dec_mask)[0])
 
 
 def name_tokens(name: str, vocab) -> list[int]:

@@ -188,6 +188,14 @@ class GruCache:
     H: np.ndarray  # (B, T, d) hidden states (frozen across padding)
 
 
+def _gru_cell(xz, xr, xh, h, Uz, Ur, Uh):
+    """One step from input projections `x@W + b` and state `h`: (z, r, hh, next h)."""
+    z = expit(xz + h @ Uz)
+    r = expit(xr + h @ Ur)
+    hh = np.tanh(xh + (r * h) @ Uh)
+    return z, r, hh, (1.0 - z) * h + z * hh
+
+
 def _gru_forward(X, mask, Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh):
     B, T, _ = X.shape
     d = Uz.shape[0]
@@ -202,10 +210,8 @@ def _gru_forward(X, mask, Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh):
     h = np.zeros((B, d))
     for t in range(T):
         m = mask[:, t, None]
-        z = expit(XWz[:, t] + h @ Uz)
-        r = expit(XWr[:, t] + h @ Ur)
-        hh = np.tanh(XWh[:, t] + (r * h) @ Uh)
-        h = m * ((1.0 - z) * h + z * hh) + (1.0 - m) * h
+        z, r, hh, h_next = _gru_cell(XWz[:, t], XWr[:, t], XWh[:, t], h, Uz, Ur, Uh)
+        h = m * h_next + (1.0 - m) * h
         Z[:, t], R[:, t], Hh[:, t], H[:, t] = z, r, hh, h
     return H, Z, R, Hh
 
@@ -292,27 +298,17 @@ def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summ
     return H, GruCache(tokens=tokens, mask=mask, X=X, Z=Z, R=R, Hh=Hh, H=H)
 
 
-def step(state: np.ndarray, token: int, summary: np.ndarray, ckpt: Checkpoint):
-    """One decoder step for a single hypothesis: (next_state, logits)."""
-    states, logits = step_batch(state[None, :], np.array([token]), summary[None, :], ckpt)
-    return states[0], logits[0]
-
-
 def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint):
     """One decoder step over B hypotheses: (next_states (B,d), logits (B,V))."""
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
     x = np.concatenate([p["emb"][tokens], summaries], axis=1)
-    z = expit(x @ p["dec_Wz"] + states @ p["dec_Uz"] + p["dec_bz"])
-    r = expit(x @ p["dec_Wr"] + states @ p["dec_Ur"] + p["dec_br"])
-    hh = np.tanh(x @ p["dec_Wh"] + (r * states) @ p["dec_Uh"] + p["dec_bh"])
-    new_states = (1.0 - z) * states + z * hh
+    *_, new_states = _gru_cell(
+        x @ p["dec_Wz"] + p["dec_bz"], x @ p["dec_Wr"] + p["dec_br"], x @ p["dec_Wh"] + p["dec_bh"],
+        states, p["dec_Uz"], p["dec_Ur"], p["dec_Uh"],
+    )
     logits = new_states @ p["out_W"] + p["out_b"]
     return new_states, logits
-
-
-def initial_state(ckpt: Checkpoint) -> np.ndarray:
-    return np.zeros(ckpt.config.hidden_dim)
 
 
 # ---------------------------------------------------------------------------

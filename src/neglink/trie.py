@@ -5,10 +5,18 @@ the set of legal next tokens at a prefix is the node's children, plus EOS
 when the node is terminal, so any sequence the decoder can finish is a KB
 name and every KB name remains reachable.
 
+The trie records its depth (the token count of its longest name) as names
+are inserted and as a stream is read, so `max_depth()`, called once per
+beam search, costs nothing. Names longer than MAX_DEPTH tokens are
+rejected on insert, and the reader rejects deeper nesting, so every trie
+that can be built can also be written and read back.
+
 Serialization: magic b"ATRI", format version u32 LE, u32 metadata length +
 UTF-8 JSON metadata, then a preorder node stream. Each node is
 [u8 terminal][u32 child count] followed by its children in ascending
 token-id order, each as [u32 token id][node]. All integers little-endian.
+Writer and reader walk the tree with an explicit stack, so depth is bounded
+by MAX_DEPTH, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .vocab import Vocab
 
 MAGIC = b"ATRI"
 FORMAT_VERSION = 1
+MAX_DEPTH = 4096  # longest name, in tokens, that a trie may hold
 
 
 @dataclass
@@ -34,14 +43,20 @@ class TrieNode:
 class TokenTrie:
     root: TrieNode = field(default_factory=TrieNode)
     size: int = 0  # number of names inserted
+    # Token count of the longest name; kept by insert and set by the reader only.
+    depth: int = field(default=0, init=False)
 
     def insert(self, token_ids) -> None:
+        token_ids = list(token_ids)
+        if len(token_ids) > MAX_DEPTH:
+            raise TrieFormatError(f"{len(token_ids)} tokens, over the trie depth limit of {MAX_DEPTH}")
         node = self.root
         for t in token_ids:
             node = node.children.setdefault(int(t), TrieNode())
         if not node.terminal:
             node.terminal = True
             self.size += 1
+        self.depth = max(self.depth, len(token_ids))
 
     def node_at(self, prefix) -> TrieNode:
         node = self.root
@@ -62,15 +77,7 @@ class TokenTrie:
 
     def max_depth(self) -> int:
         """Length of the longest name (token count)."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.terminal and depth > best:
-                best = depth
-            for child in node.children.values():
-                stack.append((child, depth + 1))
-        return best
+        return self.depth
 
 
 def build_trie(names: list[str], vocab: Vocab) -> TokenTrie:
@@ -78,10 +85,10 @@ def build_trie(names: list[str], vocab: Vocab) -> TokenTrie:
     trie = TokenTrie()
     for name in names:
         try:
-            ids = vocab.encode_chars(name)
-        except VocabError as e:
-            raise VocabError(f"name {name!r}: {e}") from None
-        trie.insert(ids)
+            trie.insert(vocab.encode_chars(name))
+        except (VocabError, TrieFormatError) as e:
+            shown = name if len(name) <= 60 else name[:57] + "..."
+            raise type(e)(f"name {shown!r}: {e}") from None
     return trie
 
 
@@ -94,17 +101,23 @@ def allowed_next(trie: TokenTrie, prefix, eos_id: int) -> list[int]:
     return out
 
 
-def _write_node(node: TrieNode, chunks: list[bytes]) -> None:
-    chunks.append(struct.pack("<BI", 1 if node.terminal else 0, len(node.children)))
-    for token_id in sorted(node.children):
-        chunks.append(struct.pack("<I", token_id))
-        _write_node(node.children[token_id], chunks)
+def _write_nodes(root: TrieNode, chunks: list[bytes]) -> None:
+    """Append the preorder node stream under `root`."""
+    stack: list[tuple[int | None, TrieNode]] = [(None, root)]
+    while stack:
+        token_id, node = stack.pop()
+        if token_id is not None:
+            chunks.append(struct.pack("<I", token_id))
+        chunks.append(struct.pack("<BI", 1 if node.terminal else 0, len(node.children)))
+        # Pushed in descending order so children pop in ascending order.
+        for child_id in sorted(node.children, reverse=True):
+            stack.append((child_id, node.children[child_id]))
 
 
 def serialize(trie: TokenTrie, metadata: dict | None = None) -> bytes:
     meta = json.dumps(metadata or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(meta)), meta]
-    _write_node(trie.root, chunks)
+    _write_nodes(trie.root, chunks)
     return b"".join(chunks)
 
 
@@ -129,24 +142,42 @@ class _Reader:
         return out
 
 
-def _read_node(r: _Reader, depth: int = 0) -> tuple[TrieNode, int]:
-    if depth > 4096:
-        raise TrieFormatError("trie nesting too deep")
+def _read_node(r: _Reader) -> tuple[TrieNode, int]:
+    """One node header: (childless node, number of children that follow)."""
     terminal, n_children = r.take("<BI")
     if terminal not in (0, 1):
         raise TrieFormatError(f"bad terminal flag {terminal}")
-    node = TrieNode(terminal=bool(terminal))
-    count = 1 if node.terminal else 0
-    prev = -1
-    for _ in range(n_children):
+    return TrieNode(terminal=bool(terminal)), n_children
+
+
+def _read_nodes(r: _Reader) -> TokenTrie:
+    """Read the preorder node stream, counting names and recording the depth."""
+    root, n_children = _read_node(r)
+    size, depth = int(root.terminal), 0
+    # One frame per node on the current path: [node, children left, last child id].
+    stack = [[root, n_children, -1]]
+    while stack:
+        frame = stack[-1]
+        if frame[1] == 0:
+            stack.pop()
+            continue
         (token_id,) = r.take("<I")
-        if token_id <= prev:
+        if token_id <= frame[2]:
             raise TrieFormatError("child token ids not strictly ascending")
-        prev = token_id
-        child, child_count = _read_node(r, depth + 1)
-        node.children[token_id] = child
-        count += child_count
-    return node, count
+        frame[1] -= 1
+        frame[2] = token_id
+        child_depth = len(stack)
+        if child_depth > MAX_DEPTH:
+            raise TrieFormatError(f"trie nesting deeper than {MAX_DEPTH}")
+        child, n_children = _read_node(r)
+        frame[0].children[token_id] = child
+        if child.terminal:
+            size += 1
+            depth = max(depth, child_depth)
+        stack.append([child, n_children, -1])
+    trie = TokenTrie(root=root, size=size)
+    trie.depth = depth
+    return trie
 
 
 def deserialize(data: bytes) -> TokenTrie:
@@ -162,10 +193,10 @@ def deserialize(data: bytes) -> TokenTrie:
         json.loads(meta.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise TrieFormatError(f"bad trie metadata: {e}") from e
-    root, size = _read_node(r)
+    trie = _read_nodes(r)
     if r.pos != len(r.data):
         raise TrieFormatError(f"{len(r.data) - r.pos} trailing bytes after node stream")
-    return TokenTrie(root=root, size=size)
+    return trie
 
 
 def save_trie(trie: TokenTrie, path, metadata: dict | None = None) -> None:

@@ -187,6 +187,12 @@ def test_missing_inputs_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_kb_name_over_the_trie_depth_limit_exit_2(tmp_path):
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text(json.dumps({"id": "X1", "names": ["ab" * 2500]}) + "\n", encoding="utf-8")
+    assert main(["kb", "build", "--kb", str(kb), "--out", str(tmp_path / "c")]) == 2
+
+
 def test_bad_override_exit_2(pipeline, tmp_path):
     root, kb, train, test, cache = pipeline
     base = ["train-positive", "--kb", kb, "--mentions", train, "--cache", cache,

@@ -102,13 +102,13 @@ def test_incremental_step_matches_teacher_forcing():
     ckpt = make_ckpt(seed=11)
     v = ckpt.vocab
     inp = enc_input(ckpt, "abc")
-    summary = model.encode(inp.encoder_tokens, ckpt)
+    summary = model.encode(inp.encoder_tokens, ckpt)[None, :]
     seq = list(inp.prompt_tokens) + v.encode_chars("ba") + [v.eos_id]
-    state = model.initial_state(ckpt)
+    state = np.zeros((1, ckpt.config.hidden_dim))
     total = 0.0
     for t in range(len(seq) - 1):
-        state, logits = model.step(state, seq[t], summary, ckpt)
-        logp = model.log_softmax(logits[None, :])[0]
+        state, logits = model.step_batch(state, np.array([seq[t]]), summary, ckpt)
+        logp = model.log_softmax(logits[0])
         if t >= len(inp.prompt_tokens) - 1:
             total += logp[seq[t + 1]]
     ent = v.encode_chars("ba") + [v.eos_id]

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
 from neglink.errors import TrieFormatError
-from neglink.trie import allowed_next, build_trie, deserialize, load_trie, save_trie, serialize
+from neglink.trie import (
+    MAGIC,
+    MAX_DEPTH,
+    allowed_next,
+    build_trie,
+    deserialize,
+    load_trie,
+    save_trie,
+    serialize,
+)
 from neglink.vocab import Vocab
 
 
@@ -119,3 +129,63 @@ def test_unencodable_name_reports_the_name():
     with pytest.raises(Exception) as err:
         build_trie(["abz!"], vocab)
     assert "abz!" in str(err.value)
+
+
+def walked_depth(trie) -> int:
+    """Longest name by a full walk of the tree: the reference for max_depth()."""
+    best, stack = 0, [(trie.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.terminal:
+            best = max(best, depth)
+        stack.extend((child, depth + 1) for child in node.children.values())
+    return best
+
+
+def test_max_depth_is_recorded_on_insert_and_load():
+    vocab = make_vocab()
+    trie = build_trie(["ab", "abcdef", "c"], vocab)
+    assert trie.max_depth() == walked_depth(trie) == 6
+    trie.insert(vocab.encode_chars("abcdef"))  # duplicate
+    trie.insert(vocab.encode_chars("abc"))  # shorter, on the existing path
+    trie.insert(vocab.encode_chars("j"))  # shorter, new branch
+    assert trie.max_depth() == walked_depth(trie) == 6
+    trie.insert(vocab.encode_chars("abcdefghij"))
+    assert trie.max_depth() == walked_depth(trie) == 10
+    loaded = deserialize(serialize(trie))
+    assert loaded.max_depth() == walked_depth(loaded) == 10
+    assert loaded.size == trie.size == 6
+    assert build_trie([], vocab).max_depth() == 0
+
+
+def chain_stream(levels: int) -> bytes:
+    """A trie stream with a single name `levels` tokens long."""
+    nodes = [struct.pack("<BI", 0, 1) + struct.pack("<I", 1)] * levels
+    return MAGIC + struct.pack("<II", 1, 2) + b"{}" + b"".join(nodes) + struct.pack("<BI", 1, 0)
+
+
+def test_reader_depth_limit_is_a_format_error():
+    assert deserialize(chain_stream(MAX_DEPTH)).max_depth() == MAX_DEPTH
+    with pytest.raises(TrieFormatError):
+        deserialize(chain_stream(MAX_DEPTH + 1))
+    with pytest.raises(TrieFormatError):
+        deserialize(chain_stream(5000))
+
+
+def test_long_name_round_trips(tmp_path):
+    vocab = make_vocab()
+    long_name = ("abcdefghij" * 150)[:1500]
+    trie = build_trie([long_name, "abc"], vocab)
+    path = tmp_path / "t.bin"
+    save_trie(trie, path)
+    loaded = load_trie(path)
+    assert loaded.contains(vocab.encode_chars(long_name))
+    assert loaded.max_depth() == 1500
+    assert serialize(loaded) == serialize(trie)
+
+
+def test_name_over_the_depth_limit_is_rejected_at_build():
+    vocab = make_vocab()
+    with pytest.raises(TrieFormatError) as err:
+        build_trie(["a" * (MAX_DEPTH + 1)], vocab)
+    assert "aaa" in str(err.value)
