@@ -17,7 +17,7 @@ import math
 from pathlib import Path
 
 from neglink import model
-from neglink.beam import constrained_beam_search
+from neglink.beam import constrained_beam_search_batch
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
@@ -46,10 +46,9 @@ def main() -> None:
     print(f"example target: mention {train_ex[0].mention!r} -> generate {sample.target_name!r}")
 
     def acc(ckpt) -> float:
-        preds = [
-            constrained_beam_search(ckpt, render(ex, vocab), trie, kb, beam=cfg.beam, k=cfg.topk)
-            for ex in test_ex
-        ]
+        preds = constrained_beam_search_batch(
+            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+        )
         return acc_at_k(preds, [ex.gold_ids for ex in test_ex], 1)
 
     ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))

@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 
 from neglink import model
-from neglink.beam import constrained_beam_search
+from neglink.beam import constrained_beam_search_batch
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
@@ -48,10 +48,9 @@ def main() -> None:
     stage1 = train(base, instances, cfg.positive_optimizer(), seed=cfg.seed).checkpoint
 
     def link(ckpt):
-        return [
-            constrained_beam_search(ckpt, render(ex, vocab), trie, kb, beam=cfg.beam, k=cfg.topk)
-            for ex in test_ex
-        ]
+        return constrained_beam_search_batch(
+            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+        )
 
     preds1 = link(stage1)
     acc1 = acc_at_k(preds1, gold, 1)

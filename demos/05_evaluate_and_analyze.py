@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from neglink import model
-from neglink.beam import constrained_beam_search
+from neglink.beam import constrained_beam_search_batch
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
@@ -50,10 +50,9 @@ def main() -> None:
     trained = train(untrained, instances, cfg.positive_optimizer(), seed=cfg.seed).checkpoint
 
     def link(ckpt):
-        return [
-            constrained_beam_search(ckpt, render(ex, vocab), trie, kb, beam=cfg.beam, k=cfg.topk)
-            for ex in test_ex
-        ]
+        return constrained_beam_search_batch(
+            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+        )
 
     preds_a, preds_b = link(trained), link(untrained)
 

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, artifacts, model, synth
-from .beam import Prediction, constrained_beam_search
+from .beam import Prediction, constrained_beam_search_batch
 from .config import PRESETS, RunConfig, build_config
 from .corpus import MentionExample, prepare_mentions, render
 from .errors import ConfigError, FormatError, NeglinkError, NumericError
@@ -91,8 +91,14 @@ def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
     cache = Path(cache_dir)
     _require_paths(cache / "vocab.json", cache / "trie.bin")
     with open(cache / "vocab.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    vocab = Vocab(list(doc["tokens"]))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{cache / 'vocab.json'}: invalid JSON: {e}") from e
+    tokens = doc.get("tokens") if isinstance(doc, dict) else None
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise FormatError(f"{cache / 'vocab.json'}: expected an object whose \"tokens\" is a list of strings")
+    vocab = Vocab(tokens)
     return vocab, load_trie(cache / "trie.bin")
 
 
@@ -113,11 +119,8 @@ def _prediction_records(i: int, preds: list[Prediction]) -> list[dict]:
 
 
 def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]]:
-    out = []
-    for ex in examples:
-        enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
-        out.append(constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.beam, k=cfg.topk))
-    return out
+    inputs = [render(ex, ckpt.vocab, max_ctx=cfg.max_ctx) for ex in examples]
+    return constrained_beam_search_batch(ckpt, inputs, trie, kb, beam=cfg.beam, k=cfg.topk)
 
 
 def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:

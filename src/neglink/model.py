@@ -438,12 +438,6 @@ def _validate_entity(entity_tokens, eos_id: int) -> list[int]:
     return entity
 
 
-def log_prob(entity_tokens, enc_input: EncodedInput, ckpt: Checkpoint) -> float:
-    """Teacher-forced log-probability of one entity given one rendered input."""
-    entity = _validate_entity(entity_tokens, ckpt.vocab.eos_id)
-    return float(score_pairs(ckpt, [enc_input], [entity])[0])
-
-
 def score_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list) -> np.ndarray:
     """Entity log-probabilities for B (input, entity) pairs in one batch; (B,)."""
     entities = [_validate_entity(e, ckpt.vocab.eos_id) for e in entities]

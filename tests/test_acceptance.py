@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neglink.beam import Prediction, constrained_beam_search, name_tokens, sequence_score
+from neglink.beam import (
+    Prediction,
+    constrained_beam_search,
+    constrained_beam_search_batch,
+    name_tokens,
+    sequence_score,
+)
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main as cli_main
 from neglink.cli import vocab_from_sources
@@ -276,10 +282,8 @@ def benchmark_runs():
     instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
 
     def link(ckpt):
-        return [
-            constrained_beam_search(ckpt, render(ex, vocab, max_ctx=cfg.max_ctx), trie, kb, beam=cfg.beam, k=cfg.topk)
-            for ex in test_ex
-        ]
+        inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
+        return constrained_beam_search_batch(ckpt, inputs, trie, kb, beam=cfg.beam, k=cfg.topk)
 
     runs = []
     for seed in range(5):

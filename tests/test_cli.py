@@ -7,6 +7,7 @@ tests inspect the artifacts it leaves behind and probe the error paths.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,14 @@ def test_vocab_mismatch_exit_2(pipeline, tmp_path):
     rc = main(["mine", "--kb", str(kb2), "--mentions", str(mentions2), "--cache", str(cache2),
                "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
+
+
+def test_malformed_cache_vocab_exit_2(pipeline, tmp_path):
+    root, kb, train, test, cache = pipeline
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    for doc in ('{"x": 1}', '["a"]', '{"tokens": "abc"}', '{"tokens": [1, 2]}', "{not json"):
+        (bad_cache / "vocab.json").write_text(doc, encoding="utf-8")
+        rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(bad_cache),
+                   "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2, doc

@@ -1,13 +1,18 @@
-"""The one-pass prompt against the per-token reference it replaced.
+"""The batched decode path against the per-token and per-mention references.
 
-`reference_prompt_log_prob` is the former implementation of
-`beam.prompt_log_prob`: it feeds the prompt one token at a time through
+`reference_prompt_log_prob` is the former per-mention implementation of
+`beam.prompt_log_prob`: it feeds one prompt one token at a time through
 `reference_step`, a copy of the former `model.step_batch` arithmetic
-(`x@W + h@U + b` in that order). The current implementation consumes the
-prompt with one `model.decoder_forward` call, and `model.step_batch` now adds
-the bias before `h@U`. Both must agree within 1e-12 on the bundled toy test
-set, and so must the rankings and scores of the whole search, which also
-runs the current `step_batch` against the former one.
+(`x@W + h@U + b` in that order). The current implementation encodes a
+batch of inputs and consumes their prompts with one `model.decoder_forward`
+call, and `model.step_batch` now adds the bias before `h@U`. Both must agree
+within 1e-12 on the bundled toy test set, and so must the rankings and
+scores of the whole search, which also runs the current `step_batch`
+against the former one.
+
+`constrained_beam_search_batch` searches many mentions with shared model
+calls. Its rankings must equal the per-mention search's, with scores within
+1e-12; a batch of one must reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import pytest
 from scipy.special import expit
 
 from neglink import beam, model
-from neglink.beam import constrained_beam_search, prompt_log_prob
+from neglink.beam import CHUNK, constrained_beam_search, constrained_beam_search_batch, prompt_log_prob
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
@@ -60,6 +65,12 @@ def reference_prompt_log_prob(ckpt, enc_input):
     return state[0], logp, summary[0], score
 
 
+def reference_prompt_batch(ckpt, inputs):
+    """`reference_prompt_log_prob` for each input, stacked as `prompt_log_prob` returns them."""
+    states, logps, summaries, scores = zip(*(reference_prompt_log_prob(ckpt, x) for x in inputs))
+    return np.stack(states), np.stack(logps), np.stack(summaries), list(scores)
+
+
 @pytest.fixture(scope="module")
 def toy():
     """Toy KB, trie, rendered test inputs and a briefly trained checkpoint."""
@@ -82,7 +93,8 @@ def test_one_pass_prompt_matches_the_per_token_loop(toy):
     _, _, ckpt, inputs, _ = toy
     worst = 0.0
     for enc in inputs:
-        state, logp, summary, score = prompt_log_prob(ckpt, enc)
+        states, logps, summaries, scores = prompt_log_prob(ckpt, [enc])
+        state, logp, summary, score = states[0], logps[0], summaries[0], scores[0]
         ref_state, ref_logp, ref_summary, ref_score = reference_prompt_log_prob(ckpt, enc)
         assert np.array_equal(summary, ref_summary)
         worst = max(worst, float(np.abs(state - ref_state).max()),
@@ -97,7 +109,7 @@ def test_search_rankings_identical_to_the_per_token_prompt(toy, monkeypatch):
         return [constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.beam, k=cfg.topk) for enc in inputs]
 
     new = search_all()
-    monkeypatch.setattr(beam, "prompt_log_prob", reference_prompt_log_prob)
+    monkeypatch.setattr(beam, "prompt_log_prob", reference_prompt_batch)
     monkeypatch.setattr(model, "step_batch", reference_step)
     ref = search_all()
     for got, want in zip(new, ref):
@@ -105,3 +117,61 @@ def test_search_rankings_identical_to_the_per_token_prompt(toy, monkeypatch):
         assert [p.ids for p in got] == [p.ids for p in want]
         for p, q in zip(got, want):
             assert abs(p.score - q.score) <= TOL
+
+
+def per_mention(toy, inputs):
+    kb, trie, ckpt, _, cfg = toy
+    return [constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.beam, k=cfg.topk) for enc in inputs]
+
+
+def assert_same_rankings(got, want):
+    assert len(got) == len(want)
+    worst = 0.0
+    for g, w in zip(got, want):
+        assert [(p.name, p.ids) for p in g] == [(p.name, p.ids) for p in w]
+        worst = max([worst] + [abs(p.score - q.score) for p, q in zip(g, w)])
+    assert worst <= TOL, worst
+
+
+def test_batch_of_one_equals_the_per_mention_search(toy):
+    kb, trie, ckpt, inputs, cfg = toy
+    want = per_mention(toy, inputs)
+    for enc, w in zip(inputs, want):
+        assert constrained_beam_search_batch(ckpt, [enc], trie, kb, beam=cfg.beam, k=cfg.topk) == [w]
+
+
+def test_chunked_search_matches_the_per_mention_search(toy):
+    kb, trie, ckpt, inputs, cfg = toy
+    step = 70  # not a multiple of CHUNK, so calls end in a partial chunk
+    assert step % CHUNK
+    got = []
+    for start in range(0, len(inputs), step):
+        got += constrained_beam_search_batch(ckpt, inputs[start : start + step], trie, kb, beam=cfg.beam, k=cfg.topk)
+    assert_same_rankings(got, per_mention(toy, inputs))
+
+
+def test_mixed_lengths_in_one_chunk(toy):
+    kb, trie, ckpt, inputs, cfg = toy
+    by_prompt = sorted(inputs, key=lambda x: len(x.prompt_tokens))
+    by_encoder = sorted(inputs, key=lambda x: len(x.encoder_tokens))
+    chunk = [by_prompt[0], by_encoder[-1], by_prompt[-1], by_encoder[0], by_prompt[1], by_prompt[-2]]
+    assert len(by_prompt[0].prompt_tokens) < len(by_prompt[-1].prompt_tokens)
+    assert len(by_encoder[0].encoder_tokens) < len(by_encoder[-1].encoder_tokens)
+    states, logps, summaries, scores = prompt_log_prob(ckpt, chunk)
+    for i, enc in enumerate(chunk):
+        ref_state, ref_logp, ref_summary, ref_score = reference_prompt_log_prob(ckpt, enc)
+        worst = max(float(np.abs(states[i] - ref_state).max()), float(np.abs(logps[i] - ref_logp).max()),
+                    float(np.abs(summaries[i] - ref_summary).max()), abs(scores[i] - ref_score))
+        assert worst <= TOL, (i, worst)
+    got = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
+    assert_same_rankings(got, per_mention(toy, chunk))
+
+
+def test_batch_edge_cases(toy):
+    kb, trie, ckpt, inputs, _ = toy
+    assert constrained_beam_search_batch(ckpt, [], trie, kb) == []
+    for batch in ([], inputs[:3]):
+        with pytest.raises(ValueError):
+            constrained_beam_search_batch(ckpt, batch, trie, kb, beam=1, k=2)
+        with pytest.raises(ValueError):
+            constrained_beam_search_batch(ckpt, batch, trie, kb, beam=2, k=0)

@@ -48,7 +48,7 @@ def test_zero_params_give_zero_summary_and_uniform_logits():
     summary = model.encode(enc.encoder_tokens, ckpt)
     assert np.all(summary == 0.0)
     entity = ckpt.vocab.encode_chars("abc") + [ckpt.vocab.eos_id]
-    lp = model.log_prob(entity, enc, ckpt)
+    lp = model.score_pairs(ckpt, [enc], [entity])[0]
     want = -len(entity) * np.log(len(ckpt.vocab))
     assert abs(lp - want) < 1e-12
 
@@ -81,7 +81,7 @@ def test_batched_forward_matches_single_sequences():
     cache = model.forward_teacher(ckpt, enc_toks, enc_mask, dec_toks, dec_mask)
     batch_lp = model.sequence_log_probs(cache, targets, tmask)
     for i, (inp, ent) in enumerate(zip(inputs, entities)):
-        single = model.log_prob(ent, inp, ckpt)
+        single = model.score_pairs(ckpt, [inp], [ent])[0]
         assert abs(single - batch_lp[i]) < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_incremental_step_matches_teacher_forcing():
         if t >= len(inp.prompt_tokens) - 1:
             total += logp[seq[t + 1]]
     ent = v.encode_chars("ba") + [v.eos_id]
-    want = model.log_prob(ent, inp, ckpt)
+    want = model.score_pairs(ckpt, [inp], [ent])[0]
     assert abs(total - want) < 1e-9
 
 
