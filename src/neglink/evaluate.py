@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .beam import Prediction, rank_of_gold, sequence_score
 from .corpus import MentionExample, render
@@ -116,6 +115,8 @@ def bootstrap_paired_test(
     mean = float(diffs.mean())
     if float(diffs.std(ddof=1)) == 0.0:
         return BootstrapResult(p_value=1.0 if mean == 0.0 else 0.0, mean_diff=mean)
+    from scipy import stats  # imported here: SciPy takes longer to load than the rest of neglink
+
     p = float(stats.ttest_1samp(diffs, 0.0).pvalue)
     return BootstrapResult(p_value=p, mean_diff=mean)
 

@@ -7,9 +7,17 @@ over the vocabulary through a linear head. Everything is float64 numpy with
 hand-written backpropagation; finite-difference agreement at 1e-4 relative
 error is a hard requirement, which single precision cannot meet.
 
-Batched sequences are right-padded. The per-step mask freezes the hidden
-state across padding, so batched results equal one-at-a-time results
-exactly, and gradients from padded steps are identically zero.
+Both gates of a recurrent step come from one fused array: halved weights
+0.5*[Wz|Wr], 0.5*[Uz|Ur] and 0.5*[bz|br] give half of the update and reset
+pre-activations in one matmul, and 0.5*tanh(.)+0.5 of that is their sigmoid
+(halving is exact in binary floating point). Checkpoints keep the separate
+per-gate arrays.
+
+Batched sequences are right-padded. Each row runs on through its padding,
+which no real step reads, so batched results equal one-at-a-time results
+exactly; after the loop one gather freezes every row's hidden state at its
+last real token. The gradient entering padded steps must be zero, and then
+the gradients from them are identically zero.
 
 Checkpoint file layout: magic "ACKP", format version u32 LE, u32 header
 length, UTF-8 JSON header (vocabulary, config, stage, array directory with
@@ -26,7 +34,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import EncodedInput
 from .errors import CheckpointFormatError, ConfigError, DivergenceError, NumericError, VocabError
@@ -141,6 +148,11 @@ def validate_checkpoint(ckpt: Checkpoint) -> None:
 # numerics
 
 
+def sigmoid(x):
+    """Logistic function as 0.5*tanh(0.5*x) + 0.5: never overflows, exactly 0.5 at 0."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -182,75 +194,97 @@ class GruCache:
     tokens: np.ndarray  # (B, T) ids
     mask: np.ndarray  # (B, T)
     X: np.ndarray  # (B, T, in_dim) cell inputs
-    Z: np.ndarray  # (B, T, d) update gates
-    R: np.ndarray  # (B, T, d) reset gates
+    G: np.ndarray  # (B, T, 2d) fused gates: update z in [:d], reset r in [d:]
     Hh: np.ndarray  # (B, T, d) tanh candidates
-    H: np.ndarray  # (B, T, d) hidden states (frozen across padding)
+    H: np.ndarray  # (B, T, d) hidden states (frozen after each row's last real token)
 
 
-def _gru_cell(xz, xr, xh, h, Uz, Ur, Uh):
-    """One step from input projections `x@W + b` and state `h`: (z, r, hh, next h)."""
-    z = expit(xz + h @ Uz)
-    r = expit(xr + h @ Ur)
-    hh = np.tanh(xh + (r * h) @ Uh)
-    return z, r, hh, (1.0 - z) * h + z * hh
+def gate_weights(p: dict, side: str):
+    """Halved fused gate weights (0.5*[Wz|Wr], 0.5*[Uz|Ur], 0.5*[bz|br]) of one GRU.
+
+    x@W + h@U + b with them is exactly half of both gates' pre-activations,
+    so 0.5*tanh of it + 0.5 is their sigmoid.
+    """
+    return tuple(0.5 * np.concatenate([p[f"{side}_{k}z"], p[f"{side}_{k}r"]], axis=-1) for k in "WUb")
 
 
-def _gru_forward(X, mask, Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh):
+def _gru_cell(xg, xh, h, Ug, Uh):
+    """One step from input projections and state `h`: (gates [z|r], candidate hh, next h).
+
+    `xg = x@Wg + bg` and `Ug` are halved fused gate weights (`gate_weights`);
+    `xh = x@Wh + bh`.
+    """
+    g = np.tanh(xg + h @ Ug)
+    g *= 0.5
+    g += 0.5
+    d = h.shape[1]
+    hh = np.tanh(xh + (g[:, d:] * h) @ Uh)
+    return g, hh, h + g[:, :d] * (hh - h)
+
+
+def _gru_forward(X, mask, p: dict, side: str):
+    """The `side` GRU over right-padded inputs X (B, T, in_dim): (H, G, Hh) as in GruCache."""
+    Wg, Ug, bg = gate_weights(p, side)
+    Uh = p[f"{side}_Uh"]
     B, T, _ = X.shape
-    d = Uz.shape[0]
-    # Input projections for the whole sequence in three matmuls.
-    XWz = X @ Wz + bz
-    XWr = X @ Wr + br
-    XWh = X @ Wh + bh
-    Z = np.empty((B, T, d))
-    R = np.empty((B, T, d))
+    d = Uh.shape[0]
+    # Input projections for the whole sequence in two matmuls.
+    XG = X @ Wg + bg
+    XH = X @ p[f"{side}_Wh"] + p[f"{side}_bh"]
+    G = np.empty((B, T, 2 * d))
     Hh = np.empty((B, T, d))
     H = np.empty((B, T, d))
     h = np.zeros((B, d))
     for t in range(T):
-        m = mask[:, t, None]
-        z, r, hh, h_next = _gru_cell(XWz[:, t], XWr[:, t], XWh[:, t], h, Uz, Ur, Uh)
-        h = m * h_next + (1.0 - m) * h
-        Z[:, t], R[:, t], Hh[:, t], H[:, t] = z, r, hh, h
-    return H, Z, R, Hh
+        G[:, t], Hh[:, t], h = _gru_cell(XG[:, t], XH[:, t], h, Ug, Uh)
+        H[:, t] = h
+    # Rows run on through their padding; give every padded step the row's last real state.
+    lengths = mask.sum(axis=1).astype(np.int64)
+    if lengths.min() < T:
+        last = np.minimum(np.arange(T), lengths[:, None] - 1)
+        H = np.take_along_axis(H, last[:, :, None], axis=1)
+    return H, G, Hh
 
 
-def _gru_backward(cache: GruCache, dH_ext, Wz, Wr, Wh, Uz, Ur, Uh):
-    """Backprop through the cell. Returns (dX, weight grads dict by role)."""
-    X, mask, Z, R, Hh, H = cache.X, cache.mask, cache.Z, cache.R, cache.Hh, cache.H
+def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
+    """Backprop through the `side` GRU. Returns (dX, weight grads by parameter name).
+
+    dH_ext must be zero at padded steps; the gradient then stays zero there.
+    """
+    X, G, Hh, H = cache.X, cache.G, cache.Hh, cache.H
     B, T, d = H.shape
-    DAz = np.empty((B, T, d))
-    DAr = np.empty((B, T, d))
+    Wg = np.concatenate([p[f"{side}_Wz"], p[f"{side}_Wr"]], axis=1)
+    UgT = np.concatenate([p[f"{side}_Uz"], p[f"{side}_Ur"]], axis=1).T
+    Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
+    DAg = np.empty((B, T, 2 * d))
     DAh = np.empty((B, T, d))
     dh = np.zeros((B, d))
+    h0 = np.zeros((B, d))
     for t in range(T - 1, -1, -1):
         dh = dh + dH_ext[:, t]
-        m = mask[:, t, None]
-        h_prev = H[:, t - 1] if t > 0 else np.zeros((B, d))
-        z, r, hh = Z[:, t], R[:, t], Hh[:, t]
-        dh_new = dh * m
-        da_h = (dh_new * z) * (1.0 - hh * hh)
-        da_z = (dh_new * (hh - h_prev)) * z * (1.0 - z)
-        dg = da_h @ Uh.T  # gradient w.r.t. r * h_prev
-        da_r = (dg * h_prev) * r * (1.0 - r)
-        DAz[:, t], DAr[:, t], DAh[:, t] = da_z, da_r, da_h
-        dh = dh_new * (1.0 - z) + dh * (1.0 - m) + da_z @ Uz.T + da_r @ Ur.T + dg * r
+        h_prev = H[:, t - 1] if t > 0 else h0
+        g, hh = G[:, t], Hh[:, t]
+        z, r = g[:, :d], g[:, d:]
+        da_h = (dh * z) * (1.0 - hh * hh)
+        dg = da_h @ UhT  # gradient w.r.t. r * h_prev
+        da = DAg[:, t]
+        da[:, :d] = dh * (hh - h_prev)
+        da[:, d:] = dg * h_prev
+        da *= g * (1.0 - g)
+        DAh[:, t] = da_h
+        dh = dh * (1.0 - z) + da @ UgT + dg * r
     Hprev = np.concatenate([np.zeros((B, 1, d)), H[:, :-1]], axis=1)
     flat = lambda a: a.reshape(-1, a.shape[-1])  # noqa: E731
-    dX = (DAz @ Wz.T + DAr @ Wr.T + DAh @ Wh.T).reshape(X.shape)
+    dX = (DAg @ Wg.T + DAh @ Wh.T).reshape(X.shape)
+    dWg = flat(X).T @ flat(DAg)
+    dUg = flat(Hprev).T @ flat(DAg)
+    dbg = DAg.sum(axis=(0, 1))
     grads = {
-        "Wz": flat(X).T @ flat(DAz),
-        "Wr": flat(X).T @ flat(DAr),
-        "Wh": flat(X).T @ flat(DAh),
-        "Uz": flat(Hprev).T @ flat(DAz),
-        "Ur": flat(Hprev).T @ flat(DAr),
-        "Uh": flat(R * Hprev).T @ flat(DAh),
-        "bz": DAz.sum(axis=(0, 1)),
-        "br": DAr.sum(axis=(0, 1)),
-        "bh": DAh.sum(axis=(0, 1)),
+        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": flat(X).T @ flat(DAh),
+        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
+        "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
     }
-    return dX, grads
+    return dX, {f"{side}_{role}": a for role, a in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +295,13 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
     """Mean-pooled summary (B, d) plus the cache needed for backprop."""
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
-    X = p["emb"][tokens]
-    H, Z, R, Hh = _gru_forward(
-        X, mask, p["enc_Wz"], p["enc_Wr"], p["enc_Wh"],
-        p["enc_Uz"], p["enc_Ur"], p["enc_Uh"], p["enc_bz"], p["enc_br"], p["enc_bh"],
-    )
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("encoder sequence with no real tokens")
+    X = p["emb"][tokens]
+    H, G, Hh = _gru_forward(X, mask, p, "enc")
     summary = (H * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    return summary, GruCache(tokens=tokens, mask=mask, X=X, Z=Z, R=R, Hh=Hh, H=H), counts
-
-
-def encode(tokens, ckpt: Checkpoint) -> np.ndarray:
-    """Summary vector (d,) for one encoder token sequence."""
-    toks, mask = pad_batch([list(tokens)], ckpt.vocab.pad_id)
-    summary, _, _ = encoder_forward(ckpt, toks, mask)
-    return summary[0]
+    return summary, GruCache(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H), counts
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +315,21 @@ def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summ
     B, T = tokens.shape
     E = p["emb"][tokens]
     X = np.concatenate([E, np.broadcast_to(summary[:, None, :], E.shape)], axis=2)
-    H, Z, R, Hh = _gru_forward(
-        X, mask, p["dec_Wz"], p["dec_Wr"], p["dec_Wh"],
-        p["dec_Uz"], p["dec_Ur"], p["dec_Uh"], p["dec_bz"], p["dec_br"], p["dec_bh"],
-    )
-    return H, GruCache(tokens=tokens, mask=mask, X=X, Z=Z, R=R, Hh=Hh, H=H)
+    H, G, Hh = _gru_forward(X, mask, p, "dec")
+    return H, GruCache(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H)
 
 
-def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint):
-    """One decoder step over B hypotheses: (next_states (B,d), logits (B,V))."""
+def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint, gates=None):
+    """One decoder step over B hypotheses: (next_states (B,d), logits (B,V)).
+
+    `gates` is `gate_weights(ckpt.params, "dec")`, built here when not given;
+    a search passes it in so that its steps build it once.
+    """
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
     x = np.concatenate([p["emb"][tokens], summaries], axis=1)
-    *_, new_states = _gru_cell(
-        x @ p["dec_Wz"] + p["dec_bz"], x @ p["dec_Wr"] + p["dec_br"], x @ p["dec_Wh"] + p["dec_bh"],
-        states, p["dec_Uz"], p["dec_Ur"], p["dec_Uh"],
-    )
+    Wg, Ug, bg = gate_weights(p, "dec") if gates is None else gates
+    *_, new_states = _gru_cell(x @ Wg + bg, x @ p["dec_Wh"] + p["dec_bh"], states, Ug, p["dec_Uh"])
     logits = new_states @ p["out_W"] + p["out_b"]
     return new_states, logits
 
@@ -358,22 +381,16 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     grads = {"out_W": flat_states.T @ flat_dlogits, "out_b": flat_dlogits.sum(axis=0)}
 
     dH_dec = dlogits @ p["out_W"].T
-    dX_dec, g = _gru_backward(cache.dec, dH_dec, p["dec_Wz"], p["dec_Wr"], p["dec_Wh"], p["dec_Uz"], p["dec_Ur"], p["dec_Uh"])
-    for role, name in (("Wz", "dec_Wz"), ("Wr", "dec_Wr"), ("Wh", "dec_Wh"),
-                       ("Uz", "dec_Uz"), ("Ur", "dec_Ur"), ("Uh", "dec_Uh"),
-                       ("bz", "dec_bz"), ("br", "dec_br"), ("bh", "dec_bh")):
-        grads[name] = g[role]
+    dX_dec, g = _gru_backward(cache.dec, dH_dec, p, "dec")
+    grads.update(g)
 
     demb = np.zeros_like(p["emb"])
     np.add.at(demb, cache.dec.tokens.ravel(), dX_dec[:, :, :d].reshape(-1, d))
     dsummary = dX_dec[:, :, d:].sum(axis=1)
 
     dH_enc = (dsummary / cache.counts[:, None])[:, None, :] * cache.enc.mask[:, :, None]
-    dX_enc, g = _gru_backward(cache.enc, dH_enc, p["enc_Wz"], p["enc_Wr"], p["enc_Wh"], p["enc_Uz"], p["enc_Ur"], p["enc_Uh"])
-    for role, name in (("Wz", "enc_Wz"), ("Wr", "enc_Wr"), ("Wh", "enc_Wh"),
-                       ("Uz", "enc_Uz"), ("Ur", "enc_Ur"), ("Uh", "enc_Uh"),
-                       ("bz", "enc_bz"), ("br", "enc_br"), ("bh", "enc_bh")):
-        grads[name] = g[role]
+    dX_enc, g = _gru_backward(cache.enc, dH_enc, p, "enc")
+    grads.update(g)
     np.add.at(demb, cache.enc.tokens.ravel(), dX_enc.reshape(-1, d))
     grads["emb"] = demb
     return grads

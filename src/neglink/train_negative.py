@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import model, optim
 from .beam import Prediction, constrained_beam_search, name_tokens
@@ -194,14 +193,14 @@ def preference_loss_values(
     beta = cfg.beta
     if cfg.loss_kind == "simpo":
         margin = (beta / len_w) * lp_w - (beta / len_l) * lp_l - cfg.simpo_gamma
-        s = expit(-margin)
+        s = model.sigmoid(-margin)
         return np.logaddexp(0.0, -margin), -(beta / len_w) * s, (beta / len_l) * s
     if cfg.loss_kind == "dpo":
         margin = beta * ((lp_w - ref_w) - (lp_l - ref_l))
     else:
         margin = beta * (lp_w - lp_l)
     loss = np.logaddexp(0.0, -margin)
-    s = expit(-margin)
+    s = model.sigmoid(-margin)
     dlp_w = -beta * s
     dlp_l = beta * s
     if cfg.loss_kind == "cpo":

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from neglink import model
 from neglink.beam import (
     Prediction,
     constrained_beam_search,
+    constrained_beam_search_batch,
     name_tokens,
+    prompt_log_prob,
     rank_of_gold,
     sequence_score,
 )
@@ -117,3 +120,38 @@ def test_deterministic_tie_break_by_name():
         p[...] = 0.0
     preds = constrained_beam_search(ckpt, enc, trie, kb, beam=3, k=3)
     assert [p.name for p in preds] == ["ab", "ba", "bb"]
+
+
+def test_narrow_beam_prunes_the_best_name():
+    # A hand-set decoder whose next-token logits depend only on the last
+    # token: "a" outscores "b" as the first letter, but "ab" ends far below "ba".
+    kb = build_kb([Concept("C1", ("ab",), None), Concept("C2", ("ba",), None)])
+    vocab = Vocab.from_texts(kb.names() + ["query text is"])
+    trie = build_trie(kb.names(), vocab)
+    n = len(vocab)
+    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=n, seed=0))
+    p = ckpt.params
+    for arr in p.values():
+        arr[...] = 0.0
+    p["dec_bz"][...] = 50.0  # update gate open: the state is tanh(emb[token] @ Wh)
+    p["emb"][...] = np.eye(n)
+    p["dec_Wh"][:n] = np.eye(n)
+    (a,), (b,), eos = vocab.encode_chars("a"), vocab.encode_chars("b"), vocab.eos_id
+    logits = np.zeros((n, n))  # row: last token consumed, column: next token
+    logits[:, a] = 2.0
+    logits[a] = logits[b] = 0.0
+    logits[a, b], logits[b, a] = -6.0, 6.0
+    logits[a, eos] = logits[b, eos] = 6.0
+    p["out_W"][...] = logits / np.tanh(1.0)
+    ex = MentionExample(left_context="text", mention="query", right_context="text",
+                        gold_ids=frozenset({"C1", "C2"}))
+    enc = render(ex, vocab)
+
+    first = prompt_log_prob(ckpt, [enc])[1][0]
+    assert first[a] > first[b]
+    score = {n: sequence_score(ckpt, enc, name_tokens(n, vocab)) for n in ("ab", "ba")}
+    assert score["ba"] > score["ab"] + 1.0
+    assert [p.name for p in constrained_beam_search(ckpt, enc, trie, kb, beam=1, k=1)] == ["ab"]
+    assert [p.name for p in constrained_beam_search(ckpt, enc, trie, kb, beam=2, k=2)] == ["ba", "ab"]
+    batched = constrained_beam_search_batch(ckpt, [enc] * 3, trie, kb, beam=1, k=1)
+    assert [[p.name for p in preds] for preds in batched] == [["ab"]] * 3

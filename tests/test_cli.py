@@ -7,11 +7,15 @@ tests inspect the artifacts it leaves behind and probe the error paths.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import neglink
 from neglink import model
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
@@ -228,3 +232,12 @@ def test_malformed_cache_vocab_exit_2(pipeline, tmp_path):
         rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(bad_cache),
                    "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2, doc
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy takes longer to import than all of neglink; only `eval --preds-b` needs it.
+    src = str(Path(neglink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import neglink.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -39,8 +39,8 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
-def reference_step(states, tokens, summaries, ckpt):
-    """One decoder step as the former `model.step_batch` computed it."""
+def reference_step(states, tokens, summaries, ckpt, gates=None):
+    """One decoder step as the former `model.step_batch` computed it (`gates` unused)."""
     p = ckpt.params
     x = np.concatenate([p["emb"][tokens], summaries], axis=1)
     z = expit(x @ p["dec_Wz"] + states @ p["dec_Uz"] + p["dec_bz"])
@@ -53,7 +53,8 @@ def reference_step(states, tokens, summaries, ckpt):
 def reference_prompt_log_prob(ckpt, enc_input):
     """Per-token prompt loop: (state, next-token log-distribution, summary, score)."""
     prompt = list(enc_input.prompt_tokens)
-    summary = model.encode(enc_input.encoder_tokens, ckpt)[None, :]
+    toks, mask = model.pad_batch([list(enc_input.encoder_tokens)], ckpt.vocab.pad_id)
+    summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     state = np.zeros((1, ckpt.config.hidden_dim))
     score = 0.0
     logp = None

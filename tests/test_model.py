@@ -45,12 +45,24 @@ def test_zero_params_give_zero_summary_and_uniform_logits():
     for p in ckpt.params.values():
         p[...] = 0.0
     enc = enc_input(ckpt)
-    summary = model.encode(enc.encoder_tokens, ckpt)
+    toks, mask = model.pad_batch([list(enc.encoder_tokens)], ckpt.vocab.pad_id)
+    summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     assert np.all(summary == 0.0)
     entity = ckpt.vocab.encode_chars("abc") + [ckpt.vocab.eos_id]
     lp = model.score_pairs(ckpt, [enc], [entity])[0]
     want = -len(entity) * np.log(len(ckpt.vocab))
     assert abs(lp - want) < 1e-12
+
+
+def test_sigmoid_matches_expit():
+    from scipy.special import expit
+
+    x = np.linspace(-50.0, 50.0, 200001)
+    assert np.abs(model.sigmoid(x) - expit(x)).max() <= 4.5e-16
+    assert model.sigmoid(0.0) == 0.5
+    with np.errstate(all="raise"):
+        ends = model.sigmoid(np.array([-1e4, 1e4]))
+    assert 0.0 <= ends[0] <= ends[1] <= 1.0
 
 
 def test_softmax_rows_sum_to_one():
@@ -102,7 +114,8 @@ def test_incremental_step_matches_teacher_forcing():
     ckpt = make_ckpt(seed=11)
     v = ckpt.vocab
     inp = enc_input(ckpt, "abc")
-    summary = model.encode(inp.encoder_tokens, ckpt)[None, :]
+    toks, mask = model.pad_batch([list(inp.encoder_tokens)], v.pad_id)
+    summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     seq = list(inp.prompt_tokens) + v.encode_chars("ba") + [v.eos_id]
     state = np.zeros((1, ckpt.config.hidden_dim))
     total = 0.0
