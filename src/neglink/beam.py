@@ -171,12 +171,8 @@ def sequence_score(ckpt: Checkpoint, enc_input: EncodedInput, entity_tokens) -> 
     One teacher-forced pass with every decoder position scored, so the sum
     covers prompt tokens 2..n and then the entity, as a beam hypothesis does.
     """
-    entity = model._validate_entity(entity_tokens, ckpt.vocab.eos_id)
-    pad = ckpt.vocab.pad_id
-    enc_tokens, enc_mask = model.pad_batch([list(enc_input.encoder_tokens)], pad)
-    dec_tokens, dec_mask, targets, _ = model.build_decoder_batch([list(enc_input.prompt_tokens)], [entity], pad)
-    cache = model.forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask)
-    return float(model.sequence_log_probs(cache, targets, dec_mask)[0])
+    cache, targets, _ = model.forward_pairs(ckpt, [enc_input], [entity_tokens])
+    return float(model.sequence_log_probs(cache, targets, cache.dec.mask)[0])
 
 
 def name_tokens(name: str, vocab) -> list[int]:

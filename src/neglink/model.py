@@ -284,7 +284,7 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
         "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
         "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
     }
-    return dX, {f"{side}_{role}": a for role, a in grads.items()}
+    return dX, {f"{side}_{role}": np.ascontiguousarray(a) for role, a in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -396,36 +396,6 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     return grads
 
 
-def build_decoder_batch(prompts: list, entities: list, pad_id: int):
-    """Teacher-forcing arrays for prompt-then-entity sequences.
-
-    Position j consumes token j of prompt+entity and predicts token j+1.
-    target_mask selects exactly the entity-token predictions, so masked
-    sums of per-position log-probs are the entity log-probabilities with
-    the prompt consumed but unscored.
-
-    Returns (dec_tokens, dec_mask, targets, target_mask), all (B, T).
-    """
-    if len(prompts) != len(entities):
-        raise ValueError("prompts and entities differ in length")
-    dec_seqs, tgt_seqs, offsets = [], [], []
-    for prompt, entity in zip(prompts, entities):
-        prompt, entity = list(prompt), list(entity)
-        if not prompt or not entity:
-            raise ValueError("empty prompt or entity sequence")
-        full = prompt + entity
-        dec_seqs.append(full[:-1])
-        tgt_seqs.append(full[1:])
-        offsets.append(len(prompt) - 1)
-    dec_tokens, dec_mask = pad_batch(dec_seqs, pad_id)
-    targets = np.full_like(dec_tokens, pad_id)
-    target_mask = np.zeros_like(dec_mask)
-    for i, (tgt, off) in enumerate(zip(tgt_seqs, offsets)):
-        targets[i, : len(tgt)] = tgt
-        target_mask[i, off : len(tgt)] = 1.0
-    return dec_tokens, dec_mask, targets, target_mask
-
-
 def sequence_log_probs(cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
     """Per-sequence sums of target log-probs at masked positions; (B,)."""
     logp = log_softmax(cache.logits)
@@ -455,16 +425,36 @@ def _validate_entity(entity_tokens, eos_id: int) -> list[int]:
     return entity
 
 
-def score_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list) -> np.ndarray:
-    """Entity log-probabilities for B (input, entity) pairs in one batch; (B,)."""
-    entities = [_validate_entity(e, ckpt.vocab.eos_id) for e in entities]
+def forward_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list):
+    """Teacher-forced forward of B (input, entity) pairs in one padded batch.
+
+    The decoder reads prompt-then-entity: position j consumes token j and
+    predicts token j+1. Each entity must be non-empty and end in EOS.
+
+    Returns (cache, targets, target_mask), the last two (B, T). target_mask
+    selects exactly the entity-token predictions, so masked sums of
+    per-position log-probs are the entity log-probabilities with the prompt
+    consumed but unscored; cache.dec.mask selects every prediction, prompt
+    tokens 2..n included.
+    """
+    if len(inputs) != len(entities):
+        raise ValueError("inputs and entities differ in length")
+    seqs, offsets = [], []
+    for x, entity in zip(inputs, entities):
+        prompt = list(x.prompt_tokens)
+        if not prompt:
+            raise ValueError("empty prompt")
+        seqs.append(prompt + _validate_entity(entity, ckpt.vocab.eos_id))
+        offsets.append(len(prompt) - 1)
     pad = ckpt.vocab.pad_id
     enc_tokens, enc_mask = pad_batch([list(x.encoder_tokens) for x in inputs], pad)
-    dec_tokens, dec_mask, targets, target_mask = build_decoder_batch(
-        [list(x.prompt_tokens) for x in inputs], entities, pad
-    )
-    cache = forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask)
-    return sequence_log_probs(cache, targets, target_mask)
+    dec_tokens, dec_mask = pad_batch([s[:-1] for s in seqs], pad)
+    targets = np.full_like(dec_tokens, pad)
+    target_mask = np.zeros_like(dec_mask)
+    for i, (seq, off) in enumerate(zip(seqs, offsets)):
+        targets[i, : len(seq) - 1] = seq[1:]
+        target_mask[i, off : len(seq) - 1] = 1.0
+    return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask), targets, target_mask
 
 
 def check_finite_loss(loss: float, step_index: int | None = None) -> float:

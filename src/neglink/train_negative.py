@@ -209,10 +209,6 @@ def preference_loss_values(
     return loss, dlp_w, dlp_l
 
 
-def _triplet_tokens(triplet: PreferenceTriplet, vocab) -> tuple[list[int], list[int]]:
-    return name_tokens(triplet.preferred, vocab), name_tokens(triplet.dispreferred, vocab)
-
-
 def preference_loss(
     ckpt: model.Checkpoint,
     ref: model.Checkpoint | None,
@@ -234,30 +230,21 @@ def preference_loss_and_grads(
     """Mean per-pair loss over the batch, plus exact parameter gradients.
 
     Preferred and dispreferred sequences share one forward pass (the batch
-    is stacked [w..., l...]); for dpo the frozen reference is re-scored on
-    the identical arrays so both sides see the same padding and reduction
-    order.
+    is stacked [w..., l...]); for dpo the frozen reference is re-scored
+    through `model.forward_pairs` on the same input and entity lists, which
+    lays them out in identical arrays, so both sides see the same padding
+    and reduction order.
     """
     if cfg.loss_kind == "dpo" and ref is None:
         raise ValueError("dpo requires a frozen reference checkpoint")
     B = len(triplets)
-    vocab = ckpt.vocab
-    pad = vocab.pad_id
-    entities = []
-    for t in triplets:
-        entities.append(name_tokens(t.preferred, vocab))
-    for t in triplets:
-        entities.append(name_tokens(t.dispreferred, vocab))
-    prompts = [list(t.input.prompt_tokens) for t in triplets] * 2
-    enc_seqs = [list(t.input.encoder_tokens) for t in triplets] * 2
-    enc_t, enc_m = model.pad_batch(enc_seqs, pad)
-    dec_t, dec_m, tg, tm = model.build_decoder_batch(prompts, entities, pad)
-
-    cache = model.forward_teacher(ckpt, enc_t, enc_m, dec_t, dec_m)
+    inputs = [t.input for t in triplets] * 2
+    entities = [name_tokens(t.preferred, ckpt.vocab) for t in triplets]
+    entities += [name_tokens(t.dispreferred, ckpt.vocab) for t in triplets]
+    cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
     lp = model.sequence_log_probs(cache, tg, tm)
     if cfg.loss_kind == "dpo":
-        ref_cache = model.forward_teacher(ref, enc_t, enc_m, dec_t, dec_m)
-        ref_lp = model.sequence_log_probs(ref_cache, tg, tm)
+        ref_lp = model.sequence_log_probs(*model.forward_pairs(ref, inputs, entities))
     else:
         ref_lp = np.zeros_like(lp)
     len_w = np.array([len(e) for e in entities[:B]], dtype=np.float64)

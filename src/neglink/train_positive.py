@@ -71,17 +71,6 @@ def build_positive_set(
     return instances
 
 
-def _batch_arrays(instances: list[PositiveInstance], vocab: Vocab):
-    pad = vocab.pad_id
-    enc_tokens, enc_mask = model.pad_batch([list(i.input.encoder_tokens) for i in instances], pad)
-    dec_tokens, dec_mask, targets, target_mask = model.build_decoder_batch(
-        [list(i.input.prompt_tokens) for i in instances],
-        [list(i.target) for i in instances],
-        pad,
-    )
-    return enc_tokens, enc_mask, dec_tokens, dec_mask, targets, target_mask
-
-
 def ce_from_cache(
     cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray, smoothing: float
 ) -> tuple[float, np.ndarray]:
@@ -111,22 +100,11 @@ def ce_from_cache(
     return loss, dlogits
 
 
-def ce_loss(ckpt: Checkpoint, instance: PositiveInstance, smoothing: float) -> float:
-    """Label-smoothed cross-entropy of one instance (mean over positions)."""
-    if not 0 <= smoothing < 1:
-        raise ValueError("smoothing must lie in [0, 1)")
-    enc_t, enc_m, dec_t, dec_m, tg, tm = _batch_arrays([instance], ckpt.vocab)
-    cache = model.forward_teacher(ckpt, enc_t, enc_m, dec_t, dec_m)
-    loss, _ = ce_from_cache(cache, tg, tm, smoothing)
-    return model.check_finite_loss(loss)
-
-
 def ce_loss_and_grads(
     ckpt: Checkpoint, instances: list[PositiveInstance], smoothing: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and exact gradients; used by training and gradient checks."""
-    enc_t, enc_m, dec_t, dec_m, tg, tm = _batch_arrays(instances, ckpt.vocab)
-    cache = model.forward_teacher(ckpt, enc_t, enc_m, dec_t, dec_m)
+    cache, tg, tm = model.forward_pairs(ckpt, [i.input for i in instances], [i.target for i in instances])
     loss, dlogits = ce_from_cache(cache, tg, tm, smoothing)
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
     return loss, grads

@@ -26,6 +26,11 @@ def enc_input(ckpt, mention="abc", left="fed", right="gab"):
     return render(ex, ckpt.vocab)
 
 
+def score(ckpt, inputs, entities):
+    """Entity log-probabilities of (input, entity) pairs, scored in one batch."""
+    return model.sequence_log_probs(*model.forward_pairs(ckpt, inputs, entities))
+
+
 def test_param_shapes_cover_all_roles():
     ckpt = make_ckpt(d=8)
     v = len(ckpt.vocab)
@@ -49,7 +54,7 @@ def test_zero_params_give_zero_summary_and_uniform_logits():
     summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     assert np.all(summary == 0.0)
     entity = ckpt.vocab.encode_chars("abc") + [ckpt.vocab.eos_id]
-    lp = model.score_pairs(ckpt, [enc], [entity])[0]
+    lp = score(ckpt, [enc], [entity])[0]
     want = -len(entity) * np.log(len(ckpt.vocab))
     assert abs(lp - want) < 1e-12
 
@@ -87,13 +92,9 @@ def test_batched_forward_matches_single_sequences():
     inputs = [enc_input(ckpt, m, l, r) for m, l, r in
               (("abc", "f", "g"), ("a", "fedcba", ""), ("gfe", "", "ab"))]
     entities = [v.encode_chars(s) + [v.eos_id] for s in ("abc", "bcd", "a")]
-    prompts = [list(e.prompt_tokens) for e in inputs]
-    enc_toks, enc_mask = model.pad_batch([list(e.encoder_tokens) for e in inputs], v.pad_id)
-    dec_toks, dec_mask, targets, tmask = model.build_decoder_batch(prompts, entities, v.pad_id)
-    cache = model.forward_teacher(ckpt, enc_toks, enc_mask, dec_toks, dec_mask)
-    batch_lp = model.sequence_log_probs(cache, targets, tmask)
+    batch_lp = score(ckpt, inputs, entities)
     for i, (inp, ent) in enumerate(zip(inputs, entities)):
-        single = model.score_pairs(ckpt, [inp], [ent])[0]
+        single = score(ckpt, [inp], [ent])[0]
         assert abs(single - batch_lp[i]) < 1e-12
 
 
@@ -102,12 +103,42 @@ def test_padding_right_of_eos_never_changes_scores():
     v = ckpt.vocab
     inp = enc_input(ckpt, "abc")
     ent = v.encode_chars("ba") + [v.eos_id]
-    lp_alone = model.score_pairs(ckpt, [inp], [ent])[0]
+    lp_alone = score(ckpt, [inp], [ent])[0]
     # score the same sequence next to a much longer neighbor
     long_inp = enc_input(ckpt, "gfedcba", "abcdefg", "gfedcba")
     long_ent = v.encode_chars("abcdefg") + [v.eos_id]
-    lp_batched = model.score_pairs(ckpt, [inp, long_inp], [ent, long_ent])[0]
+    lp_batched = score(ckpt, [inp, long_inp], [ent, long_ent])[0]
     assert lp_alone == lp_batched
+
+
+def test_forward_pairs_masks_entity_and_every_prediction():
+    ckpt = make_ckpt(seed=6)
+    v = ckpt.vocab
+    inputs = [enc_input(ckpt, "abc"), enc_input(ckpt, "gfedcab", "abcdefg", "")]
+    entities = [v.encode_chars("ba") + [v.eos_id], v.encode_chars("bcdefg") + [v.eos_id]]
+    cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
+    for i, (inp, ent) in enumerate(zip(inputs, entities)):
+        n = len(inp.prompt_tokens) + len(ent) - 1  # predictions: prompt tokens 2..n, then the entity
+        assert cache.dec.mask[i].tolist() == [1.0] * n + [0.0] * (targets.shape[1] - n)
+        assert list(targets[i, :n]) == list(inp.prompt_tokens)[1:] + ent
+        assert list(targets[i, tmask[i] > 0]) == ent
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("no_eos", "end with EOS"), ("empty", "empty entity"), ("lengths", "differ in length")],
+)
+def test_forward_pairs_rejects_bad_pairs(case, message):
+    ckpt = make_ckpt()
+    v = ckpt.vocab
+    inp = enc_input(ckpt)
+    inputs, entities = {
+        "no_eos": ([inp], [v.encode_chars("abc")]),
+        "empty": ([inp], [[]]),
+        "lengths": ([inp, inp], [v.encode_chars("abc") + [v.eos_id]]),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        model.forward_pairs(ckpt, inputs, entities)
 
 
 def test_incremental_step_matches_teacher_forcing():
@@ -125,7 +156,7 @@ def test_incremental_step_matches_teacher_forcing():
         if t >= len(inp.prompt_tokens) - 1:
             total += logp[seq[t + 1]]
     ent = v.encode_chars("ba") + [v.eos_id]
-    want = model.score_pairs(ckpt, [inp], [ent])[0]
+    want = score(ckpt, [inp], [ent])[0]
     assert abs(total - want) < 1e-9
 
 
@@ -136,12 +167,9 @@ def test_gradients_match_finite_differences():
     entities = [v.encode_chars("cd") + [v.eos_id], v.encode_chars("fgab") + [v.eos_id]]
 
     def loss_fn():
-        return -model.score_pairs(ckpt, inputs, entities).sum()
+        return -score(ckpt, inputs, entities).sum()
 
-    prompts = [list(i.prompt_tokens) for i in inputs]
-    enc_toks, enc_mask = model.pad_batch([list(i.encoder_tokens) for i in inputs], v.pad_id)
-    dec_toks, dec_mask, targets, tmask = model.build_decoder_batch(prompts, entities, v.pad_id)
-    cache = model.forward_teacher(ckpt, enc_toks, enc_mask, dec_toks, dec_mask)
+    cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
     dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([-1.0, -1.0]))
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
 
@@ -172,10 +200,7 @@ def test_gradients_zero_at_padded_positions():
     # pad embedding row must receive zero gradient: pads are never real input
     inputs = [enc_input(ckpt, "ab"), enc_input(ckpt, "gfedcab")]
     entities = [v.encode_chars("a") + [v.eos_id], v.encode_chars("bcdefg") + [v.eos_id]]
-    prompts = [list(i.prompt_tokens) for i in inputs]
-    enc_toks, enc_mask = model.pad_batch([list(i.encoder_tokens) for i in inputs], v.pad_id)
-    dec_toks, dec_mask, targets, tmask = model.build_decoder_batch(prompts, entities, v.pad_id)
-    cache = model.forward_teacher(ckpt, enc_toks, enc_mask, dec_toks, dec_mask)
+    cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
     dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([1.0, 1.0]))
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
     assert np.all(grads["emb"][v.pad_id] == 0.0)
