@@ -102,9 +102,33 @@ def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
     return vocab, load_trie(cache / "trie.bin")
 
 
-def _check_vocab(ckpt: model.Checkpoint, vocab: Vocab) -> None:
+def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
+    _require_paths(path)
+    ckpt = model.load(path)
     if ckpt.vocab != vocab:
         raise ConfigError("checkpoint vocabulary does not match the cache vocabulary")
+    return ckpt
+
+
+_JSON_TYPES = {"an integer": int, "a string": str, "a number": (int, float)}
+
+
+def _fields(path, rec, kinds: dict[str, str]) -> list:
+    """The values of `kinds`' keys in one record, each checked against its _JSON_TYPES kind.
+
+    JSON true and false are not integers or numbers here, though Python's bool is an int.
+    """
+    if not isinstance(rec, dict):
+        raise FormatError(f"{path}: expected one JSON object per record, got {rec!r:.60}")
+    values = []
+    for key, kind in kinds.items():
+        if key not in rec:
+            raise FormatError(f"{path}: record missing {key!r}")
+        value = rec[key]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise FormatError(f"{path}: {key!r} must be {kind}, got {value!r:.60}")
+        values.append(value)
+    return values
 
 
 def _write_loss_log(path, header: dict, loss_log) -> None:
@@ -124,13 +148,12 @@ def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]
 
 
 def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
+    _require_paths(path)
     _, records = artifacts.read_jsonl(path)
     lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
+    kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
     for rec in records:
-        try:
-            i, rank, name, score = rec["mention_index"], rec["rank"], rec["name"], rec["score"]
-        except KeyError as e:
-            raise FormatError(f"{path}: prediction record missing {e}") from e
+        i, rank, name, score = _fields(path, rec, kinds)
         if not 0 <= i < n_examples:
             raise FormatError(f"{path}: mention_index {i} out of range for {n_examples} examples")
         lists[i].append((rank, Prediction(name=name, ids=kb.align(name), score=float(score))))
@@ -200,25 +223,17 @@ def cmd_synth(args) -> int:
             for ex in examples
         ),
     )
-    artifacts.write_jsonl(
-        args.out_pairs,
-        header,
-        (
-            {"mention_index": t.mention_index, "e_w": t.preferred, "e_l": t.dispreferred,
-             "rank_w": t.rank_w, "rank_l": t.rank_l}
-            for t in pairs
-        ),
-    )
+    artifacts.write_jsonl(args.out_pairs, header, (_pair_record(t) for t in pairs))
     log.info("synthesized %d examples and %d pairs", len(examples), len(pairs))
     return 0
 
 
-def _load_training_inputs(args, need_trie: bool = True):
+def _load_training_inputs(args):
     cfg = _config_from_args(args)
-    _require_paths(args.kb, args.mentions, args.cache, getattr(args, "abbrev", None))
+    _require_paths(args.kb, args.mentions, args.cache, args.abbrev)
     kb = load_kb(args.kb)
     vocab, trie = _load_cache(args.cache)
-    examples, dropped = prepare_mentions(args.mentions, kb, getattr(args, "abbrev", None))
+    examples, dropped = prepare_mentions(args.mentions, kb, args.abbrev)
     if dropped:
         log.info("dropped %d unlinkable examples", dropped)
     if not examples:
@@ -231,9 +246,7 @@ def cmd_train_positive(args) -> int:
     idx = build_index(kb.names())
     instances = build_positive_set(examples, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
     if args.init:
-        _require_paths(args.init)
-        ckpt = model.load(args.init)
-        _check_vocab(ckpt, vocab)
+        ckpt = _load_checkpoint(args.init, vocab)
     else:
         ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
     result = train(ckpt, instances, cfg.positive_optimizer(), seed=cfg.seed)
@@ -247,47 +260,36 @@ def cmd_train_positive(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
-    _require_paths(args.ckpt)
-    ckpt = model.load(args.ckpt)
-    _check_vocab(ckpt, vocab)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
     triplets = mine_pairs(
         ckpt, examples, kb, trie, idx,
         topk=cfg.topk, negatives=cfg.negatives, pairs=cfg.pairs, max_ctx=cfg.max_ctx,
     )
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
-    artifacts.write_jsonl(
-        args.out,
-        header,
-        (
-            {"mention_index": t.mention_index, "e_w": t.preferred, "e_l": t.dispreferred,
-             "rank_w": t.rank_w, "rank_l": t.rank_l}
-            for t in triplets
-        ),
-    )
+    artifacts.write_jsonl(args.out, header, (_pair_record(t) for t in triplets))
     log.info("mined %d preference pairs from %d examples", len(triplets), len(examples))
     return 0
 
 
+def _pair_record(t: PreferenceTriplet) -> dict:
+    return {"mention_index": t.mention_index, "e_w": t.preferred, "e_l": t.dispreferred,
+            "rank_w": t.rank_w, "rank_l": t.rank_l}
+
+
 def cmd_train_negative(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
-    _require_paths(args.ckpt, args.pairs)
-    ckpt = model.load(args.ckpt)
-    _check_vocab(ckpt, vocab)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
+    _require_paths(args.pairs)
     _, records = artifacts.read_jsonl(args.pairs)
     triplets = []
+    kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
     for rec in records:
-        try:
-            i, e_w, e_l = rec["mention_index"], rec["e_w"], rec["e_l"]
-        except KeyError as e:
-            raise FormatError(f"{args.pairs}: pair record missing {e}") from e
+        i, e_w, e_l = _fields(args.pairs, rec, kinds)
         if not 0 <= i < len(examples):
             raise FormatError(f"{args.pairs}: mention_index {i} out of range")
         enc = render(examples[i], vocab, max_ctx=cfg.max_ctx)
-        triplets.append(
-            PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l,
-                              mention_index=i, rank_w=rec.get("rank_w"), rank_l=rec.get("rank_l"))
-        )
+        triplets.append(PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i))
     if not triplets:
         raise FormatError(f"{args.pairs}: no preference pairs")
     result = train_preference(ckpt, triplets, cfg.preference_config(), seed=cfg.seed)
@@ -303,9 +305,7 @@ def cmd_train_negative(args) -> int:
 
 def cmd_link(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
-    _require_paths(args.ckpt)
-    ckpt = model.load(args.ckpt)
-    _check_vocab(ckpt, vocab)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
     prediction_lists = _link_all(ckpt, examples, trie, kb, cfg)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
     artifacts.write_jsonl(
@@ -317,9 +317,8 @@ def cmd_link(args) -> int:
     return 0
 
 
-def _fold_reports(examples: list[MentionExample], prediction_lists, ks) -> dict:
+def _fold_reports(examples: list[MentionExample], prediction_lists, whole, ks) -> dict:
     folds = sorted({ex.fold for ex in examples if ex.fold is not None})
-    whole = evaluate(prediction_lists, [ex.gold_ids for ex in examples], ks=ks)
     doc = {"n": whole.n, "acc_at": {str(k): v for k, v in whole.acc_at.items()}}
     if folds:
         per_fold = []
@@ -335,14 +334,12 @@ def _fold_reports(examples: list[MentionExample], prediction_lists, ks) -> dict:
 
 def cmd_eval(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
-    _require_paths(args.preds)
     ks = (1, args.k) if args.k != 1 else (1,)
     prediction_lists = _predictions_from_file(args.preds, kb, len(examples))
-    doc = _fold_reports(examples, prediction_lists, ks)
     gold_sets = [ex.gold_ids for ex in examples]
     report_a = evaluate(prediction_lists, gold_sets, ks=ks)
+    doc = _fold_reports(examples, prediction_lists, report_a, ks)
     if args.preds_b:
-        _require_paths(args.preds_b)
         lists_b = _predictions_from_file(args.preds_b, kb, len(examples))
         report_b = evaluate(lists_b, gold_sets, ks=ks)
         boot = bootstrap_paired_test(
@@ -367,9 +364,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
-    _require_paths(args.ckpt, args.preds)
-    ckpt = model.load(args.ckpt)
-    _check_vocab(ckpt, vocab)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
     prediction_lists = _predictions_from_file(args.preds, kb, len(examples))
     binned = binned_error_report(examples, prediction_lists, kb, idx)
@@ -416,6 +411,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--kb", required=True)
+    p.add_argument("--mentions", required=True)
+    p.add_argument("--abbrev")
+    p.add_argument("--cache", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neglink", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -443,21 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-positive", help="stage-1 synonym generation training")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--init", help="checkpoint to start from instead of a fresh init")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_positive)
 
     p = sub.add_parser("mine", help="mine preference pairs from a checkpoint")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--topk", type=int, default=None)
     p.add_argument("--negatives", choices=("pred", "tfidf"), default=None)
@@ -466,11 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train-negative", help="stage-2 preference training")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--pairs", dest="pairs", required=True, help="mined pairs file")
     p.add_argument("--loss", choices=("pairwise", "dpo", "cpo", "simpo"), default=None)
@@ -478,11 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_negative)
 
     p = sub.add_parser("link", help="constrained predictions for mentions")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--beam", type=int, default=None)
     p.add_argument("--topk", type=int, default=None)
@@ -490,11 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("eval", help="accuracy report, optional system comparison")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--preds", required=True)
     p.add_argument("--preds-b", help="second predictions file for the paired bootstrap test")
     p.add_argument("--k", type=int, default=5, help="second accuracy cutoff and the bootstrap k")
@@ -503,11 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="similarity-binned errors and log-prob gaps")
-    _add_common(p)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--mentions", required=True)
-    p.add_argument("--abbrev")
-    p.add_argument("--cache", required=True)
+    _add_inputs(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--preds", required=True)
     p.add_argument("--out-bins", required=True)

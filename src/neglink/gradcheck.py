@@ -16,7 +16,6 @@ import numpy as np
 
 from . import model
 from .corpus import MentionExample, render
-from .optim import OptimizerConfig
 from .train_negative import LOSS_KINDS, PreferenceConfig, PreferenceTriplet, preference_loss_and_grads
 from .train_positive import PositiveInstance, ce_loss_and_grads
 from .vocab import Vocab
@@ -68,10 +67,7 @@ def _fixture(seed: int):
 def _loss_fn(kind: str, ckpt, ref, instances, triplets):
     if kind == "ce":
         return lambda want: ce_loss_and_grads(ckpt, instances, smoothing=0.1)
-    cfg = PreferenceConfig(
-        loss_kind=kind,
-        optimizer=OptimizerConfig(learning_rate=0.0, steps=1, batch_size=2),
-    )
+    cfg = PreferenceConfig(loss_kind=kind)
     return lambda want: preference_loss_and_grads(ckpt, ref, triplets, cfg, want_grads=want)
 
 

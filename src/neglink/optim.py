@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay, global-norm clipping, linear warmup.
+"""Adam with decoupled weight decay, global-norm clipping, linear warmup,
+and the training loop both stages share.
 
 The learning rate ramps linearly from zero over `warmup_steps` optimizer
 steps (step t, 0-based, uses rate lr * min(1, (t+1)/warmup_steps)) and
@@ -12,12 +13,13 @@ grad_clip / norm before the moment updates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import OptimizerState
+from .model import Checkpoint, OptimizerState, check_finite_loss, copy_checkpoint
 
 
 @dataclass(frozen=True)
@@ -94,3 +96,50 @@ def adamw_step(
         p -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
         p -= lr * cfg.weight_decay * p
     return lr
+
+
+@dataclass
+class TrainResult:
+    checkpoint: Checkpoint
+    loss_log: list[tuple[int, float]]  # (step, batch loss)
+
+
+def train_loop(
+    ckpt: Checkpoint,
+    items: Sequence,
+    loss_and_grads: Callable[[Checkpoint, list], tuple[float, dict[str, np.ndarray]]],
+    opt: OptimizerConfig,
+    steps: int,
+    seed: int,
+    stage: str,
+) -> TrainResult:
+    """`steps` clipped AdamW steps on a copy of `ckpt`, which is not modified.
+
+    Each epoch draws one permutation of `items` from the seeded generator and
+    slices it into batches of `opt.batch_size`; an epoch's short last batch is
+    kept, and a `steps` that is not a multiple of the epoch length stops
+    mid-epoch. `loss_and_grads(ckpt, batch)` returns the batch loss and the
+    gradient of every parameter. The copy starts with a fresh optimizer state
+    and is returned tagged with `stage`.
+    """
+    if not items:
+        raise ValueError("nothing to train on")
+    out = copy_checkpoint(ckpt)
+    out.opt_state = OptimizerState.fresh(out.params)
+    rng = np.random.default_rng(seed)
+    loss_log: list[tuple[int, float]] = []
+    step = 0
+    while step < steps:
+        order = rng.permutation(len(items))
+        for start in range(0, len(order), opt.batch_size):
+            if step >= steps:
+                break
+            batch = [items[i] for i in order[start : start + opt.batch_size]]
+            loss, grads = loss_and_grads(out, batch)
+            check_finite_loss(loss, step_index=step)
+            clip_grads(grads, opt.grad_clip)
+            adamw_step(out.params, grads, out.opt_state, opt)
+            loss_log.append((step, loss))
+            step += 1
+    out.stage = stage
+    return TrainResult(checkpoint=out, loss_log=loss_log)

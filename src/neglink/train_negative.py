@@ -19,6 +19,7 @@ exactly ln 2 per pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .corpus import EncodedInput, MentionExample, render
 from .errors import ConfigError
 from .kb import KnowledgeBase
 from .tfidf import TfIdfIndex, hard_negatives, rank_synonyms
-from .train_positive import TrainResult, gold_synonyms
+from .train_positive import gold_synonyms
 
 LOSS_KINDS = ("pairwise", "dpo", "cpo", "simpo")
 
@@ -269,30 +270,17 @@ def train_preference(
     triplets: list[PreferenceTriplet],
     cfg: PreferenceConfig,
     seed: int,
-) -> TrainResult:
-    """Preference-loss epochs over the mined triplets.
+) -> optim.TrainResult:
+    """`cfg.epochs` epochs of the preference loss over the mined triplets.
 
-    The input checkpoint is copied, never modified; for dpo that copy of
-    the starting parameters also serves as the frozen reference.
+    The input checkpoint is copied, never modified; for dpo a second copy of
+    the starting parameters serves as the frozen reference. Epochs become a
+    step count for `optim.train_loop`, which draws one permutation per epoch.
     """
-    if not triplets:
-        raise ValueError("no preference triplets")
     ref = model.copy_checkpoint(ckpt) if cfg.loss_kind == "dpo" else None
-    out = model.copy_checkpoint(ckpt)
-    out.opt_state = model.OptimizerState.fresh(out.params)
     opt = cfg.optimizer
-    rng = np.random.default_rng(seed)
-    loss_log: list[tuple[int, float]] = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(triplets))
-        for start in range(0, len(order), opt.batch_size):
-            batch = [triplets[i] for i in order[start : start + opt.batch_size]]
-            loss, grads = preference_loss_and_grads(out, ref, batch, cfg)
-            model.check_finite_loss(loss, step_index=step)
-            optim.clip_grads(grads, opt.grad_clip)
-            optim.adamw_step(out.params, grads, out.opt_state, opt)
-            loss_log.append((step, loss))
-            step += 1
-    out.stage = "negative"
-    return TrainResult(checkpoint=out, loss_log=loss_log)
+    steps = cfg.epochs * math.ceil(len(triplets) / opt.batch_size)
+    return optim.train_loop(
+        ckpt, triplets, lambda c, batch: preference_loss_and_grads(c, ref, batch, cfg),
+        opt, steps, seed, "negative",
+    )

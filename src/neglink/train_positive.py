@@ -29,12 +29,6 @@ class PositiveInstance:
     target_name: str
 
 
-@dataclass
-class TrainResult:
-    checkpoint: Checkpoint
-    loss_log: list[tuple[int, float]]  # (step, batch loss)
-
-
 def gold_synonyms(ex: MentionExample, kb: KnowledgeBase) -> list[str]:
     """Union of the names of every gold concept, deduplicated, sorted."""
     out: set[str] = set()
@@ -115,30 +109,13 @@ def train(
     instances: list[PositiveInstance],
     opt: optim.OptimizerConfig,
     seed: int,
-) -> TrainResult:
-    """Stage-1 loop; returns a positive-stage checkpoint and the loss curve.
+) -> optim.TrainResult:
+    """Stage-1 training: `opt.steps` steps of smoothed cross-entropy.
 
-    The input checkpoint is not modified. Data is reshuffled every epoch
-    from the seeded generator; the final short batch of an epoch is kept.
+    Returns a positive-stage copy of `ckpt` and the loss curve; the schedule
+    is `optim.train_loop`'s.
     """
-    if not instances:
-        raise ValueError("no training instances")
-    out = model.copy_checkpoint(ckpt)
-    out.opt_state = model.OptimizerState.fresh(out.params)
-    rng = np.random.default_rng(seed)
-    loss_log: list[tuple[int, float]] = []
-    step = 0
-    while step < opt.steps:
-        order = rng.permutation(len(instances))
-        for start in range(0, len(order), opt.batch_size):
-            if step >= opt.steps:
-                break
-            batch = [instances[i] for i in order[start : start + opt.batch_size]]
-            loss, grads = ce_loss_and_grads(out, batch, opt.label_smoothing)
-            model.check_finite_loss(loss, step_index=step)
-            optim.clip_grads(grads, opt.grad_clip)
-            optim.adamw_step(out.params, grads, out.opt_state, opt)
-            loss_log.append((step, loss))
-            step += 1
-    out.stage = "positive"
-    return TrainResult(checkpoint=out, loss_log=loss_log)
+    return optim.train_loop(
+        ckpt, instances, lambda c, batch: ce_loss_and_grads(c, batch, opt.label_smoothing),
+        opt, opt.steps, seed, "positive",
+    )

@@ -234,6 +234,28 @@ def test_malformed_cache_vocab_exit_2(pipeline, tmp_path):
         assert rc == 2, doc
 
 
+@pytest.mark.parametrize("command, record", [
+    ("train-negative", {"mention_index": "3", "e_w": "a", "e_l": "b", "rank_w": 1, "rank_l": 2}),
+    ("eval", {"mention_index": 0, "rank": 1, "name": "a", "ids": [], "score": "abc"}),
+    ("eval", [0, 1, "a", [], -1.0]),
+])
+def test_malformed_record_exit_2(pipeline, tmp_path, caplog, command, record):
+    root, kb, train, test, cache = pipeline
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"header": {}}) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
+    if command == "train-negative":
+        argv = ["train-negative", *FAST, *inputs, "--mentions", train,
+                "--ckpt", str(root / "s1.ckpt"), "--pairs", str(bad)]
+    else:
+        argv = ["eval", *inputs, "--mentions", test, "--preds", str(bad)]
+    caplog.clear()
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(bad) in errors[0].getMessage()
+    assert "\n" not in errors[0].getMessage() and errors[0].exc_info is None
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # SciPy takes longer to import than all of neglink; only `eval --preds-b` needs it.
     src = str(Path(neglink.__file__).resolve().parents[1])

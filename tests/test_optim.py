@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from neglink.errors import ConfigError
-from neglink.optim import OptimizerConfig, adamw_step, clip_grads, effective_rate, global_norm
+from neglink import model
+from neglink.optim import OptimizerConfig, adamw_step, clip_grads, effective_rate, global_norm, train_loop
 from neglink.model import OptimizerState
+from neglink.vocab import Vocab
 
 
 def small_params(seed=0):
@@ -95,3 +97,23 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.1, steps=0)
     with pytest.raises(ConfigError):
         OptimizerConfig(learning_rate=0.1, steps=5, adam_beta1=1.5)
+
+
+def test_train_loop_schedule():
+    # 10 items in batches of 4 give epochs of 3 steps (4, 4, 2); 7 steps stop one batch into epoch 3
+    ckpt = model.init_checkpoint(Vocab.from_texts(["ab"]), model.ModelConfig(hidden_dim=4, seed=0))
+    batches = []
+
+    def record(c, batch):
+        batches.append(list(batch))
+        return 1.0, {k: np.zeros_like(p) for k, p in c.params.items()}
+
+    opt = OptimizerConfig(learning_rate=1e-3, steps=7, batch_size=4)
+    result = train_loop(ckpt, list(range(10)), record, opt, opt.steps, seed=5, stage="x")
+    assert [len(b) for b in batches] == [4, 4, 2, 4, 4, 2, 4]
+    for epoch in (batches[0:3], batches[3:6]):
+        assert sorted(i for b in epoch for i in b) == list(range(10))
+    assert result.loss_log == [(step, 1.0) for step in range(7)]
+    assert result.checkpoint.stage == "x" and result.checkpoint.opt_state.step == 7
+    with pytest.raises(ValueError):
+        train_loop(ckpt, [], record, opt, opt.steps, seed=5, stage="x")

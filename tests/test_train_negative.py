@@ -288,14 +288,19 @@ def test_train_preference_runs_and_freezes_reference():
         make_triplet(vocab, examples[1], "bcd", "abc"),
         make_triplet(vocab, examples[0], "abd", "bce"),
         make_triplet(vocab, examples[1], "bce", "abd"),
+        make_triplet(vocab, examples[0], "abc", "bce"),
+        make_triplet(vocab, examples[1], "bcd", "abd"),
     ]
+    before = {k: v.copy() for k, v in ckpt.params.items()}
     cfg = pconfig("dpo", lr=1e-3, epochs=2)
+    # batch size 4: six triplets take two steps per epoch, the second one short
+    assert len(train_preference(ckpt, triplets, cfg, seed=0).loss_log) == 2 * 2
+    triplets = triplets[:4]
     result = train_preference(ckpt, triplets, cfg, seed=0)
     assert result.checkpoint.stage == "negative"
     assert len(result.loss_log) == 2 * math.ceil(len(triplets) / cfg.optimizer.batch_size)
     # first batch of the first epoch starts at the reference, so its dpo loss is ln 2
     assert result.loss_log[0][1] == pytest.approx(math.log(2.0), abs=1e-12)
-    before = {k: v.copy() for k, v in ckpt.params.items()}
     for name in before:
         assert np.array_equal(ckpt.params[name], before[name])
 
