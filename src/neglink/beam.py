@@ -35,7 +35,7 @@ class Prediction:
 
 
 # Mentions per batched search. Chunks of 16 to 300 search the toy test set
-# equally fast; the encoder keeps eight (CHUNK, T, d) float64 arrays, so a
+# equally fast; the encoder keeps seven (T, CHUNK, d) float64 arrays, so a
 # small chunk keeps the link stage's peak memory low.
 CHUNK = 32
 

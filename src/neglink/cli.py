@@ -19,6 +19,7 @@ failure, 4 gradient check failure. Logs go to stderr; data to files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import sys
@@ -160,6 +161,11 @@ def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[lis
     out = []
     for i, preds in enumerate(lists):
         preds.sort(key=lambda rp: rp[0])
+        ranks = [r for r, _ in preds]
+        if not ranks:
+            raise FormatError(f"{path}: no predictions for mention_index {i} of {n_examples}")
+        if ranks != list(range(1, len(ranks) + 1)):
+            raise FormatError(f"{path}: mention_index {i} has ranks {ranks!r:.60}, expected 1..{len(ranks)}")
         out.append([p for _, p in preds])
     return out
 
@@ -179,10 +185,10 @@ def cmd_kb_build(args) -> int:
     inputs = {"kb": args.kb}
     inputs.update({f"mentions{i}": p for i, p in enumerate(args.mentions or [])})
     header = artifacts.make_header(cfg.seed, inputs)
-    with open(outdir / "vocab.json", "w", encoding="utf-8") as fh:
+    with artifacts.atomic_write(outdir / "vocab.json") as fh:
         fh.write(artifacts.canonical_json({"header": header, "tokens": list(vocab.tokens)}) + "\n")
     save_trie(trie, outdir / "trie.bin", metadata={"names": trie.size, "vocab_size": len(vocab)})
-    with open(outdir / "kb_info.json", "w", encoding="utf-8") as fh:
+    with artifacts.atomic_write(outdir / "kb_info.json") as fh:
         fh.write(
             artifacts.canonical_json(
                 {
@@ -353,7 +359,7 @@ def cmd_eval(args) -> int:
             "p_value": boot.p_value,
         }
     header = artifacts.make_header(cfg.seed, {"mentions": args.mentions, "preds": args.preds})
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with artifacts.atomic_write(args.out) as fh:
         fh.write(artifacts.canonical_json({"header": header, "report": doc}) + "\n")
     for k in ks:
         print(f"Acc@{k} = {report_a.acc_at[k]:.4f}")
@@ -502,6 +508,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let this process reuse the memory it frees instead of handing it back to the kernel.
+
+    A training step allocates and frees several arrays of 0.5-1 MiB. By
+    default glibc serves those with mmap and unmaps them on free, so the next
+    step page-faults the same amount in again. Serving blocks up to 32 MiB
+    from the heap and trimming the heap only above 512 MiB of free top keeps
+    them for reuse. Both are set because setting either one switches off
+    glibc's dynamic thresholds. A no-op where glibc's mallopt is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -510,6 +540,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return 0 if e.code in (0, None) else 1
+    _keep_freed_memory()
     try:
         return args.func(args)
     except NumericError as e:

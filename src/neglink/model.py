@@ -13,10 +13,18 @@ pre-activations in one matmul, and 0.5*tanh(.)+0.5 of that is their sigmoid
 (halving is exact in binary floating point). Checkpoints keep the separate
 per-gate arrays.
 
+Recurrent loops run time-major: a GRU's cached gates, candidates and
+states are (T, B, .) arrays, so step t reads and writes contiguous (B, .)
+blocks in place. Both GRUs read token embeddings, so the embedding share of
+their input projections, E@W[:d], is computed once per vocabulary entry and
+gathered per token, and its gradients are summed per vocabulary entry with
+one one-hot product. The decoder also reads the summary, a per-row input
+S (B, d) at every step; its share, S@W[d:] + b, is computed once per row.
+
 Batched sequences are right-padded. Each row runs on through its padding,
 which no real step reads, so batched results equal one-at-a-time results
-exactly; after the loop one gather freezes every row's hidden state at its
-last real token. The gradient entering padded steps must be zero, and then
+exactly; after the loop every row's hidden state is frozen at its last
+real token. The gradient entering padded steps must be zero, and then
 the gradients from them are identically zero.
 
 Checkpoint file layout: magic "ACKP", format version u32 LE, u32 header
@@ -35,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .corpus import EncodedInput
 from .errors import CheckpointFormatError, ConfigError, DivergenceError, NumericError, VocabError
 from .vocab import Vocab
@@ -191,12 +200,12 @@ def pad_batch(seqs: list, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GruCache:
-    tokens: np.ndarray  # (B, T) ids
+    tokens: np.ndarray  # (B, T) input ids; the GRU reads their embeddings
     mask: np.ndarray  # (B, T)
-    X: np.ndarray  # (B, T, in_dim) cell inputs
-    G: np.ndarray  # (B, T, 2d) fused gates: update z in [:d], reset r in [d:]
-    Hh: np.ndarray  # (B, T, d) tanh candidates
-    H: np.ndarray  # (B, T, d) hidden states (frozen after each row's last real token)
+    S: np.ndarray | None  # (B, d) per-row input read at every step (decoder: summary); None for the encoder
+    G: np.ndarray  # (T, B, 2d) fused gates: update z in [:d], reset r in [d:]
+    Hh: np.ndarray  # (T, B, d) tanh candidates
+    H: np.ndarray  # (T, B, d) hidden states (frozen after each row's last real token)
 
 
 def gate_weights(p: dict, side: str):
@@ -208,83 +217,115 @@ def gate_weights(p: dict, side: str):
     return tuple(0.5 * np.concatenate([p[f"{side}_{k}z"], p[f"{side}_{k}r"]], axis=-1) for k in "WUb")
 
 
-def _gru_cell(xg, xh, h, Ug, Uh):
+def _gru_cell(xg, xh, h, Ug, Uh, out=(None, None, None)):
     """One step from input projections and state `h`: (gates [z|r], candidate hh, next h).
 
     `xg = x@Wg + bg` and `Ug` are halved fused gate weights (`gate_weights`);
-    `xh = x@Wh + bh`.
+    `xh = x@Wh + bh`. `out` holds three arrays to write the results into, or
+    Nones for new ones.
     """
-    g = np.tanh(xg + h @ Ug)
+    g, hh, h_next = out
+    g = np.matmul(h, Ug, out=g)
+    g += xg
+    np.tanh(g, out=g)
     g *= 0.5
     g += 0.5
     d = h.shape[1]
-    hh = np.tanh(xh + (g[:, d:] * h) @ Uh)
-    return g, hh, h + g[:, :d] * (hh - h)
+    hh = np.matmul(g[:, d:] * h, Uh, out=hh)
+    hh += xh
+    np.tanh(hh, out=hh)
+    h_next = np.subtract(hh, h, out=h_next)
+    h_next *= g[:, :d]
+    h_next += h
+    return g, hh, h_next
 
 
-def _gru_forward(X, mask, p: dict, side: str):
-    """The `side` GRU over right-padded inputs X (B, T, in_dim): (H, G, Hh) as in GruCache."""
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gru_forward(tokens, S, mask, p: dict, side: str):
+    """The `side` GRU over right-padded (B, T) tokens: time-major (H, G, Hh) as in GruCache.
+
+    Step t reads the embeddings of tokens[:, t] and, when S is not None,
+    the per-row S (B, m); the GRU's input weights have d + m rows.
+    """
     Wg, Ug, bg = gate_weights(p, side)
-    Uh = p[f"{side}_Uh"]
-    B, T, _ = X.shape
+    Wh, bh, Uh = p[f"{side}_Wh"], p[f"{side}_bh"], p[f"{side}_Uh"]
+    B, T = tokens.shape
     d = Uh.shape[0]
-    # Input projections for the whole sequence in two matmuls.
-    XG = X @ Wg + bg
-    XH = X @ p[f"{side}_Wh"] + p[f"{side}_bh"]
-    G = np.empty((B, T, 2 * d))
-    Hh = np.empty((B, T, d))
-    H = np.empty((B, T, d))
+    # Input projections: every vocabulary entry's once, then gathered per step;
+    # S's once per row.
+    if S is not None:
+        bg, bh = S @ Wg[d:] + bg, S @ Wh[d:] + bh
+    XG = (p["emb"] @ Wg[:d])[tokens.T] + bg
+    XH = (p["emb"] @ Wh[:d])[tokens.T] + bh
+    G = np.empty((T, B, 2 * d))
+    Hh = np.empty((T, B, d))
+    H = np.empty((T, B, d))
     h = np.zeros((B, d))
     for t in range(T):
-        G[:, t], Hh[:, t], h = _gru_cell(XG[:, t], XH[:, t], h, Ug, Uh)
-        H[:, t] = h
+        _gru_cell(XG[t], XH[t], h, Ug, Uh, out=(G[t], Hh[t], H[t]))
+        h = H[t]
+    del XG, XH
     # Rows run on through their padding; give every padded step the row's last real state.
     lengths = mask.sum(axis=1).astype(np.int64)
-    if lengths.min() < T:
-        last = np.minimum(np.arange(T), lengths[:, None] - 1)
-        H = np.take_along_axis(H, last[:, :, None], axis=1)
+    for b in np.flatnonzero(lengths < T):
+        H[lengths[b] :, b] = H[lengths[b] - 1, b]
     return H, G, Hh
 
 
 def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
-    """Backprop through the `side` GRU. Returns (dX, weight grads by parameter name).
+    """Backprop through the `side` GRU. Returns (d emb, dS, weight grads by parameter name).
 
-    dH_ext must be zero at padded steps; the gradient then stays zero there.
+    dH_ext (T, B, d) must be zero at padded steps; the gradient then stays
+    zero there. dS is None when the cache has no S.
     """
-    X, G, Hh, H = cache.X, cache.G, cache.Hh, cache.H
-    B, T, d = H.shape
+    S, G, Hh, H = cache.S, cache.G, cache.Hh, cache.H
+    T, B, d = H.shape
+    emb = p["emb"]
     Wg = np.concatenate([p[f"{side}_Wz"], p[f"{side}_Wr"]], axis=1)
     UgT = np.concatenate([p[f"{side}_Uz"], p[f"{side}_Ur"]], axis=1).T
     Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
-    DAg = np.empty((B, T, 2 * d))
-    DAh = np.empty((B, T, d))
+    DAg = np.empty((T, B, 2 * d))
+    DAh = np.empty((T, B, d))
     dh = np.zeros((B, d))
     h0 = np.zeros((B, d))
     for t in range(T - 1, -1, -1):
-        dh = dh + dH_ext[:, t]
-        h_prev = H[:, t - 1] if t > 0 else h0
-        g, hh = G[:, t], Hh[:, t]
+        dh += dH_ext[t]
+        h_prev = H[t - 1] if t > 0 else h0
+        g, hh = G[t], Hh[t]
         z, r = g[:, :d], g[:, d:]
-        da_h = (dh * z) * (1.0 - hh * hh)
+        da_h = np.multiply(dh, z, out=DAh[t])
+        da_h *= 1.0 - hh * hh
         dg = da_h @ UhT  # gradient w.r.t. r * h_prev
-        da = DAg[:, t]
-        da[:, :d] = dh * (hh - h_prev)
-        da[:, d:] = dg * h_prev
+        da = DAg[t]
+        np.subtract(hh, h_prev, out=da[:, :d])
+        da[:, :d] *= dh
+        np.multiply(dg, h_prev, out=da[:, d:])
         da *= g * (1.0 - g)
-        DAh[:, t] = da_h
         dh = dh * (1.0 - z) + da @ UgT + dg * r
-    Hprev = np.concatenate([np.zeros((B, 1, d)), H[:, :-1]], axis=1)
-    flat = lambda a: a.reshape(-1, a.shape[-1])  # noqa: E731
-    dX = (DAg @ Wg.T + DAh @ Wh.T).reshape(X.shape)
-    dWg = flat(X).T @ flat(DAg)
-    dUg = flat(Hprev).T @ flat(DAg)
+    # Input gradients summed per vocabulary entry in one product; the
+    # embedding and input-weight gradients follow from those (V, .) sums.
+    onehot = (np.arange(emb.shape[0])[:, None] == cache.tokens.T.reshape(1, -1)).astype(np.float64)
+    tok_g, tok_h = onehot @ _flat(DAg), onehot @ _flat(DAh)
+    demb = tok_g @ Wg[:d].T + tok_h @ Wh[:d].T
+    dWg, dWh = emb.T @ tok_g, emb.T @ tok_h
+    dS = None
+    if S is not None:
+        sum_g, sum_h = DAg.sum(axis=0), DAh.sum(axis=0)
+        dS = sum_g @ Wg[d:].T + sum_h @ Wh[d:].T
+        dWg = np.concatenate([dWg, S.T @ sum_g])
+        dWh = np.concatenate([dWh, S.T @ sum_h])
+    Hprev = np.concatenate([h0[None], H[:-1]])
+    dUg = _flat(Hprev).T @ _flat(DAg)
     dbg = DAg.sum(axis=(0, 1))
     grads = {
-        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": flat(X).T @ flat(DAh),
-        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
+        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": dWh,
+        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": _flat(G[:, :, d:] * Hprev).T @ _flat(DAh),
         "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
     }
-    return dX, {f"{side}_{role}": np.ascontiguousarray(a) for role, a in grads.items()}
+    return demb, dS, {f"{side}_{role}": np.ascontiguousarray(a) for role, a in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +334,13 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
 
 def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
     """Mean-pooled summary (B, d) plus the cache needed for backprop."""
-    p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("encoder sequence with no real tokens")
-    X = p["emb"][tokens]
-    H, G, Hh = _gru_forward(X, mask, p, "enc")
-    summary = (H * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    return summary, GruCache(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H), counts
+    H, G, Hh = _gru_forward(tokens, None, mask, ckpt.params, "enc")
+    summary = (H * mask.T[:, :, None]).sum(axis=0) / counts[:, None]
+    return summary, GruCache(tokens=tokens, mask=mask, S=None, G=G, Hh=Hh, H=H), counts
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +348,10 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
 
 
 def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summary: np.ndarray):
-    """Hidden states (B, T, d) over [embedding ++ summary] inputs, plus cache."""
-    p = ckpt.params
+    """Hidden states (B, T, d), a view of the time-major cache.H, over [embedding ++ summary] inputs."""
     _check_tokens(tokens, len(ckpt.vocab))
-    B, T = tokens.shape
-    E = p["emb"][tokens]
-    X = np.concatenate([E, np.broadcast_to(summary[:, None, :], E.shape)], axis=2)
-    H, G, Hh = _gru_forward(X, mask, p, "dec")
-    return H, GruCache(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H)
+    H, G, Hh = _gru_forward(tokens, summary, mask, ckpt.params, "dec")
+    return H.transpose(1, 0, 2), GruCache(tokens=tokens, mask=mask, S=summary, G=G, Hh=Hh, H=H)
 
 
 def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint, gates=None):
@@ -376,23 +411,17 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     p = ckpt.params
     d = ckpt.config.hidden_dim
     B, T, V = dlogits.shape
-    flat_states = cache.dec.H.reshape(-1, d)
-    flat_dlogits = dlogits.reshape(-1, V)
-    grads = {"out_W": flat_states.T @ flat_dlogits, "out_b": flat_dlogits.sum(axis=0)}
+    dlogits_tm = _flat(dlogits.transpose(1, 0, 2))  # (T*B, V), time-major like cache.dec.H
+    grads = {"out_W": _flat(cache.dec.H).T @ dlogits_tm, "out_b": dlogits_tm.sum(axis=0)}
 
-    dH_dec = dlogits @ p["out_W"].T
-    dX_dec, g = _gru_backward(cache.dec, dH_dec, p, "dec")
+    dH_dec = (dlogits_tm @ p["out_W"].T).reshape(T, B, d)
+    demb_dec, dsummary, g = _gru_backward(cache.dec, dH_dec, p, "dec")
     grads.update(g)
 
-    demb = np.zeros_like(p["emb"])
-    np.add.at(demb, cache.dec.tokens.ravel(), dX_dec[:, :, :d].reshape(-1, d))
-    dsummary = dX_dec[:, :, d:].sum(axis=1)
-
-    dH_enc = (dsummary / cache.counts[:, None])[:, None, :] * cache.enc.mask[:, :, None]
-    dX_enc, g = _gru_backward(cache.enc, dH_enc, p, "enc")
+    dH_enc = (dsummary / cache.counts[:, None])[None] * cache.enc.mask.T[:, :, None]
+    demb_enc, _, g = _gru_backward(cache.enc, dH_enc, p, "enc")
     grads.update(g)
-    np.add.at(demb, cache.enc.tokens.ravel(), dX_enc.reshape(-1, d))
-    grads["emb"] = demb
+    grads["emb"] = demb_dec + demb_enc
     return grads
 
 
@@ -494,7 +523,7 @@ def save(ckpt: Checkpoint, path) -> None:
         for name, arr in ckpt.opt_state.v.items():
             arrays[f"opt.v.{name}"] = arr
     header = json.dumps(_header_dict(ckpt, arrays), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
         fh.write(header)

@@ -25,6 +25,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 
+from .artifacts import atomic_write
 from .errors import TrieFormatError, VocabError
 from .vocab import Vocab
 
@@ -200,7 +201,7 @@ def deserialize(data: bytes) -> TokenTrie:
 
 
 def save_trie(trie: TokenTrie, path, metadata: dict | None = None) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(serialize(trie, metadata))
 
 

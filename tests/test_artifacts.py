@@ -8,7 +8,7 @@ import json
 import pytest
 
 from neglink import __version__
-from neglink.artifacts import canonical_json, make_header, read_jsonl, sha256_file, write_jsonl
+from neglink.artifacts import atomic_write, canonical_json, make_header, read_jsonl, sha256_file, write_jsonl
 from neglink.errors import FormatError
 
 
@@ -71,3 +71,31 @@ def test_read_rejects_bad_json(tmp_path):
     with pytest.raises(FormatError) as err:
         read_jsonl(p)
     assert "line 2" in str(err.value)
+
+
+def test_failed_write_leaves_the_old_file_and_no_partial_one(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, {"seed": 1}, [{"a": 1}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 2}
+        raise RuntimeError("failed partway")
+
+    with pytest.raises(RuntimeError, match="partway"):
+        write_jsonl(path, {"seed": 2}, records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(tmp_path / "new.jsonl", {"seed": 2}, records())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_atomic_write_replaces_on_success(tmp_path):
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"old")
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]

@@ -6,6 +6,7 @@ tests inspect the artifacts it leaves behind and probe the error paths.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import shutil
@@ -263,3 +264,46 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import neglink.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _edited_predictions(src: Path, dst: Path, case: str) -> None:
+    """A copy of a predictions file cut to its first mentions, with a record repeated, or with a rank gap."""
+    header, *records = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "truncated":
+        records = [r for r in records if json.loads(r)["mention_index"] < 20]
+    elif case == "duplicated":
+        records = records[:3] + records[2:]
+    else:
+        assert json.loads(records[1])["rank"] == 2
+        records = records[:1] + records[2:]
+    dst.write_text(header + "".join(records), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("case", ["truncated", "duplicated", "rank_gap"])
+def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case):
+    root, kb, train, test, cache = pipeline
+    bad = tmp_path / "preds.jsonl"
+    _edited_predictions(root / "preds_s2.jsonl", bad, case)
+    inputs = ["--kb", kb, "--mentions", test, "--cache", cache, "--preds", str(bad)]
+    if command == "eval":
+        argv = ["eval", *inputs, "--out", str(tmp_path / "eval.json")]
+    else:
+        argv = ["analyze", *inputs, "--ckpt", str(root / "s2.ckpt"),
+                "--out-bins", str(tmp_path / "bins.jsonl"), "--out-gaps", str(tmp_path / "gaps.jsonl")]
+    caplog.clear()
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(bad) in errors[0].getMessage()
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
+
+
+def test_runs_where_libc_cannot_be_loaded(tmp_path, monkeypatch):
+    def no_libc(*args, **kwargs):
+        raise OSError("no libc here")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text(json.dumps({"id": "X1", "names": ["alpha", "beta"]}) + "\n", encoding="utf-8")
+    run("kb", "build", "--kb", str(kb), "--out", str(tmp_path / "cache"))
+    assert (tmp_path / "cache" / "trie.bin").exists()

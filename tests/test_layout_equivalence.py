@@ -1,0 +1,220 @@
+"""Time-major GRU loops against the former batch-major ones.
+
+`reference_forward_teacher` and `reference_backward` are the former
+teacher-forced forward and backward: (B, T, .) loop arrays sliced with
+`[:, t]`, the decoder reading the concatenated (B, T, 2d) input
+[embedding ++ summary] through one matmul, and embedding gradients summed
+with `np.add.at`. The current code runs (T, B, .) loops, projects the
+summary once per row and sums embedding gradients with one product, so it
+may differ in the last bits only: on a padded toy batch that mixes the
+shortest and longest encoder and decoder rows, the summaries, decoder
+states, logits and every parameter gradient must agree within 1e-12
+relative to the largest magnitude of each array, and beam search must
+return the same rankings with scores within 1e-12.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from neglink import model
+from neglink.beam import constrained_beam_search_batch
+from neglink.cli import vocab_from_sources
+from neglink.config import build_config
+from neglink.corpus import prepare_mentions, render
+from neglink.kb import load_kb
+from neglink.model import ModelConfig, gate_weights, init_checkpoint
+from neglink.tfidf import build_index
+from neglink.train_positive import build_positive_set, train
+from neglink.trie import build_trie
+
+DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
+TOL = 1e-12
+
+
+def reference_gru_forward(X, mask, p, side):
+    """The former batch-major loop over X (B, T, in_dim): (H, G, Hh), each (B, T, .)."""
+    Wg, Ug, bg = gate_weights(p, side)
+    Uh = p[f"{side}_Uh"]
+    B, T, _ = X.shape
+    d = Uh.shape[0]
+    XG = X @ Wg + bg
+    XH = X @ p[f"{side}_Wh"] + p[f"{side}_bh"]
+    G = np.empty((B, T, 2 * d))
+    Hh = np.empty((B, T, d))
+    H = np.empty((B, T, d))
+    h = np.zeros((B, d))
+    for t in range(T):
+        g = np.tanh(XG[:, t] + h @ Ug) * 0.5 + 0.5
+        hh = np.tanh(XH[:, t] + (g[:, d:] * h) @ Uh)
+        h = h + g[:, :d] * (hh - h)
+        G[:, t], Hh[:, t], H[:, t] = g, hh, h
+    lengths = mask.sum(axis=1).astype(np.int64)
+    if lengths.min() < T:
+        last = np.minimum(np.arange(T), lengths[:, None] - 1)
+        H = np.take_along_axis(H, last[:, :, None], axis=1)
+    return H, G, Hh
+
+
+def reference_gru_backward(cache, dH_ext, p, side):
+    """The former batch-major backward: (dX, weight grads by parameter name)."""
+    X, G, Hh, H = cache.X, cache.G, cache.Hh, cache.H
+    B, T, d = H.shape
+    Wg = np.concatenate([p[f"{side}_Wz"], p[f"{side}_Wr"]], axis=1)
+    UgT = np.concatenate([p[f"{side}_Uz"], p[f"{side}_Ur"]], axis=1).T
+    Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
+    DAg = np.empty((B, T, 2 * d))
+    DAh = np.empty((B, T, d))
+    dh = np.zeros((B, d))
+    h0 = np.zeros((B, d))
+    for t in range(T - 1, -1, -1):
+        dh = dh + dH_ext[:, t]
+        h_prev = H[:, t - 1] if t > 0 else h0
+        g, hh = G[:, t], Hh[:, t]
+        z, r = g[:, :d], g[:, d:]
+        da_h = (dh * z) * (1.0 - hh * hh)
+        dg = da_h @ UhT
+        da = DAg[:, t]
+        da[:, :d] = dh * (hh - h_prev)
+        da[:, d:] = dg * h_prev
+        da *= g * (1.0 - g)
+        DAh[:, t] = da_h
+        dh = dh * (1.0 - z) + da @ UgT + dg * r
+    Hprev = np.concatenate([np.zeros((B, 1, d)), H[:, :-1]], axis=1)
+    flat = lambda a: a.reshape(-1, a.shape[-1])  # noqa: E731
+    dX = (DAg @ Wg.T + DAh @ Wh.T).reshape(X.shape)
+    dWg = flat(X).T @ flat(DAg)
+    dUg = flat(Hprev).T @ flat(DAg)
+    dbg = DAg.sum(axis=(0, 1))
+    grads = {
+        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": flat(X).T @ flat(DAh),
+        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
+        "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
+    }
+    return dX, {f"{side}_{role}": a for role, a in grads.items()}
+
+
+def reference_encoder_forward(ckpt, tokens, mask):
+    p = ckpt.params
+    counts = mask.sum(axis=1)
+    X = p["emb"][tokens]
+    H, G, Hh = reference_gru_forward(X, mask, p, "enc")
+    summary = (H * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    return summary, SimpleNamespace(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H), counts
+
+
+def reference_decoder_forward(ckpt, tokens, mask, summary):
+    p = ckpt.params
+    E = p["emb"][tokens]
+    X = np.concatenate([E, np.broadcast_to(summary[:, None, :], E.shape)], axis=2)
+    H, G, Hh = reference_gru_forward(X, mask, p, "dec")
+    return H, SimpleNamespace(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H)
+
+
+def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask):
+    summary, enc_cache, counts = reference_encoder_forward(ckpt, enc_tokens, enc_mask)
+    states, dec_cache = reference_decoder_forward(ckpt, dec_tokens, dec_mask, summary)
+    logits = states @ ckpt.params["out_W"] + ckpt.params["out_b"]
+    return model.ForwardCache(enc=enc_cache, counts=counts, summary=summary, dec=dec_cache, logits=logits)
+
+
+def reference_backward(ckpt, cache, dlogits):
+    """The former `model.backward_from_dlogits`."""
+    p = ckpt.params
+    d = ckpt.config.hidden_dim
+    V = dlogits.shape[2]
+    flat_states = cache.dec.H.reshape(-1, d)
+    flat_dlogits = dlogits.reshape(-1, V)
+    grads = {"out_W": flat_states.T @ flat_dlogits, "out_b": flat_dlogits.sum(axis=0)}
+    dX_dec, g = reference_gru_backward(cache.dec, dlogits @ p["out_W"].T, p, "dec")
+    grads.update(g)
+    demb = np.zeros_like(p["emb"])
+    np.add.at(demb, cache.dec.tokens.ravel(), dX_dec[:, :, :d].reshape(-1, d))
+    dsummary = dX_dec[:, :, d:].sum(axis=1)
+    dH_enc = (dsummary / cache.counts[:, None])[:, None, :] * cache.enc.mask[:, :, None]
+    dX_enc, g = reference_gru_backward(cache.enc, dH_enc, p, "enc")
+    grads.update(g)
+    np.add.at(demb, cache.enc.tokens.ravel(), dX_enc.reshape(-1, d))
+    grads["emb"] = demb
+    return grads
+
+
+def assert_close(got, want, what):
+    scale = float(np.abs(want).max())
+    err = float(np.abs(np.asarray(got) - want).max())
+    assert err <= TOL * scale, (what, err, scale)
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """Toy KB, trie, rendered test inputs and a briefly trained checkpoint."""
+    kb = load_kb(DATA / "kb.jsonl")
+    cfg = build_config(preset="toy")
+    vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
+    train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
+    test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
+    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab,
+                                   k=cfg.syn_topk, max_ctx=cfg.max_ctx)
+    base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=0))
+    opt = dataclasses.replace(cfg.positive_optimizer(), steps=40)
+    ckpt = train(base, instances, opt, seed=0).checkpoint
+    inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
+    return kb, build_trie(kb.names(), vocab), ckpt, inputs, cfg
+
+
+def mixed_batch(toy):
+    """Inputs and entities whose encoder and decoder rows span the shortest and longest of the set."""
+    kb, _, ckpt, inputs, _ = toy
+    vocab = ckpt.vocab
+    names = sorted(kb.names(), key=len)
+    by_encoder = sorted(inputs, key=lambda x: len(x.encoder_tokens))
+    by_prompt = sorted(inputs, key=lambda x: len(x.prompt_tokens))
+    batch = [by_encoder[0], by_prompt[-1], by_encoder[-1], by_prompt[0], by_encoder[1], by_prompt[-2]]
+    entities = [vocab.encode_chars(n) + [vocab.eos_id] for n in (names[0], names[0], names[-1], names[-1], names[1], names[-2])]
+    return batch, entities
+
+
+def test_forward_and_gradients_match_the_batch_major_loops(toy, monkeypatch):
+    ckpt = toy[2]
+    inputs, entities = mixed_batch(toy)
+    cache, targets, target_mask = model.forward_pairs(ckpt, inputs, entities)
+    enc_len, dec_len = cache.enc.mask.sum(axis=1), cache.dec.mask.sum(axis=1)
+    assert enc_len.min() < enc_len.max() and dec_len.min() < dec_len.max()
+    monkeypatch.setattr(model, "forward_teacher", reference_forward_teacher)
+    ref, ref_targets, ref_mask = model.forward_pairs(ckpt, inputs, entities)
+    assert np.array_equal(targets, ref_targets) and np.array_equal(target_mask, ref_mask)
+
+    assert_close(cache.summary, ref.summary, "summary")
+    assert_close(cache.dec.H.transpose(1, 0, 2), ref.dec.H, "decoder states")
+    assert_close(cache.logits, ref.logits, "logits")
+
+    coeffs = np.linspace(-1.0, 1.0, len(inputs))
+    got = model.backward_from_dlogits(ckpt, cache, model.sequence_grad_dlogits(cache, targets, target_mask, coeffs))
+    want = reference_backward(ckpt, ref, model.sequence_grad_dlogits(ref, targets, target_mask, coeffs))
+    assert set(got) == set(want) == set(ckpt.params)
+    for name in sorted(want):
+        assert got[name].shape == want[name].shape, name
+        assert_close(got[name], want[name], name)
+
+
+def test_beam_rankings_match_the_batch_major_loops(toy, monkeypatch):
+    kb, trie, ckpt, inputs, cfg = toy
+    batch = inputs[:40] + mixed_batch(toy)[0]
+
+    def search():
+        return constrained_beam_search_batch(ckpt, batch, trie, kb, beam=cfg.beam, k=cfg.topk)
+
+    got = search()
+    monkeypatch.setattr(model, "encoder_forward", reference_encoder_forward)
+    monkeypatch.setattr(model, "decoder_forward", reference_decoder_forward)
+    want = search()
+    worst = 0.0
+    for g, w in zip(got, want, strict=True):
+        assert [(p.name, p.ids) for p in g] == [(p.name, p.ids) for p in w]
+        worst = max([worst] + [abs(p.score - q.score) for p, q in zip(g, w)])
+    assert worst <= TOL, worst
