@@ -187,7 +187,7 @@ def cmd_kb_build(args) -> int:
     header = artifacts.make_header(cfg.seed, inputs)
     with artifacts.atomic_write(outdir / "vocab.json") as fh:
         fh.write(artifacts.canonical_json({"header": header, "tokens": list(vocab.tokens)}) + "\n")
-    save_trie(trie, outdir / "trie.bin", metadata={"names": trie.size, "vocab_size": len(vocab)})
+    save_trie(trie, outdir / "trie.bin")
     with artifacts.atomic_write(outdir / "kb_info.json") as fh:
         fh.write(
             artifacts.canonical_json(

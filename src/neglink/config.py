@@ -52,12 +52,13 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
-    def positive_optimizer(self) -> OptimizerConfig:
+    def _optimizer(self, learning_rate: float, steps: int, batch_size: int, warmup_steps: int) -> OptimizerConfig:
+        """Stage-specific rate and schedule; the Adam, decay, clipping and smoothing fields are shared."""
         return OptimizerConfig(
-            learning_rate=self.pos_lr,
-            steps=self.pos_steps,
-            batch_size=self.pos_batch,
-            warmup_steps=self.pos_warmup,
+            learning_rate=learning_rate,
+            steps=steps,
+            batch_size=batch_size,
+            warmup_steps=warmup_steps,
             adam_beta1=self.adam_beta1,
             adam_beta2=self.adam_beta2,
             adam_eps=self.adam_eps,
@@ -66,20 +67,12 @@ class RunConfig:
             label_smoothing=self.label_smoothing,
         )
 
+    def positive_optimizer(self) -> OptimizerConfig:
+        return self._optimizer(self.pos_lr, self.pos_steps, self.pos_batch, self.pos_warmup)
+
     def preference_config(self) -> PreferenceConfig:
         # Preference training is epoch-driven; the steps field is unused there.
-        opt = OptimizerConfig(
-            learning_rate=self.neg_lr,
-            steps=1,
-            batch_size=self.neg_batch,
-            warmup_steps=self.neg_warmup,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            weight_decay=self.weight_decay,
-            grad_clip=self.grad_clip,
-            label_smoothing=self.label_smoothing,
-        )
+        opt = self._optimizer(self.neg_lr, 1, self.neg_batch, self.neg_warmup)
         return PreferenceConfig(
             loss_kind=self.loss,
             beta=self.beta,

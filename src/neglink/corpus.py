@@ -65,7 +65,7 @@ def load_mentions(path: str | Path) -> list[MentionExample]:
             if not isinstance(gold, list) or not gold or not all(isinstance(g, str) for g in gold):
                 raise MentionFormatError(f"{path}: line {lineno}: 'gold_ids' must be a non-empty list of strings")
             fold = rec.get("fold")
-            if fold is not None and not isinstance(fold, int):
+            if fold is not None and (isinstance(fold, bool) or not isinstance(fold, int)):
                 raise MentionFormatError(f"{path}: line {lineno}: 'fold' must be an integer")
             targets = rec.get("targets")
             if targets is not None:

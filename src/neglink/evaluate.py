@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import Prediction, rank_of_gold, sequence_score
+from .beam import Prediction, name_tokens, rank_of_gold, sequence_score
 from .corpus import MentionExample, render
 from .kb import KnowledgeBase
 from .model import Checkpoint
@@ -186,7 +186,7 @@ def logprob_gap_report(
         if pos_score is None:
             best = rank_synonyms(ex.mention, gold_synonyms(ex, kb), 1, idx)[0]
             enc = render(ex, ckpt.vocab, max_ctx=max_ctx)
-            entity = ckpt.vocab.encode_chars(best) + [ckpt.vocab.eos_id]
+            entity = name_tokens(best, ckpt.vocab)
             pos_score = sequence_score(ckpt, enc, entity)
         for neg in negatives:
             s = similarity(ex.mention, neg.name, idx)

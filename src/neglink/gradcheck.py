@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .beam import name_tokens
 from .corpus import MentionExample, render
 from .train_negative import LOSS_KINDS, PreferenceConfig, PreferenceTriplet, preference_loss_and_grads
 from .train_positive import PositiveInstance, ce_loss_and_grads
@@ -49,13 +50,9 @@ def _fixture(seed: int):
     ex1 = MentionExample(left_context="x y", mention="abacs", right_context="z", gold_ids=frozenset({"C1"}))
     ex2 = MentionExample(left_context="", mention="bacab", right_context="x", gold_ids=frozenset({"C2"}))
     enc1, enc2 = render(ex1, vocab), render(ex2, vocab)
-
-    def toks(name: str) -> tuple[int, ...]:
-        return tuple(vocab.encode_chars(name)) + (vocab.eos_id,)
-
     instances = [
-        PositiveInstance(input=enc1, target=toks("abac"), target_name="abac"),
-        PositiveInstance(input=enc2, target=toks("bacab"), target_name="bacab"),
+        PositiveInstance(input=enc1, target=tuple(name_tokens("abac", vocab)), target_name="abac"),
+        PositiveInstance(input=enc2, target=tuple(name_tokens("bacab", vocab)), target_name="bacab"),
     ]
     triplets = [
         PreferenceTriplet(input=enc1, preferred="abac", dispreferred="abad"),

@@ -29,10 +29,9 @@ the gradients from them are identically zero.
 
 Checkpoint file layout: magic "ACKP", format version u32 LE, u32 header
 length, UTF-8 JSON header (vocabulary, config, stage, array directory with
-name/shape/byte offset, optimizer step), then each array's raw
-little-endian float64 data, C order, concatenated in directory order.
-Arrays are directory-ordered by name, so save -> load -> save is
-byte-identical.
+name/shape/byte offset), then each parameter array's raw little-endian
+float64 data, C order, concatenated in directory order. Arrays are
+directory-ordered by name, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .errors import CheckpointFormatError, ConfigError, DivergenceError, Numeric
 from .vocab import Vocab
 
 MAGIC = b"ACKP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 INIT_SCALE = 0.08
 STAGES = ("init", "positive", "negative")
 
@@ -92,29 +91,11 @@ def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
 
 
 @dataclass
-class OptimizerState:
-    """First/second moment accumulators plus the step counter."""
-
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def fresh(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(a) for k, a in params.items()},
-            v={k: np.zeros_like(a) for k, a in params.items()},
-        )
-
-
-@dataclass
 class Checkpoint:
     vocab: Vocab
     config: ModelConfig
     params: dict[str, np.ndarray]
     stage: str = "init"
-    opt_state: OptimizerState | None = None
 
 
 def init_checkpoint(vocab: Vocab, config: ModelConfig) -> Checkpoint:
@@ -127,13 +108,13 @@ def init_checkpoint(vocab: Vocab, config: ModelConfig) -> Checkpoint:
     return Checkpoint(vocab=vocab, config=config, params=params, stage="init")
 
 
-def copy_checkpoint(ckpt: Checkpoint, stage: str | None = None) -> Checkpoint:
-    """Deep copy of the parameter arrays; optimizer state is not carried over."""
+def copy_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+    """Deep copy of the parameter arrays."""
     return Checkpoint(
         vocab=ckpt.vocab,
         config=ckpt.config,
         params={k: a.copy() for k, a in ckpt.params.items()},
-        stage=stage if stage is not None else ckpt.stage,
+        stage=ckpt.stage,
     )
 
 
@@ -498,17 +479,16 @@ def check_finite_loss(loss: float, step_index: int | None = None) -> float:
 # serialization
 
 
-def _header_dict(ckpt: Checkpoint, arrays: dict[str, np.ndarray]) -> dict:
+def _header_dict(ckpt: Checkpoint) -> dict:
     directory = []
     offset = 0
-    for name in sorted(arrays):
-        arr = arrays[name]
+    for name in sorted(ckpt.params):
+        arr = ckpt.params[name]
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size * 8
     return {
         "arrays": directory,
         "config": {"hidden_dim": ckpt.config.hidden_dim, "seed": ckpt.config.seed},
-        "opt_step": None if ckpt.opt_state is None else ckpt.opt_state.step,
         "stage": ckpt.stage,
         "vocab": list(ckpt.vocab.tokens),
     }
@@ -516,19 +496,13 @@ def _header_dict(ckpt: Checkpoint, arrays: dict[str, np.ndarray]) -> dict:
 
 def save(ckpt: Checkpoint, path) -> None:
     validate_checkpoint(ckpt)
-    arrays = dict(ckpt.params)
-    if ckpt.opt_state is not None:
-        for name, arr in ckpt.opt_state.m.items():
-            arrays[f"opt.m.{name}"] = arr
-        for name, arr in ckpt.opt_state.v.items():
-            arrays[f"opt.v.{name}"] = arr
-    header = json.dumps(_header_dict(ckpt, arrays), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = json.dumps(_header_dict(ckpt), sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
         fh.write(header)
-        for name in sorted(arrays):
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        for name in sorted(ckpt.params):
+            fh.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
 
 
 def load(path) -> Checkpoint:
@@ -547,7 +521,7 @@ def load(path) -> Checkpoint:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"bad checkpoint header: {e}") from e
-    for key in ("arrays", "config", "stage", "vocab", "opt_step"):
+    for key in ("arrays", "config", "stage", "vocab"):
         if key not in header:
             raise CheckpointFormatError(f"checkpoint header missing {key!r}")
 
@@ -574,15 +548,6 @@ def load(path) -> Checkpoint:
     if consumed != len(data):
         raise CheckpointFormatError(f"{len(data) - consumed} trailing bytes after arrays")
 
-    params = {k: a for k, a in arrays.items() if not k.startswith("opt.")}
-    ckpt = Checkpoint(vocab=vocab, config=config, params=params, stage=header["stage"])
-    if header["opt_step"] is not None:
-        moments1 = {k[len("opt.m."):]: a for k, a in arrays.items() if k.startswith("opt.m.")}
-        moments2 = {k[len("opt.v."):]: a for k, a in arrays.items() if k.startswith("opt.v.")}
-        if set(moments1) != set(params) or set(moments2) != set(params):
-            raise CheckpointFormatError("optimizer state does not cover the parameter set")
-        ckpt.opt_state = OptimizerState(step=int(header["opt_step"]), m=moments1, v=moments2)
-    elif any(k.startswith("opt.") for k in arrays):
-        raise CheckpointFormatError("optimizer arrays present but opt_step is null")
+    ckpt = Checkpoint(vocab=vocab, config=config, params=arrays, stage=header["stage"])
     validate_checkpoint(ckpt)
     return ckpt

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Checkpoint, OptimizerState, check_finite_loss, copy_checkpoint
+from .model import Checkpoint, check_finite_loss, copy_checkpoint
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,23 @@ def effective_rate(cfg: OptimizerConfig, step: int) -> float:
     if cfg.warmup_steps > 0:
         return cfg.learning_rate * min(1.0, (step + 1) / cfg.warmup_steps)
     return cfg.learning_rate
+
+
+@dataclass
+class OptimizerState:
+    """First/second moment accumulators plus the step counter."""
+
+    step: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+
+    @classmethod
+    def fresh(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
+        return cls(
+            step=0,
+            m={k: np.zeros_like(a) for k, a in params.items()},
+            v={k: np.zeros_like(a) for k, a in params.items()},
+        )
 
 
 def adamw_step(
@@ -125,7 +142,7 @@ def train_loop(
     if not items:
         raise ValueError("nothing to train on")
     out = copy_checkpoint(ckpt)
-    out.opt_state = OptimizerState.fresh(out.params)
+    state = OptimizerState.fresh(out.params)
     rng = np.random.default_rng(seed)
     loss_log: list[tuple[int, float]] = []
     step = 0
@@ -138,7 +155,7 @@ def train_loop(
             loss, grads = loss_and_grads(out, batch)
             check_finite_loss(loss, step_index=step)
             clip_grads(grads, opt.grad_clip)
-            adamw_step(out.params, grads, out.opt_state, opt)
+            adamw_step(out.params, grads, state, opt)
             loss_log.append((step, loss))
             step += 1
     out.stage = stage

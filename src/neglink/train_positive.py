@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, optim
+from .beam import name_tokens
 from .corpus import EncodedInput, MentionExample, render
 from .kb import KnowledgeBase
 from .model import Checkpoint, ForwardCache
@@ -60,7 +61,7 @@ def build_positive_set(
         else:
             targets = rank_synonyms(ex.mention, gold_synonyms(ex, kb), k, idx)
         for name in targets:
-            tokens = tuple(vocab.encode_chars(name)) + (vocab.eos_id,)
+            tokens = tuple(name_tokens(name, vocab))
             instances.append(PositiveInstance(input=enc, target=tokens, target_name=name))
     return instances
 

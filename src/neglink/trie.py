@@ -11,17 +11,16 @@ beam search, costs nothing. Names longer than MAX_DEPTH tokens are
 rejected on insert, and the reader rejects deeper nesting, so every trie
 that can be built can also be written and read back.
 
-Serialization: magic b"ATRI", format version u32 LE, u32 metadata length +
-UTF-8 JSON metadata, then a preorder node stream. Each node is
-[u8 terminal][u32 child count] followed by its children in ascending
-token-id order, each as [u32 token id][node]. All integers little-endian.
+Serialization: magic b"ATRI", format version u32 LE, then a preorder node
+stream. Each node is [u8 terminal][u32 child count] followed by its
+children in ascending token-id order, each as [u32 token id][node]. All
+integers little-endian.
 Writer and reader walk the tree with an explicit stack, so depth is bounded
 by MAX_DEPTH, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from .errors import TrieFormatError, VocabError
 from .vocab import Vocab
 
 MAGIC = b"ATRI"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_DEPTH = 4096  # longest name, in tokens, that a trie may hold
 
 
@@ -115,9 +114,8 @@ def _write_nodes(root: TrieNode, chunks: list[bytes]) -> None:
             stack.append((child_id, node.children[child_id]))
 
 
-def serialize(trie: TokenTrie, metadata: dict | None = None) -> bytes:
-    meta = json.dumps(metadata or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(meta)), meta]
+def serialize(trie: TokenTrie) -> bytes:
+    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     _write_nodes(trie.root, chunks)
     return b"".join(chunks)
 
@@ -188,21 +186,15 @@ def deserialize(data: bytes) -> TokenTrie:
     (version,) = r.take("<I")
     if version != FORMAT_VERSION:
         raise TrieFormatError(f"unsupported trie format version {version}")
-    (meta_len,) = r.take("<I")
-    meta = r.take_bytes(meta_len)
-    try:
-        json.loads(meta.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise TrieFormatError(f"bad trie metadata: {e}") from e
     trie = _read_nodes(r)
     if r.pos != len(r.data):
         raise TrieFormatError(f"{len(r.data) - r.pos} trailing bytes after node stream")
     return trie
 
 
-def save_trie(trie: TokenTrie, path, metadata: dict | None = None) -> None:
+def save_trie(trie: TokenTrie, path) -> None:
     with atomic_write(path, "wb") as fh:
-        fh.write(serialize(trie, metadata))
+        fh.write(serialize(trie))
 
 
 def load_trie(path) -> TokenTrie:

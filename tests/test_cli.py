@@ -10,6 +10,7 @@ import ctypes
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import neglink
-from neglink import model
+from neglink import model, trie
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main
@@ -233,6 +234,42 @@ def test_malformed_cache_vocab_exit_2(pipeline, tmp_path):
         rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(bad_cache),
                    "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2, doc
+
+
+def _v1_checkpoint(src: Path, dst: Path) -> None:
+    """`src` rewritten in the version-1 layout: an `opt_step` in the header, here null (no moments)."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    header["opt_step"] = None
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(model.MAGIC + struct.pack("<II", 1, len(raw)) + raw + blob[12 + header_len :])
+
+
+def _v1_trie(src: Path, dst: Path) -> None:
+    """`src` rewritten in the version-1 layout: a length-prefixed JSON metadata block before the nodes."""
+    blob = src.read_bytes()
+    meta = b'{"names":1}'
+    dst.write_bytes(trie.MAGIC + struct.pack("<II", 1, len(meta)) + meta + blob[8:])
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "trie"])
+def test_version_1_artifacts_exit_2(pipeline, tmp_path, caplog, artifact):
+    root, kb, train, test, cache = pipeline
+    ckpt, old_cache = root / "s1.ckpt", Path(cache)
+    if artifact == "checkpoint":
+        ckpt = tmp_path / "v1.ckpt"
+        _v1_checkpoint(root / "s1.ckpt", ckpt)
+    else:
+        old_cache = tmp_path / "cache"
+        shutil.copytree(cache, old_cache)
+        _v1_trie(Path(cache) / "trie.bin", old_cache / "trie.bin")
+    caplog.clear()
+    rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(old_cache),
+               "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"unsupported {artifact} format version 1"]
 
 
 @pytest.mark.parametrize("command, record", [

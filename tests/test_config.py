@@ -92,3 +92,6 @@ def test_derived_optimizer_configs():
     assert pref.epochs == 3
     assert pref.optimizer.learning_rate == cfg.neg_lr
     assert pref.optimizer.batch_size == cfg.neg_batch
+    assert opt.batch_size == cfg.pos_batch and pref.optimizer.warmup_steps == cfg.neg_warmup
+    for field in ("adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "grad_clip", "label_smoothing"):
+        assert getattr(opt, field) == getattr(pref.optimizer, field) == getattr(cfg, field)

@@ -208,11 +208,6 @@ def test_gradients_zero_at_padded_positions():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     ckpt = make_ckpt(seed=13)
-    ckpt.opt_state = model.OptimizerState.fresh(ckpt.params)
-    ckpt.opt_state.step = 7
-    for name, p in ckpt.params.items():
-        ckpt.opt_state.m[name] = np.full_like(p, 0.25)
-        ckpt.opt_state.v[name] = np.full_like(p, 0.5)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     model.save(ckpt, p1)
@@ -220,7 +215,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     model.save(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.stage == ckpt.stage
-    assert loaded.opt_state.step == 7
     assert loaded.vocab == ckpt.vocab
     for name, p in ckpt.params.items():
         assert np.array_equal(loaded.params[name], p)

@@ -9,6 +9,7 @@ import pytest
 
 from neglink.errors import TrieFormatError
 from neglink.trie import (
+    FORMAT_VERSION,
     MAGIC,
     MAX_DEPTH,
     allowed_next,
@@ -84,8 +85,8 @@ def test_every_prefix_walk_reaches_all_names():
 def test_round_trip_bytes_stable():
     vocab = make_vocab()
     trie = build_trie(["abc", "abd", "b"], vocab)
-    blob = serialize(trie, metadata={"names": 3})
-    again = serialize(deserialize(blob), metadata={"names": 3})
+    blob = serialize(trie)
+    again = serialize(deserialize(blob))
     assert blob == again
 
 
@@ -161,7 +162,7 @@ def test_max_depth_is_recorded_on_insert_and_load():
 def chain_stream(levels: int) -> bytes:
     """A trie stream with a single name `levels` tokens long."""
     nodes = [struct.pack("<BI", 0, 1) + struct.pack("<I", 1)] * levels
-    return MAGIC + struct.pack("<II", 1, 2) + b"{}" + b"".join(nodes) + struct.pack("<BI", 1, 0)
+    return MAGIC + struct.pack("<I", FORMAT_VERSION) + b"".join(nodes) + struct.pack("<BI", 1, 0)
 
 
 def test_reader_depth_limit_is_a_format_error():
