@@ -67,7 +67,7 @@ def write_jsonl(path, header: dict, records) -> None:
             fh.write(canonical_json(rec) + "\n")
 
 
-def read_jsonl(path, require_header: bool = True) -> tuple[dict | None, list[dict]]:
+def read_jsonl(path) -> tuple[dict, list[dict]]:
     header = None
     records: list[dict] = []
     with open(path, encoding="utf-8") as fh:
@@ -82,6 +82,6 @@ def read_jsonl(path, require_header: bool = True) -> tuple[dict | None, list[dic
                 header = rec["header"]
                 continue
             records.append(rec)
-    if require_header and header is None:
+    if header is None:
         raise FormatError(f"{path}: missing header line")
     return header, records

@@ -118,7 +118,6 @@ def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:
     lp_rows = logps.tolist()
     active = [[(base, "", trie.root, i)] for i, base in enumerate(bases)]
     finished: list[list[tuple[float, str]]] = [[] for _ in inputs]
-    gates = model.gate_weights(ckpt.params, "dec")
     for _ in range(trie.max_depth() + 1):
         parents: list[int] = []
         tokens: list[int] = []
@@ -144,7 +143,7 @@ def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:
             active[m] = kept
         if not parents:
             break
-        states, logits = model.step_batch(states[parents], np.array(tokens), summaries[owners], ckpt, gates)
+        states, logits = model.step_batch(states[parents], np.array(tokens), summaries[owners], ckpt)
         lp_rows = log_softmax(logits, axis=1).tolist()
     else:
         if any(active):

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
 from .config import PRESETS, RunConfig, build_config
-from .corpus import MentionExample, prepare_mentions, render
+from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
 from .errors import ConfigError, FormatError, NeglinkError, NumericError
 from .evaluate import (
     bootstrap_paired_test,
@@ -46,8 +46,6 @@ from .trie import TokenTrie, build_trie, load_trie, save_trie
 from .vocab import Vocab
 
 log = logging.getLogger("neglink")
-
-PROMPT_SUFFIX = " is"
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from .errors import MentionFormatError
 from .kb import KnowledgeBase, normalize_name
 from .vocab import Vocab
 
+PROMPT_SUFFIX = " is"
+
 
 @dataclass(frozen=True)
 class MentionExample:
@@ -153,7 +155,7 @@ def render(ex: MentionExample, vocab: Vocab, max_ctx: int = 128) -> EncodedInput
         + vocab.encode_chars(right)
         + [vocab.eos_id]
     )
-    prompt = [vocab.bos_id] + vocab.encode_chars(ex.mention + " is")
+    prompt = [vocab.bos_id] + vocab.encode_chars(ex.mention + PROMPT_SUFFIX)
     return EncodedInput(encoder_tokens=tuple(encoder), prompt_tokens=tuple(prompt))
 
 

@@ -7,11 +7,11 @@ over the vocabulary through a linear head. Everything is float64 numpy with
 hand-written backpropagation; finite-difference agreement at 1e-4 relative
 error is a hard requirement, which single precision cannot meet.
 
-Both gates of a recurrent step come from one fused array: halved weights
-0.5*[Wz|Wr], 0.5*[Uz|Ur] and 0.5*[bz|br] give half of the update and reset
-pre-activations in one matmul, and 0.5*tanh(.)+0.5 of that is their sigmoid
-(halving is exact in binary floating point). Checkpoints keep the separate
-per-gate arrays.
+Each GRU stores its update and reset gates fused, as the cell computes
+them: Wg, Ug and bg hold the update gate in columns [:d] and the reset gate
+in [d:], so one matmul gives both pre-activations. The cell halves them and
+takes 0.5*tanh(.)+0.5, their sigmoid (halving is exact in binary floating
+point).
 
 Recurrent loops run time-major: a GRU's cached gates, candidates and
 states are (T, B, .) arrays, so step t reads and writes contiguous (B, .)
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import CheckpointFormatError, ConfigError, DivergenceError, Numeric
 from .vocab import Vocab
 
 MAGIC = b"ACKP"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 INIT_SCALE = 0.08
 STAGES = ("init", "positive", "negative")
 
@@ -64,26 +64,25 @@ class ModelConfig:
 
 
 def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
-    """Parameter array directory. Order here is the initialization draw order."""
+    """Parameter array directory. Order here is the initialization draw order.
+
+    Each GRU keeps its update and reset gates fused as the cell uses them:
+    `_Wg`, `_Ug` and `_bg` hold the update gate in columns [:d] and the
+    reset gate in [d:]; `_Wh`, `_Uh` and `_bh` are the candidate's.
+    """
     return {
         "emb": (n_vocab, d),
-        "enc_Wz": (d, d),
-        "enc_Wr": (d, d),
+        "enc_Wg": (d, 2 * d),
         "enc_Wh": (d, d),
-        "enc_Uz": (d, d),
-        "enc_Ur": (d, d),
+        "enc_Ug": (d, 2 * d),
         "enc_Uh": (d, d),
-        "enc_bz": (d,),
-        "enc_br": (d,),
+        "enc_bg": (2 * d,),
         "enc_bh": (d,),
-        "dec_Wz": (2 * d, d),
-        "dec_Wr": (2 * d, d),
+        "dec_Wg": (2 * d, 2 * d),
         "dec_Wh": (2 * d, d),
-        "dec_Uz": (d, d),
-        "dec_Ur": (d, d),
+        "dec_Ug": (d, 2 * d),
         "dec_Uh": (d, d),
-        "dec_bz": (d,),
-        "dec_br": (d,),
+        "dec_bg": (2 * d,),
         "dec_bh": (d,),
         "out_W": (d, n_vocab),
         "out_b": (n_vocab,),
@@ -101,10 +100,12 @@ class Checkpoint:
 def init_checkpoint(vocab: Vocab, config: ModelConfig) -> Checkpoint:
     """All parameters uniform in [-INIT_SCALE, INIT_SCALE], seeded draw order fixed."""
     rng = np.random.default_rng(config.seed)
-    params = {
-        name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-        for name, shape in param_shapes(len(vocab), config.hidden_dim).items()
-    }
+    params = {}
+    for name, shape in param_shapes(len(vocab), config.hidden_dim).items():
+        # A fused gate array draws its update half, then its reset half: the draw order of separate per-gate arrays.
+        halves = 2 if name.endswith("g") else 1
+        part = shape[:-1] + (shape[-1] // halves,)
+        params[name] = np.concatenate([rng.uniform(-INIT_SCALE, INIT_SCALE, size=part) for _ in range(halves)], axis=-1)
     return Checkpoint(vocab=vocab, config=config, params=params, stage="init")
 
 
@@ -189,25 +190,17 @@ class GruCache:
     H: np.ndarray  # (T, B, d) hidden states (frozen after each row's last real token)
 
 
-def gate_weights(p: dict, side: str):
-    """Halved fused gate weights (0.5*[Wz|Wr], 0.5*[Uz|Ur], 0.5*[bz|br]) of one GRU.
-
-    x@W + h@U + b with them is exactly half of both gates' pre-activations,
-    so 0.5*tanh of it + 0.5 is their sigmoid.
-    """
-    return tuple(0.5 * np.concatenate([p[f"{side}_{k}z"], p[f"{side}_{k}r"]], axis=-1) for k in "WUb")
-
-
 def _gru_cell(xg, xh, h, Ug, Uh, out=(None, None, None)):
     """One step from input projections and state `h`: (gates [z|r], candidate hh, next h).
 
-    `xg = x@Wg + bg` and `Ug` are halved fused gate weights (`gate_weights`);
-    `xh = x@Wh + bh`. `out` holds three arrays to write the results into, or
-    Nones for new ones.
+    `xg = x@Wg + bg` and `xh = x@Wh + bh`. Both gates' sigmoids are taken as
+    0.5*tanh(0.5*a) + 0.5 of the fused pre-activation `a`. `out` holds three
+    arrays to write the results into, or Nones for new ones.
     """
     g, hh, h_next = out
     g = np.matmul(h, Ug, out=g)
     g += xg
+    g *= 0.5
     np.tanh(g, out=g)
     g *= 0.5
     g += 0.5
@@ -231,8 +224,8 @@ def _gru_forward(tokens, S, mask, p: dict, side: str):
     Step t reads the embeddings of tokens[:, t] and, when S is not None,
     the per-row S (B, m); the GRU's input weights have d + m rows.
     """
-    Wg, Ug, bg = gate_weights(p, side)
-    Wh, bh, Uh = p[f"{side}_Wh"], p[f"{side}_bh"], p[f"{side}_Uh"]
+    Wg, Ug, bg = p[f"{side}_Wg"], p[f"{side}_Ug"], p[f"{side}_bg"]
+    Wh, Uh, bh = p[f"{side}_Wh"], p[f"{side}_Uh"], p[f"{side}_bh"]
     B, T = tokens.shape
     d = Uh.shape[0]
     # Input projections: every vocabulary entry's once, then gathered per step;
@@ -265,8 +258,7 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
     S, G, Hh, H = cache.S, cache.G, cache.Hh, cache.H
     T, B, d = H.shape
     emb = p["emb"]
-    Wg = np.concatenate([p[f"{side}_Wz"], p[f"{side}_Wr"]], axis=1)
-    UgT = np.concatenate([p[f"{side}_Uz"], p[f"{side}_Ur"]], axis=1).T
+    Wg, UgT = p[f"{side}_Wg"], p[f"{side}_Ug"].T
     Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
     DAg = np.empty((T, B, 2 * d))
     DAh = np.empty((T, B, d))
@@ -299,14 +291,12 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
         dWg = np.concatenate([dWg, S.T @ sum_g])
         dWh = np.concatenate([dWh, S.T @ sum_h])
     Hprev = np.concatenate([h0[None], H[:-1]])
-    dUg = _flat(Hprev).T @ _flat(DAg)
-    dbg = DAg.sum(axis=(0, 1))
     grads = {
-        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": dWh,
-        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": _flat(G[:, :, d:] * Hprev).T @ _flat(DAh),
-        "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
+        "Wg": dWg, "Wh": dWh,
+        "Ug": _flat(Hprev).T @ _flat(DAg), "Uh": _flat(G[:, :, d:] * Hprev).T @ _flat(DAh),
+        "bg": DAg.sum(axis=(0, 1)), "bh": DAh.sum(axis=(0, 1)),
     }
-    return demb, dS, {f"{side}_{role}": np.ascontiguousarray(a) for role, a in grads.items()}
+    return demb, dS, {f"{side}_{role}": a for role, a in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +325,13 @@ def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summ
     return H.transpose(1, 0, 2), GruCache(tokens=tokens, mask=mask, S=summary, G=G, Hh=Hh, H=H)
 
 
-def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint, gates=None):
-    """One decoder step over B hypotheses: (next_states (B,d), logits (B,V)).
-
-    `gates` is `gate_weights(ckpt.params, "dec")`, built here when not given;
-    a search passes it in so that its steps build it once.
-    """
+def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint):
+    """One decoder step over B hypotheses: (next_states (B,d), logits (B,V))."""
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
     x = np.concatenate([p["emb"][tokens], summaries], axis=1)
-    Wg, Ug, bg = gate_weights(p, "dec") if gates is None else gates
-    *_, new_states = _gru_cell(x @ Wg + bg, x @ p["dec_Wh"] + p["dec_bh"], states, Ug, p["dec_Uh"])
+    xg, xh = x @ p["dec_Wg"] + p["dec_bg"], x @ p["dec_Wh"] + p["dec_bh"]
+    *_, new_states = _gru_cell(xg, xh, states, p["dec_Ug"], p["dec_Uh"])
     logits = new_states @ p["out_W"] + p["out_b"]
     return new_states, logits
 
@@ -361,12 +347,6 @@ class ForwardCache:
     summary: np.ndarray  # (B, d)
     dec: GruCache
     logits: np.ndarray  # (B, T, V)
-    probs: np.ndarray | None = field(default=None)  # softmax cache, filled lazily
-
-    def softmax_probs(self) -> np.ndarray:
-        if self.probs is None:
-            self.probs = softmax(self.logits)
-        return self.probs
 
 
 def forward_teacher(
@@ -415,8 +395,7 @@ def sequence_log_probs(cache: ForwardCache, targets: np.ndarray, target_mask: np
 
 def sequence_grad_dlogits(cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """d(sum_b coeffs[b] * seq_logp[b]) / dlogits, ready for backward_from_dlogits."""
-    probs = cache.softmax_probs()
-    dlogits = -probs.copy()
+    dlogits = -softmax(cache.logits)
     np.put_along_axis(
         dlogits,
         targets[:, :, None],
@@ -537,6 +516,8 @@ def load(path) -> Checkpoint:
     try:
         for entry in header["arrays"]:
             name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+            if name in arrays:
+                raise CheckpointFormatError(f"array {name} listed twice")
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
             end = offset + size * 8
             if offset != consumed or end > len(data):

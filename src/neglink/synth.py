@@ -117,9 +117,8 @@ def gen_pretrain_pairs(
     kb: KnowledgeBase,
     idx: TfIdfIndex,
     vocab: Vocab,
+    examples: list[SyntheticExample],
     k: int = 3,
-    cap: int = 8,
-    examples: list[SyntheticExample] | None = None,
     max_ctx: int = 128,
 ) -> list[PreferenceTriplet]:
     """Preference triplets for synthetic examples without running the model.
@@ -129,8 +128,6 @@ def gen_pretrain_pairs(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if examples is None:
-        examples = gen_pretrain_examples(kb, idx, cap)
     out: list[PreferenceTriplet] = []
     for i, ex in enumerate(examples):
         enc = ex.encoded(vocab, max_ctx=max_ctx)

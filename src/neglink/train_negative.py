@@ -12,8 +12,8 @@ its top-k lists into (input, preferred, dispreferred) triplets:
 
 Triplets are deduplicated on (input, preferred, dispreferred), keeping
 the first occurrence. Four losses share one margin form; dpo measures
-log-probs relative to a frozen copy of the starting checkpoint, which the
-trainer re-scores on every batch so that an untrained model sits at
+log-probs relative to the starting checkpoint, which training leaves
+unmodified and re-scores on every batch so that an untrained model sits at
 exactly ln 2 per pair.
 """
 
@@ -273,11 +273,11 @@ def train_preference(
 ) -> optim.TrainResult:
     """`cfg.epochs` epochs of the preference loss over the mined triplets.
 
-    The input checkpoint is copied, never modified; for dpo a second copy of
-    the starting parameters serves as the frozen reference. Epochs become a
-    step count for `optim.train_loop`, which draws one permutation per epoch.
+    `optim.train_loop` trains a copy, so `ckpt` itself is never modified and
+    serves as the frozen dpo reference. Epochs become a step count for
+    `optim.train_loop`, which draws one permutation per epoch.
     """
-    ref = model.copy_checkpoint(ckpt) if cfg.loss_kind == "dpo" else None
+    ref = ckpt if cfg.loss_kind == "dpo" else None
     opt = cfg.optimizer
     steps = cfg.epochs * math.ceil(len(triplets) / opt.batch_size)
     return optim.train_loop(

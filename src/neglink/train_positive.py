@@ -83,8 +83,7 @@ def ce_from_cache(
     per_seq = (per_pos * target_mask).sum(axis=1) / lengths
     loss = float(per_seq.mean())
 
-    probs = cache.softmax_probs()
-    dlogits = probs - smoothing / V
+    dlogits = model.softmax(cache.logits) - smoothing / V
     np.put_along_axis(
         dlogits,
         targets[:, :, None],

@@ -60,9 +60,6 @@ def test_read_requires_header(tmp_path):
     p.write_text(json.dumps({"x": 1}) + "\n")
     with pytest.raises(FormatError):
         read_jsonl(p)
-    header, records = read_jsonl(p, require_header=False)
-    assert header is None
-    assert records == [{"x": 1}]
 
 
 def test_read_rejects_bad_json(tmp_path):

@@ -133,7 +133,7 @@ def test_narrow_beam_prunes_the_best_name():
     p = ckpt.params
     for arr in p.values():
         arr[...] = 0.0
-    p["dec_bz"][...] = 50.0  # update gate open: the state is tanh(emb[token] @ Wh)
+    p["dec_bg"][:n] = 50.0  # update gate open: the state is tanh(emb[token] @ Wh)
     p["emb"][...] = np.eye(n)
     p["dec_Wh"][:n] = np.eye(n)
     (a,), (b,), eos = vocab.encode_chars("a"), vocab.encode_chars("b"), vocab.eos_id

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import neglink
@@ -270,6 +271,33 @@ def test_version_1_artifacts_exit_2(pipeline, tmp_path, caplog, artifact):
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"unsupported {artifact} format version 1"]
+
+
+def _v2_checkpoint(src: Path, dst: Path) -> None:
+    """`src` rewritten in the version-2 layout: each fused gate array `*g` stored as its halves `*z` and `*r`."""
+    ckpt = model.load(src)
+    params = {}
+    for name, arr in ckpt.params.items():
+        if name.endswith("g"):
+            params[name[:-1] + "z"], params[name[:-1] + "r"] = np.hsplit(arr, 2)
+        else:
+            params[name] = arr
+    header = model._header_dict(model.Checkpoint(ckpt.vocab, ckpt.config, params, ckpt.stage))
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    data = b"".join(np.ascontiguousarray(params[name], dtype="<f8").tobytes() for name in sorted(params))
+    dst.write_bytes(model.MAGIC + struct.pack("<II", 2, len(raw)) + raw + data)
+
+
+def test_version_2_checkpoint_exit_2(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    ckpt = tmp_path / "v2.ckpt"
+    _v2_checkpoint(root / "s1.ckpt", ckpt)
+    caplog.clear()
+    rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", cache,
+               "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["unsupported checkpoint format version 2"]
 
 
 @pytest.mark.parametrize("command, record", [

@@ -39,12 +39,13 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
-def reference_step(states, tokens, summaries, ckpt, gates=None):
-    """One decoder step as the former `model.step_batch` computed it (`gates` unused)."""
+def reference_step(states, tokens, summaries, ckpt):
+    """One decoder step as the former `model.step_batch` computed it, one gate at a time."""
     p = ckpt.params
+    (Wz, Wr), (Uz, Ur), (bz, br) = (np.hsplit(p[f"dec_{k}g"], 2) for k in "WUb")
     x = np.concatenate([p["emb"][tokens], summaries], axis=1)
-    z = expit(x @ p["dec_Wz"] + states @ p["dec_Uz"] + p["dec_bz"])
-    r = expit(x @ p["dec_Wr"] + states @ p["dec_Ur"] + p["dec_br"])
+    z = expit(x @ Wz + states @ Uz + bz)
+    r = expit(x @ Wr + states @ Ur + br)
     hh = np.tanh(x @ p["dec_Wh"] + (r * states) @ p["dec_Uh"] + p["dec_bh"])
     new_states = (1.0 - z) * states + z * hh
     return new_states, new_states @ p["out_W"] + p["out_b"]

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from neglink import model
 from neglink.beam import constrained_beam_search_batch
@@ -28,7 +29,7 @@ from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.kb import load_kb
-from neglink.model import ModelConfig, gate_weights, init_checkpoint
+from neglink.model import ModelConfig, init_checkpoint
 from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
@@ -37,23 +38,29 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
+def gate_halves(p, side):
+    """(Wz, Wr), (Uz, Ur), (bz, br): the update and reset halves of a GRU's fused gate arrays."""
+    return tuple(np.hsplit(p[f"{side}_{k}g"], 2) for k in "WUb")
+
+
 def reference_gru_forward(X, mask, p, side):
-    """The former batch-major loop over X (B, T, in_dim): (H, G, Hh), each (B, T, .)."""
-    Wg, Ug, bg = gate_weights(p, side)
+    """The former batch-major loop over X (B, T, in_dim), one gate at a time: (H, G, Hh), each (B, T, .)."""
+    (Wz, Wr), (Uz, Ur), (bz, br) = gate_halves(p, side)
     Uh = p[f"{side}_Uh"]
     B, T, _ = X.shape
     d = Uh.shape[0]
-    XG = X @ Wg + bg
+    XZ, XR = X @ Wz + bz, X @ Wr + br
     XH = X @ p[f"{side}_Wh"] + p[f"{side}_bh"]
     G = np.empty((B, T, 2 * d))
     Hh = np.empty((B, T, d))
     H = np.empty((B, T, d))
     h = np.zeros((B, d))
     for t in range(T):
-        g = np.tanh(XG[:, t] + h @ Ug) * 0.5 + 0.5
-        hh = np.tanh(XH[:, t] + (g[:, d:] * h) @ Uh)
-        h = h + g[:, :d] * (hh - h)
-        G[:, t], Hh[:, t], H[:, t] = g, hh, h
+        z = expit(XZ[:, t] + h @ Uz)
+        r = expit(XR[:, t] + h @ Ur)
+        hh = np.tanh(XH[:, t] + (r * h) @ Uh)
+        h = h + z * (hh - h)
+        G[:, t, :d], G[:, t, d:], Hh[:, t], H[:, t] = z, r, hh, h
     lengths = mask.sum(axis=1).astype(np.int64)
     if lengths.min() < T:
         last = np.minimum(np.arange(T), lengths[:, None] - 1)
@@ -62,11 +69,10 @@ def reference_gru_forward(X, mask, p, side):
 
 
 def reference_gru_backward(cache, dH_ext, p, side):
-    """The former batch-major backward: (dX, weight grads by parameter name)."""
+    """The former batch-major backward, one gate at a time: (dX, weight grads by parameter name)."""
     X, G, Hh, H = cache.X, cache.G, cache.Hh, cache.H
     B, T, d = H.shape
-    Wg = np.concatenate([p[f"{side}_Wz"], p[f"{side}_Wr"]], axis=1)
-    UgT = np.concatenate([p[f"{side}_Uz"], p[f"{side}_Ur"]], axis=1).T
+    (Wz, Wr), (Uz, Ur), _ = gate_halves(p, side)
     Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
     DAg = np.empty((B, T, 2 * d))
     DAh = np.empty((B, T, d))
@@ -84,17 +90,16 @@ def reference_gru_backward(cache, dH_ext, p, side):
         da[:, d:] = dg * h_prev
         da *= g * (1.0 - g)
         DAh[:, t] = da_h
-        dh = dh * (1.0 - z) + da @ UgT + dg * r
+        dh = dh * (1.0 - z) + da[:, :d] @ Uz.T + da[:, d:] @ Ur.T + dg * r
     Hprev = np.concatenate([np.zeros((B, 1, d)), H[:, :-1]], axis=1)
     flat = lambda a: a.reshape(-1, a.shape[-1])  # noqa: E731
-    dX = (DAg @ Wg.T + DAh @ Wh.T).reshape(X.shape)
-    dWg = flat(X).T @ flat(DAg)
-    dUg = flat(Hprev).T @ flat(DAg)
-    dbg = DAg.sum(axis=(0, 1))
+    DAz, DAr = DAg[:, :, :d], DAg[:, :, d:]
+    dX = (DAz @ Wz.T + DAr @ Wr.T + DAh @ Wh.T).reshape(X.shape)
     grads = {
-        "Wz": dWg[:, :d], "Wr": dWg[:, d:], "Wh": flat(X).T @ flat(DAh),
-        "Uz": dUg[:, :d], "Ur": dUg[:, d:], "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
-        "bz": dbg[:d], "br": dbg[d:], "bh": DAh.sum(axis=(0, 1)),
+        "Wg": np.hstack([flat(X).T @ flat(DAz), flat(X).T @ flat(DAr)]), "Wh": flat(X).T @ flat(DAh),
+        "Ug": np.hstack([flat(Hprev).T @ flat(DAz), flat(Hprev).T @ flat(DAr)]),
+        "Uh": flat(G[:, :, d:] * Hprev).T @ flat(DAh),
+        "bg": np.hstack([DAz.sum(axis=(0, 1)), DAr.sum(axis=(0, 1))]), "bh": DAh.sum(axis=(0, 1)),
     }
     return dX, {f"{side}_{role}": a for role, a in grads.items()}
 

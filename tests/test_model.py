@@ -6,6 +6,9 @@ finite-difference sweep lives in the acceptance suite.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,10 +42,11 @@ def test_param_shapes_cover_all_roles():
     assert shapes["out_W"] == (8, v)
     assert shapes["out_b"] == (v,)
     for side, in_dim in (("enc", 8), ("dec", 16)):
-        for gate in ("z", "r", "h"):
-            assert shapes[f"{side}_W{gate}"] == (in_dim, 8)
-            assert shapes[f"{side}_U{gate}"] == (8, 8)
-            assert shapes[f"{side}_b{gate}"] == (8,)
+        for gate, width in (("g", 16), ("h", 8)):
+            assert shapes[f"{side}_W{gate}"] == (in_dim, width)
+            assert shapes[f"{side}_U{gate}"] == (8, width)
+            assert shapes[f"{side}_b{gate}"] == (width,)
+    assert len(shapes) == 15
 
 
 def test_zero_params_give_zero_summary_and_uniform_logits():
@@ -194,6 +198,20 @@ def test_gradients_match_finite_differences():
     assert checked == 4 * len(grads)
 
 
+def test_gradients_are_contiguous_and_shaped_as_their_parameters():
+    ckpt = make_ckpt(seed=3)
+    v = ckpt.vocab
+    inputs = [enc_input(ckpt, "ab"), enc_input(ckpt, "gfedcab")]
+    entities = [v.encode_chars("a") + [v.eos_id], v.encode_chars("bcdefg") + [v.eos_id]]
+    cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
+    dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([1.0, -1.0]))
+    grads = model.backward_from_dlogits(ckpt, cache, dlogits)
+    assert set(grads) == set(ckpt.params)
+    for name, g in grads.items():
+        assert g.shape == ckpt.params[name].shape, name
+        assert g.flags.c_contiguous, name
+
+
 def test_gradients_zero_at_padded_positions():
     ckpt = make_ckpt(seed=5)
     v = ckpt.vocab
@@ -234,6 +252,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(CheckpointFormatError):
         model.load(truncated)
+
+
+def test_checkpoint_rejects_a_repeated_array_name(tmp_path):
+    ckpt = make_ckpt()
+    path = tmp_path / "c.ckpt"
+    model.save(ckpt, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    data = blob[12 + header_len :]
+    header["arrays"].append({"name": "out_b", "shape": list(ckpt.params["out_b"].shape), "offset": len(data)})
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(raw)) + raw + data
+                     + np.zeros(ckpt.params["out_b"].size).tobytes())
+    with pytest.raises(CheckpointFormatError, match="out_b listed twice"):
+        model.load(path)
 
 
 def test_check_finite_loss():

@@ -243,7 +243,7 @@ def test_preference_gradients_match_finite_differences():
     for kind in LOSS_KINDS:
         cfg = pconfig(kind)
         _, grads = preference_loss_and_grads(ckpt, ref, triplets, cfg)
-        for name in ("emb", "dec_Wh", "enc_Uz", "out_W", "out_b"):
+        for name in ("emb", "dec_Wh", "enc_Ug", "out_W", "out_b"):
             flat = ckpt.params[name].reshape(-1)
             for _ in range(3):
                 i = int(rng.integers(flat.size))
