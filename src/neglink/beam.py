@@ -22,6 +22,7 @@ import numpy as np
 
 from . import model
 from .corpus import EncodedInput
+from .errors import ConfigError
 from .kb import KnowledgeBase
 from .model import Checkpoint, log_softmax
 from .trie import TokenTrie
@@ -71,7 +72,7 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
 
 def _check_widths(beam: int, k: int) -> None:
     if not (beam >= k >= 1):
-        raise ValueError(f"need beam >= k >= 1, got beam={beam} k={k}")
+        raise ConfigError(f"need beam >= k >= 1, got beam={beam} k={k}")
 
 
 def constrained_beam_search(

@@ -52,12 +52,6 @@ log = logging.getLogger("neglink")
 # shared plumbing
 
 
-def _require_paths(*paths) -> None:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise FormatError(f"input path does not exist: {p}")
-
-
 def _config_from_args(args) -> RunConfig:
     overrides: dict[str, str] = {}
     for item in getattr(args, "set", None) or []:
@@ -88,7 +82,6 @@ def vocab_from_sources(kb: KnowledgeBase, mention_files: list[str], abbrev: str 
 
 def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
     cache = Path(cache_dir)
-    _require_paths(cache / "vocab.json", cache / "trie.bin")
     with open(cache / "vocab.json", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -102,7 +95,6 @@ def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
 
 
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
-    _require_paths(path)
     ckpt = model.load(path)
     if ckpt.vocab != vocab:
         raise ConfigError("checkpoint vocabulary does not match the cache vocabulary")
@@ -147,7 +139,6 @@ def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]
 
 
 def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
-    _require_paths(path)
     _, records = artifacts.read_jsonl(path)
     lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
     kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
@@ -174,7 +165,6 @@ def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[lis
 
 def cmd_kb_build(args) -> int:
     cfg = _config_from_args(args)
-    _require_paths(args.kb, *(args.mentions or []), args.abbrev)
     kb = load_kb(args.kb)
     vocab = vocab_from_sources(kb, args.mentions or [], args.abbrev)
     trie = build_trie(kb.names(), vocab)
@@ -205,7 +195,6 @@ def cmd_kb_build(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
-    _require_paths(args.kb, args.cache)
     kb = load_kb(args.kb)
     vocab, _ = _load_cache(args.cache)
     idx = build_index(kb.names())
@@ -234,7 +223,6 @@ def cmd_synth(args) -> int:
 
 def _load_training_inputs(args):
     cfg = _config_from_args(args)
-    _require_paths(args.kb, args.mentions, args.cache, args.abbrev)
     kb = load_kb(args.kb)
     vocab, trie = _load_cache(args.cache)
     examples, dropped = prepare_mentions(args.mentions, kb, args.abbrev)
@@ -284,7 +272,6 @@ def _pair_record(t: PreferenceTriplet) -> dict:
 def cmd_train_negative(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    _require_paths(args.pairs)
     _, records = artifacts.read_jsonl(args.pairs)
     triplets = []
     kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}

@@ -34,8 +34,11 @@ class CheckpointFormatError(FormatError):
     pass
 
 
-class ConfigError(FormatError):
-    pass
+class ConfigError(FormatError, ValueError):
+    """Bad run settings: an unknown or unparsable key, an out-of-range value, mismatched inputs.
+
+    Also a ValueError, so library callers that catch ValueError from the range checks still do.
+    """
 
 
 class NumericError(NeglinkError):

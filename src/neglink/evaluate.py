@@ -17,6 +17,7 @@ import numpy as np
 
 from .beam import Prediction, name_tokens, rank_of_gold, sequence_score
 from .corpus import MentionExample, render
+from .errors import ConfigError
 from .kb import KnowledgeBase
 from .model import Checkpoint
 from .tfidf import TfIdfIndex, rank_synonyms, similarity
@@ -72,6 +73,8 @@ def ranks_of(prediction_lists: list[list[Prediction]], gold_sets: list[frozenset
 
 
 def acc_from_ranks(ranks: list[int | None], k: int) -> float:
+    if k < 1:
+        raise ConfigError(f"Acc@k needs k >= 1, got {k}")
     if not ranks:
         raise ValueError("no examples to score")
     return sum(1 for r in ranks if r is not None and r <= k) / len(ranks)
@@ -101,7 +104,7 @@ def bootstrap_paired_test(
     if len(ranks_a) != len(ranks_b):
         raise ValueError("rank lists differ in length")
     if resamples < 2:
-        raise ValueError("resamples must be >= 2")
+        raise ConfigError("resamples must be >= 2")
     n = len(ranks_a)
     if n == 0:
         raise ValueError("no examples to compare")

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import EncodedInput, MentionExample, render
+from .errors import ConfigError
 from .kb import KnowledgeBase, normalize_name
 from .tfidf import TfIdfIndex, hard_negatives, rank_synonyms
 from .train_negative import PreferenceTriplet
@@ -127,7 +128,7 @@ def gen_pretrain_pairs(
     other concepts only; mention_index points into the example list.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     out: list[PreferenceTriplet] = []
     for i, ex in enumerate(examples):
         enc = ex.encoded(vocab, max_ctx=max_ctx)

@@ -142,11 +142,11 @@ def mine_pairs(
     against the three most mention-similar wrong-concept names instead.
     """
     if topk < 2:
-        raise ValueError("topk must be >= 2")
+        raise ConfigError("topk must be >= 2")
     if negatives not in ("pred", "tfidf"):
-        raise ValueError(f"negatives must be 'pred' or 'tfidf', got {negatives!r}")
+        raise ConfigError(f"negatives must be 'pred' or 'tfidf', got {negatives!r}")
     if pairs not in ("filtered", "all"):
-        raise ValueError(f"pairs must be 'filtered' or 'all', got {pairs!r}")
+        raise ConfigError(f"pairs must be 'filtered' or 'all', got {pairs!r}")
     out: list[PreferenceTriplet] = []
     for i, ex in enumerate(examples):
         enc = render(ex, ckpt.vocab, max_ctx=max_ctx)

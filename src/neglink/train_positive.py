@@ -17,6 +17,7 @@ import numpy as np
 from . import model, optim
 from .beam import name_tokens
 from .corpus import EncodedInput, MentionExample, render
+from .errors import ConfigError
 from .kb import KnowledgeBase
 from .model import Checkpoint, ForwardCache
 from .tfidf import TfIdfIndex, rank_synonyms
@@ -52,7 +53,7 @@ def build_positive_set(
     those verbatim instead of similarity-ranked gold synonyms.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     instances: list[PositiveInstance] = []
     for ex in examples:
         enc = render(ex, vocab, max_ctx=max_ctx)

@@ -5,18 +5,18 @@ the set of legal next tokens at a prefix is the node's children, plus EOS
 when the node is terminal, so any sequence the decoder can finish is a KB
 name and every KB name remains reachable.
 
-The trie records its depth (the token count of its longest name) as names
-are inserted and as a stream is read, so `max_depth()`, called once per
-beam search, costs nothing. Names longer than MAX_DEPTH tokens are
-rejected on insert, and the reader rejects deeper nesting, so every trie
-that can be built can also be written and read back.
+`insert` is the only way a trie is built, whether from KB names or from a
+file. It records the depth (the token count of its longest name), so
+`max_depth()`, called once per beam search, costs nothing, and it rejects
+names longer than MAX_DEPTH tokens.
 
-Serialization: magic b"ATRI", format version u32 LE, then a preorder node
-stream. Each node is [u8 terminal][u32 child count] followed by its
-children in ascending token-id order, each as [u32 token id][node]. All
-integers little-endian.
-Writer and reader walk the tree with an explicit stack, so depth is bounded
-by MAX_DEPTH, not by the interpreter's recursion limit.
+Serialization (format 3), all integers u32 little-endian: magic b"ATRI",
+the format version, the name count, then each name as its token count
+followed by its token ids. Names are written in ascending token order, the
+tree's preorder, so save -> load -> save is byte-identical. The reader
+inserts every record, so a loaded trie is exactly one `insert` could build.
+The writer walks the tree with an explicit stack, so a name's length is
+bounded by MAX_DEPTH, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import TrieFormatError, VocabError
 from .vocab import Vocab
 
 MAGIC = b"ATRI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAX_DEPTH = 4096  # longest name, in tokens, that a trie may hold
 
 
@@ -41,10 +41,9 @@ class TrieNode:
 
 @dataclass
 class TokenTrie:
-    root: TrieNode = field(default_factory=TrieNode)
-    size: int = 0  # number of names inserted
-    # Token count of the longest name; kept by insert and set by the reader only.
-    depth: int = field(default=0, init=False)
+    root: TrieNode = field(default_factory=TrieNode, init=False)
+    size: int = field(default=0, init=False)  # number of names inserted
+    depth: int = field(default=0, init=False)  # token count of the longest name
 
     def insert(self, token_ids) -> None:
         token_ids = list(token_ids)
@@ -101,94 +100,42 @@ def allowed_next(trie: TokenTrie, prefix, eos_id: int) -> list[int]:
     return out
 
 
-def _write_nodes(root: TrieNode, chunks: list[bytes]) -> None:
-    """Append the preorder node stream under `root`."""
-    stack: list[tuple[int | None, TrieNode]] = [(None, root)]
-    while stack:
-        token_id, node = stack.pop()
-        if token_id is not None:
-            chunks.append(struct.pack("<I", token_id))
-        chunks.append(struct.pack("<BI", 1 if node.terminal else 0, len(node.children)))
-        # Pushed in descending order so children pop in ascending order.
-        for child_id in sorted(node.children, reverse=True):
-            stack.append((child_id, node.children[child_id]))
-
-
 def serialize(trie: TokenTrie) -> bytes:
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    _write_nodes(trie.root, chunks)
-    return b"".join(chunks)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise TrieFormatError("truncated trie stream")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TrieFormatError("truncated trie stream")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
-def _read_node(r: _Reader) -> tuple[TrieNode, int]:
-    """One node header: (childless node, number of children that follow)."""
-    terminal, n_children = r.take("<BI")
-    if terminal not in (0, 1):
-        raise TrieFormatError(f"bad terminal flag {terminal}")
-    return TrieNode(terminal=bool(terminal)), n_children
-
-
-def _read_nodes(r: _Reader) -> TokenTrie:
-    """Read the preorder node stream, counting names and recording the depth."""
-    root, n_children = _read_node(r)
-    size, depth = int(root.terminal), 0
-    # One frame per node on the current path: [node, children left, last child id].
-    stack = [[root, n_children, -1]]
+    count, words = 0, []  # words: each name's token count, then its token ids
+    prefix: list[int] = []  # token ids on the path to the node just popped
+    stack: list[tuple[int, int, TrieNode]] = [(0, 0, trie.root)]  # (depth, token id, node)
     while stack:
-        frame = stack[-1]
-        if frame[1] == 0:
-            stack.pop()
-            continue
-        (token_id,) = r.take("<I")
-        if token_id <= frame[2]:
-            raise TrieFormatError("child token ids not strictly ascending")
-        frame[1] -= 1
-        frame[2] = token_id
-        child_depth = len(stack)
-        if child_depth > MAX_DEPTH:
-            raise TrieFormatError(f"trie nesting deeper than {MAX_DEPTH}")
-        child, n_children = _read_node(r)
-        frame[0].children[token_id] = child
-        if child.terminal:
-            size += 1
-            depth = max(depth, child_depth)
-        stack.append([child, n_children, -1])
-    trie = TokenTrie(root=root, size=size)
-    trie.depth = depth
-    return trie
+        depth, token_id, node = stack.pop()
+        if depth:
+            prefix[depth - 1 :] = [token_id]
+        if node.terminal:
+            count += 1
+            words.append(depth)
+            words.extend(prefix)
+        # Pushed in descending order so children pop in ascending order.
+        stack.extend((depth + 1, t, node.children[t]) for t in sorted(node.children, reverse=True))
+    return MAGIC + struct.pack(f"<{len(words) + 2}I", FORMAT_VERSION, count, *words)
 
 
 def deserialize(data: bytes) -> TokenTrie:
-    r = _Reader(data)
-    if r.take_bytes(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise TrieFormatError("bad magic bytes, not a trie file")
-    (version,) = r.take("<I")
+    if len(data) < 8:
+        raise TrieFormatError("truncated trie file")
+    (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
         raise TrieFormatError(f"unsupported trie format version {version}")
-    trie = _read_nodes(r)
-    if r.pos != len(r.data):
-        raise TrieFormatError(f"{len(r.data) - r.pos} trailing bytes after node stream")
+    if len(data) < 12 or len(data) % 4:
+        raise TrieFormatError("truncated trie file")
+    words = struct.unpack_from(f"<{len(data) // 4 - 2}I", data, 8)
+    trie, pos = TokenTrie(), 1
+    for i in range(words[0]):
+        if pos >= len(words) or pos + 1 + words[pos] > len(words):
+            raise TrieFormatError(f"truncated trie file: {words[0]} names declared, {i} found")
+        trie.insert(words[pos + 1 : pos + 1 + words[pos]])
+        pos += 1 + words[pos]
+    if pos != len(words):
+        raise TrieFormatError(f"{4 * (len(words) - pos)} trailing bytes after {words[0]} names")
     return trie
 
 

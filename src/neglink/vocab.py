@@ -65,13 +65,3 @@ class Vocab:
                 raise VocabError(f"character {ch!r} not in vocabulary")
             ids.append(i)
         return ids
-
-    def decode_chars(self, ids) -> str:
-        """Inverse of encode_chars; ignores nothing, specials are errors."""
-        out = []
-        for i in ids:
-            tok = self.tokens[i]
-            if len(tok) != 1:
-                raise VocabError(f"id {i} is special token {tok}, not a character")
-            out.append(tok)
-        return "".join(out)

@@ -1,9 +1,9 @@
-"""Every public function in `src/neglink` has a caller in the program.
+"""Every public function and method in `src/neglink` has a caller in the program.
 
-A public module-level function must be named, as a whole word, somewhere in
-`src/neglink/`, `demos/` or `perfbench/` outside its own definition. A
-function that only tests call is test-only API: fold it into its caller or
-let the test build what it needs.
+A public module-level function, or a public method of a module-level class,
+must be named, as a whole word, somewhere in `src/neglink/`, `demos/` or
+`perfbench/` outside its own definition. One that only tests call is
+test-only API: fold it into its caller or let the test build what it needs.
 """
 
 from __future__ import annotations
@@ -23,24 +23,28 @@ def _program_files() -> list[Path]:
 
 
 def _public_functions(path: Path, lines: list[str]):
-    """(name, first line, last line) of each public module-level function; 1-based, inclusive."""
+    """(qualified name, name, first line, last line) of each public module-level function
+    and each public method of a module-level class; lines 1-based, inclusive."""
     tree = ast.parse("".join(lines), filename=str(path))
-    for node in tree.body:
+    defs = [(None, node) for node in tree.body]
+    defs += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    for owner, node in defs:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            yield node.name, first, node.end_lineno
+            qualified = f"{owner}.{node.name}" if owner else node.name
+            yield qualified, node.name, first, node.end_lineno
 
 
 def test_every_public_function_has_a_caller_outside_tests():
     texts = {path: path.read_text(encoding="utf-8").splitlines(keepends=True) for path in _program_files()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _public_functions(path, texts[path]):
+        for qualified, name, first, last in _public_functions(path, texts[path]):
             word = re.compile(rf"\b{re.escape(name)}\b")
             outside = (
                 lines[: first - 1] + lines[last:] if other == path else lines
                 for other, lines in texts.items()
             )
             if not any(word.search("".join(body)) for body in outside):
-                unused.append(f"{path.stem}.{name}")
-    assert unused == [], f"public functions with no caller outside tests: {unused}"
+                unused.append(f"{path.stem}.{qualified}")
+    assert unused == [], f"public functions and methods with no caller outside tests: {unused}"

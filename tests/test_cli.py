@@ -190,9 +190,55 @@ def test_usage_and_version_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_missing_inputs_exit_2(tmp_path):
-    rc = main(["kb", "build", "--kb", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "c")])
-    assert rc == 2
+def test_missing_inputs_exit_2(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    nope = str(tmp_path / "nope")
+    inputs = ["--kb", kb, "--mentions", test, "--cache", cache]
+    for argv in (
+        ["kb", "build", "--kb", nope, "--out", str(tmp_path / "c")],
+        ["link", *FAST, "--kb", kb, "--mentions", test, "--cache", nope,
+         "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")],
+        ["link", *FAST, *inputs, "--ckpt", nope, "--out", str(tmp_path / "p.jsonl")],
+        ["train-negative", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
+         "--ckpt", str(root / "s1.ckpt"), "--pairs", nope, "--out", str(tmp_path / "s2.ckpt")],
+        ["eval", *inputs, "--preds", nope, "--out", str(tmp_path / "eval.json")],
+    ):
+        caplog.clear()
+        assert main(argv) == 2, argv
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and nope in errors[0].getMessage(), argv
+        assert errors[0].exc_info is None
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("link", ["--beam", "2", "--topk", "5"]),
+    ("mine", ["--topk", "1"]),
+    ("mine", ["--set", "negatives=none"]),
+    ("train-positive", ["--set", "syn_topk=0"]),
+    ("eval-b", ["--resamples", "1"]),
+    ("eval", ["--k", "0"]),
+    ("synth", ["--k", "0"]),
+], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0"])
+def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
+    root, kb, train, test, cache = pipeline
+    inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
+    ckpt = ["--ckpt", str(root / "s1.ckpt")]
+    argv = {
+        "link": ["link", *FAST, *inputs, "--mentions", test, *ckpt],
+        "mine": ["mine", *FAST, *inputs, "--mentions", train, *ckpt],
+        "train-positive": ["train-positive", *FAST, *inputs, "--mentions", train],
+        "eval-b": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl"),
+                   "--preds-b", str(root / "preds_s1.jsonl")],
+        "eval": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl")],
+        "synth": ["synth", "--kb", kb, "--cache", cache, "--out-mentions", str(tmp_path / "m.jsonl"),
+                  "--out-pairs", str(tmp_path / "p.jsonl")],
+    }[command]
+    caplog.clear()
+    assert main(argv + extra) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0].getMessage() and errors[0].exc_info is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kb_name_over_the_trie_depth_limit_exit_2(tmp_path):
@@ -247,11 +293,16 @@ def _v1_checkpoint(src: Path, dst: Path) -> None:
     dst.write_bytes(model.MAGIC + struct.pack("<II", 1, len(raw)) + raw + blob[12 + header_len :])
 
 
-def _v1_trie(src: Path, dst: Path) -> None:
-    """`src` rewritten in the version-1 layout: a length-prefixed JSON metadata block before the nodes."""
-    blob = src.read_bytes()
+def _node_stream_trie(version: int, dst: Path) -> None:
+    """A trie holding the one name [5, 6] in the node-stream layout of format 1 or 2.
+
+    Each node is [u8 terminal][u32 child count], each child [u32 token id][node],
+    in preorder. Format 1 puts a length-prefixed JSON metadata block before the nodes.
+    """
+    nodes = struct.pack("<BI", 0, 1) + struct.pack("<IBI", 5, 0, 1) + struct.pack("<IBI", 6, 1, 0)
     meta = b'{"names":1}'
-    dst.write_bytes(trie.MAGIC + struct.pack("<II", 1, len(meta)) + meta + blob[8:])
+    head = struct.pack("<II", 1, len(meta)) + meta if version == 1 else struct.pack("<I", 2)
+    dst.write_bytes(trie.MAGIC + head + nodes)
 
 
 @pytest.mark.parametrize("artifact", ["checkpoint", "trie"])
@@ -264,7 +315,7 @@ def test_version_1_artifacts_exit_2(pipeline, tmp_path, caplog, artifact):
     else:
         old_cache = tmp_path / "cache"
         shutil.copytree(cache, old_cache)
-        _v1_trie(Path(cache) / "trie.bin", old_cache / "trie.bin")
+        _node_stream_trie(1, old_cache / "trie.bin")
     caplog.clear()
     rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(old_cache),
                "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
@@ -298,6 +349,19 @@ def test_version_2_checkpoint_exit_2(pipeline, tmp_path, caplog):
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["unsupported checkpoint format version 2"]
+
+
+def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    old_cache = tmp_path / "cache"
+    shutil.copytree(cache, old_cache)
+    _node_stream_trie(2, old_cache / "trie.bin")
+    caplog.clear()
+    rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(old_cache),
+               "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["unsupported trie format version 2"]
 
 
 @pytest.mark.parametrize("command, record", [

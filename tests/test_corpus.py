@@ -32,6 +32,10 @@ def example(**kw):
     return MentionExample(**base)
 
 
+def text(v, ids) -> str:
+    return "".join(v.token(i) for i in ids)
+
+
 def test_load_mentions_order_and_fields(tmp_path):
     path = write_lines(
         tmp_path,
@@ -120,12 +124,12 @@ def test_render_structure():
     assert toks[0] == v.bos_id
     assert toks[-1] == v.eos_id
     st, et = toks.index(v.st_id), toks.index(v.et_id)
-    assert v.decode_chars(toks[1:st]) == "left"
-    assert v.decode_chars(toks[st + 1 : et]) == "men"
-    assert v.decode_chars(toks[et + 1 : -1]) == "right"
+    assert text(v, toks[1:st]) == "left"
+    assert text(v, toks[st + 1 : et]) == "men"
+    assert text(v, toks[et + 1 : -1]) == "right"
     prompt = list(enc.prompt_tokens)
     assert prompt[0] == v.bos_id
-    assert v.decode_chars(prompt[1:]) == "men is"
+    assert text(v, prompt[1:]) == "men is"
 
 
 def test_render_clips_context_adjacent_to_mention():
@@ -137,8 +141,8 @@ def test_render_clips_context_adjacent_to_mention():
     assert st - 1 == 128
     assert len(toks) - 2 - et == 128
     # left keeps its tail, right keeps its head
-    assert v.decode_chars(toks[1:st]) == "a" * 128
-    assert v.decode_chars(toks[et + 1 : -1]) == "b" * 128
+    assert text(v, toks[1:st]) == "a" * 128
+    assert text(v, toks[et + 1 : -1]) == "b" * 128
 
 
 def test_prepare_mentions_pipeline(tmp_path):

@@ -12,6 +12,8 @@ from neglink.trie import (
     FORMAT_VERSION,
     MAGIC,
     MAX_DEPTH,
+    TokenTrie,
+    TrieNode,
     allowed_next,
     build_trie,
     deserialize,
@@ -76,7 +78,7 @@ def test_every_prefix_walk_reaches_all_names():
         prefix = stack.pop()
         for tok in allowed_next(trie, prefix, vocab.eos_id):
             if tok == vocab.eos_id:
-                found.append(vocab.decode_chars(prefix))
+                found.append("".join(vocab.token(i) for i in prefix))
             else:
                 stack.append(prefix + [tok])
     assert sorted(found) == names
@@ -84,8 +86,10 @@ def test_every_prefix_walk_reaches_all_names():
 
 def test_round_trip_bytes_stable():
     vocab = make_vocab()
-    trie = build_trie(["abc", "abd", "b"], vocab)
-    blob = serialize(trie)
+    names = ["b", "abd", "ab", "abc"]
+    blob = serialize(build_trie(names, vocab))
+    # Names are written in ascending token order, the tree's preorder.
+    assert blob == trie_file(*sorted(vocab.encode_chars(n) for n in names))
     again = serialize(deserialize(blob))
     assert blob == again
 
@@ -121,8 +125,9 @@ def test_deserialize_rejects_truncation():
 def test_deserialize_rejects_trailing_garbage():
     vocab = make_vocab()
     blob = serialize(build_trie(["abc"], vocab))
-    with pytest.raises(TrieFormatError):
-        deserialize(blob + b"\x00")
+    for extra in (b"\x00" * 4, struct.pack("<II", 1, 5)):  # a spare u32, a record past the count
+        with pytest.raises(TrieFormatError, match="trailing bytes"):
+            deserialize(blob + extra)
 
 
 def test_unencodable_name_reports_the_name():
@@ -159,18 +164,56 @@ def test_max_depth_is_recorded_on_insert_and_load():
     assert build_trie([], vocab).max_depth() == 0
 
 
-def chain_stream(levels: int) -> bytes:
-    """A trie stream with a single name `levels` tokens long."""
-    nodes = [struct.pack("<BI", 0, 1) + struct.pack("<I", 1)] * levels
-    return MAGIC + struct.pack("<I", FORMAT_VERSION) + b"".join(nodes) + struct.pack("<BI", 1, 0)
+def trie_file(*names) -> bytes:
+    """A format-3 trie file holding `names`, each a sequence of token ids, in the given order."""
+    records = [struct.pack(f"<{len(n) + 1}I", len(n), *n) for n in names]
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(names)) + b"".join(records)
 
 
 def test_reader_depth_limit_is_a_format_error():
-    assert deserialize(chain_stream(MAX_DEPTH)).max_depth() == MAX_DEPTH
+    assert deserialize(trie_file([1] * MAX_DEPTH)).max_depth() == MAX_DEPTH
     with pytest.raises(TrieFormatError):
-        deserialize(chain_stream(MAX_DEPTH + 1))
+        deserialize(trie_file([1] * (MAX_DEPTH + 1)))
     with pytest.raises(TrieFormatError):
-        deserialize(chain_stream(5000))
+        deserialize(trie_file([1, 2], [1] * 5000))
+
+
+def test_deserialize_rejects_a_cut_at_a_record_boundary():
+    blob = trie_file([1, 2], [3])
+    assert deserialize(blob).size == 2
+    with pytest.raises(TrieFormatError, match="2 names declared, 1 found"):
+        deserialize(blob[:-8])  # drops the whole record [3]
+
+
+def test_deserialize_rejects_a_partial_u32():
+    blob = trie_file([1, 2], [3])
+    for extra in (1, 2, 3):
+        with pytest.raises(TrieFormatError, match="truncated"):
+            deserialize(blob + b"\x00" * extra)
+        with pytest.raises(TrieFormatError, match="truncated"):
+            deserialize(blob[:-extra])
+
+
+def test_empty_trie_round_trips():
+    blob = serialize(TokenTrie())
+    assert blob == MAGIC + struct.pack("<II", FORMAT_VERSION, 0)
+    loaded = deserialize(blob)
+    assert (loaded.size, loaded.max_depth(), loaded.root) == (0, 0, TrieNode())
+    assert serialize(loaded) == blob
+
+
+def test_save_load_copy_is_node_for_node_equal(tmp_path):
+    rng = random.Random(11)
+    vocab = make_vocab()
+    names = ["", *("".join(rng.choice("abcdefghij ") for _ in range(rng.randrange(1, 12))) for _ in range(200))]
+    trie = build_trie(names, vocab)
+    path = tmp_path / "t.bin"
+    save_trie(trie, path)
+    loaded = load_trie(path)
+    # TrieNode is a dataclass, so == compares children and terminal flags recursively.
+    assert loaded.root == trie.root
+    assert (loaded.size, loaded.depth) == (trie.size, trie.depth)
+    assert serialize(loaded) == path.read_bytes()
 
 
 def test_long_name_round_trips(tmp_path):
