@@ -42,7 +42,7 @@ CHUNK = 32
 
 
 def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
-    """Encode a batch of inputs and consume their prompts, one padded pass each.
+    """Encode a batch of inputs and consume their prompts in one teacher-forced pass.
 
     Returns (states after each prompt (B, d), next-token log-distributions
     (B, V), encoder summaries (B, d), prompt log-probs list). A prompt's
@@ -54,20 +54,15 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
         raise ValueError("empty prompt")
     pad = ckpt.vocab.pad_id
     enc_tokens, enc_mask = model.pad_batch([list(x.encoder_tokens) for x in inputs], pad)
-    summaries, _, _ = model.encoder_forward(ckpt, enc_tokens, enc_mask)
     tokens, mask = model.pad_batch(prompts, pad)
-    hidden, _ = model.decoder_forward(ckpt, tokens, mask, summaries)
-    real = hidden[mask > 0]  # every prompt's positions in order, prompts one after another
-    logp = log_softmax(real @ ckpt.params["out_W"] + ckpt.params["out_b"], axis=1)
-    ends = np.cumsum([len(p) for p in prompts])
-    scores = []
-    for prompt, end in zip(prompts, ends.tolist()):
-        rows = logp[end - len(prompt) : end - 1, :].tolist()
-        score = 0.0
-        for row, nxt in zip(rows, prompt[1:]):
-            score += row[nxt]
-        scores.append(score)
-    return real[ends - 1], logp[ends - 1], summaries, scores
+    cache = model.forward_teacher(ckpt, enc_tokens, enc_mask, tokens, mask)
+    # Position j predicts token j + 1, scored while that token is in the prompt.
+    targets, scored = np.full_like(tokens, pad), np.zeros_like(mask)
+    targets[:, :-1], scored[:, :-1] = tokens[:, 1:], mask[:, 1:]
+    logp, picked = model.target_log_probs(cache.logits, targets)
+    scores = np.cumsum(picked * scored, axis=1)[:, -1]  # in position order; .sum(axis=1) adds pairwise
+    last, rows = mask.sum(axis=1).astype(np.int64) - 1, np.arange(len(prompts))
+    return cache.dec.H[last, rows], logp[rows, last], cache.summary, scores.tolist()
 
 
 def _check_widths(beam: int, k: int) -> None:

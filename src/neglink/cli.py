@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import logging
 import sys
 from pathlib import Path
@@ -81,17 +80,12 @@ def vocab_from_sources(kb: KnowledgeBase, mention_files: list[str], abbrev: str 
 
 
 def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
-    cache = Path(cache_dir)
-    with open(cache / "vocab.json", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{cache / 'vocab.json'}: invalid JSON: {e}") from e
-    tokens = doc.get("tokens") if isinstance(doc, dict) else None
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-        raise FormatError(f"{cache / 'vocab.json'}: expected an object whose \"tokens\" is a list of strings")
-    vocab = Vocab(tokens)
-    return vocab, load_trie(cache / "trie.bin")
+    path = Path(cache_dir) / "vocab.json"
+    records = [values for _, values in artifacts.read_records(path, {"tokens": "a list of strings"})]
+    if len(records) != 1:
+        raise FormatError(f"{path}: expected one JSON object, found {len(records)}")
+    (tokens,) = records[0]
+    return Vocab(tokens), load_trie(path.with_name("trie.bin"))
 
 
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
@@ -99,27 +93,6 @@ def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
     if ckpt.vocab != vocab:
         raise ConfigError("checkpoint vocabulary does not match the cache vocabulary")
     return ckpt
-
-
-_JSON_TYPES = {"an integer": int, "a string": str, "a number": (int, float)}
-
-
-def _fields(path, rec, kinds: dict[str, str]) -> list:
-    """The values of `kinds`' keys in one record, each checked against its _JSON_TYPES kind.
-
-    JSON true and false are not integers or numbers here, though Python's bool is an int.
-    """
-    if not isinstance(rec, dict):
-        raise FormatError(f"{path}: expected one JSON object per record, got {rec!r:.60}")
-    values = []
-    for key, kind in kinds.items():
-        if key not in rec:
-            raise FormatError(f"{path}: record missing {key!r}")
-        value = rec[key]
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise FormatError(f"{path}: {key!r} must be {kind}, got {value!r:.60}")
-        values.append(value)
-    return values
 
 
 def _write_loss_log(path, header: dict, loss_log) -> None:
@@ -139,11 +112,10 @@ def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]
 
 
 def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
-    _, records = artifacts.read_jsonl(path)
-    lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
     kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
-    for rec in records:
-        i, rank, name, score = _fields(path, rec, kinds)
+    _, records = artifacts.read_jsonl(path, kinds)
+    lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
+    for i, rank, name, score in records:
         if not 0 <= i < n_examples:
             raise FormatError(f"{path}: mention_index {i} out of range for {n_examples} examples")
         lists[i].append((rank, Prediction(name=name, ids=kb.align(name), score=float(score))))
@@ -272,11 +244,9 @@ def _pair_record(t: PreferenceTriplet) -> dict:
 def cmd_train_negative(args) -> int:
     cfg, kb, vocab, trie, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    _, records = artifacts.read_jsonl(args.pairs)
+    _, records = artifacts.read_jsonl(args.pairs, {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"})
     triplets = []
-    kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
-    for rec in records:
-        i, e_w, e_l = _fields(args.pairs, rec, kinds)
+    for i, e_w, e_l in records:
         if not 0 <= i < len(examples):
             raise FormatError(f"{args.pairs}: mention_index {i} out of range")
         enc = render(examples[i], vocab, max_ctx=cfg.max_ctx)

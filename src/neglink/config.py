@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifacts
 from .errors import ConfigError
 from .optim import OptimizerConfig
 from .train_negative import PreferenceConfig
@@ -121,15 +122,14 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in artifacts.read_lines(path, ConfigError):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

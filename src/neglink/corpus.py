@@ -10,11 +10,11 @@ whitespace. Rendering produces the encoder token sequence
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifacts
 from .errors import MentionFormatError
 from .kb import KnowledgeBase, normalize_name
 from .vocab import Vocab
@@ -43,6 +43,11 @@ class EncodedInput:
     prompt_tokens: tuple[int, ...]
 
 
+# A mention record's keys and their JSON kinds (see artifacts.read_records).
+_RECORD_KINDS = {"left": "a string or null", "mention": "a string", "right": "a string or null",
+                 "gold_ids": "a list of strings", "fold": "an integer or null", "targets": "a list of strings or null"}
+
+
 def load_mentions(path: str | Path) -> list[MentionExample]:
     """Load a line-delimited JSON mention file, preserving file order.
 
@@ -50,58 +55,28 @@ def load_mentions(path: str | Path) -> list[MentionExample]:
     "gold_ids": [str, ...], "fold": int?, "targets": [str, ...]?}.
     """
     out: list[MentionExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MentionFormatError(f"{path}: line {lineno}: invalid JSON ({e})") from e
-            if not isinstance(rec, dict):
-                raise MentionFormatError(f"{path}: line {lineno}: record must be an object")
-            mention = rec.get("mention")
-            if not isinstance(mention, str) or not mention.strip():
-                raise MentionFormatError(f"{path}: line {lineno}: missing or empty 'mention'")
-            gold = rec.get("gold_ids")
-            if not isinstance(gold, list) or not gold or not all(isinstance(g, str) for g in gold):
-                raise MentionFormatError(f"{path}: line {lineno}: 'gold_ids' must be a non-empty list of strings")
-            fold = rec.get("fold")
-            if fold is not None and (isinstance(fold, bool) or not isinstance(fold, int)):
-                raise MentionFormatError(f"{path}: line {lineno}: 'fold' must be an integer")
-            targets = rec.get("targets")
-            if targets is not None:
-                if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-                    raise MentionFormatError(f"{path}: line {lineno}: 'targets' must be a list of strings")
-                targets = tuple(targets)
-            out.append(
-                MentionExample(
-                    left_context=rec.get("left", "") or "",
-                    mention=mention,
-                    right_context=rec.get("right", "") or "",
-                    gold_ids=frozenset(gold),
-                    fold=fold,
-                    targets=targets,
-                )
-            )
+    records = artifacts.read_records(path, _RECORD_KINDS, MentionFormatError)
+    for lineno, (left, mention, right, gold, fold, targets) in records:
+        if not mention.strip():
+            raise MentionFormatError(f"{path}: line {lineno}: empty 'mention'")
+        if not gold:
+            raise MentionFormatError(f"{path}: line {lineno}: empty 'gold_ids'")
+        targets = None if targets is None else tuple(targets)
+        out.append(MentionExample(left or "", mention, right or "", frozenset(gold), fold, targets))
     return out
 
 
 def load_abbreviations(path: str | Path) -> dict[str, str]:
     """Two-column tab-separated short<TAB>long file; both sides normalized."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MentionFormatError(f"{path}: line {lineno}: expected short<TAB>long")
-            short, long = normalize_name(parts[0]), normalize_name(parts[1])
-            if not short or not long:
-                raise MentionFormatError(f"{path}: line {lineno}: empty abbreviation entry")
-            table[short] = long
+    for lineno, line in artifacts.read_lines(path, MentionFormatError):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MentionFormatError(f"{path}: line {lineno}: expected short<TAB>long")
+        short, long = normalize_name(parts[0]), normalize_name(parts[1])
+        if not short or not long:
+            raise MentionFormatError(f"{path}: line {lineno}: empty abbreviation entry")
+        table[short] = long
     return table
 
 
@@ -122,11 +97,8 @@ def preprocess(ex: MentionExample, abbrev: dict[str, str] | None = None) -> Ment
     def clean(text: str) -> str:
         return normalize_name(_expand(text.lower(), abbrev))
 
-    return replace(
-        ex,
-        left_context=clean(ex.left_context),
-        mention=clean(ex.mention),
-        right_context=clean(ex.right_context),
+    return MentionExample(
+        clean(ex.left_context), clean(ex.mention), clean(ex.right_context), ex.gold_ids, ex.fold, ex.targets
     )
 
 

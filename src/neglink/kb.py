@@ -11,11 +11,11 @@ ordinary, not an error.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import artifacts
 from .errors import KBFormatError
 
 log = logging.getLogger(__name__)
@@ -71,6 +71,10 @@ def build_kb(concepts: list[Concept]) -> KnowledgeBase:
     return kb
 
 
+# A KB record's keys and their JSON kinds (see artifacts.read_records).
+_RECORD_KINDS = {"id": "a string", "names": "a list of strings", "definition": "a string or null"}
+
+
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Load a line-delimited JSON KB file.
 
@@ -80,35 +84,19 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     """
     concepts: list[Concept] = []
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise KBFormatError(f"{path}: line {lineno}: invalid JSON ({e})") from e
-            if not isinstance(rec, dict) or "id" not in rec or "names" not in rec:
-                raise KBFormatError(f"{path}: line {lineno}: record must carry 'id' and 'names'")
-            cid = rec["id"]
-            if not isinstance(cid, str) or not cid:
-                raise KBFormatError(f"{path}: line {lineno}: 'id' must be a non-empty string")
-            raw_names = rec["names"]
-            if not isinstance(raw_names, list) or not all(isinstance(n, str) for n in raw_names):
-                raise KBFormatError(f"{path}: line {lineno}: 'names' must be a list of strings")
-            names: list[str] = []
-            for n in raw_names:
-                norm = normalize_name(n)
-                if norm and norm not in names:
-                    names.append(norm)
-            if not names:
-                rejected += 1
-                log.warning("%s: line %d: concept %r has no usable names, rejected", path, lineno, cid)
-                continue
-            definition = rec.get("definition")
-            if definition is not None and not isinstance(definition, str):
-                raise KBFormatError(f"{path}: line {lineno}: 'definition' must be a string")
-            concepts.append(Concept(id=cid, names=tuple(names), definition=definition))
+    for lineno, (cid, raw_names, definition) in artifacts.read_records(path, _RECORD_KINDS, KBFormatError):
+        if not cid:
+            raise KBFormatError(f"{path}: line {lineno}: 'id' must be a non-empty string")
+        names: list[str] = []
+        for n in raw_names:
+            norm = normalize_name(n)
+            if norm and norm not in names:
+                names.append(norm)
+        if not names:
+            rejected += 1
+            log.warning("%s: line %d: concept %r has no usable names, rejected", path, lineno, cid)
+            continue
+        concepts.append(Concept(id=cid, names=tuple(names), definition=definition))
     kb = build_kb(concepts)
     kb.rejected_count = rejected
     return kb

@@ -386,23 +386,31 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     return grads
 
 
+def target_log_probs(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-distributions at every position (B, T, V) and each position's target log-prob (B, T)."""
+    logp = log_softmax(logits)
+    return logp, np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+
+
 def sequence_log_probs(cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
     """Per-sequence sums of target log-probs at masked positions; (B,)."""
-    logp = log_softmax(cache.logits)
-    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+    _, picked = target_log_probs(cache.logits, targets)
     return (picked * target_mask).sum(axis=1)
 
 
-def sequence_grad_dlogits(cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """d(sum_b coeffs[b] * seq_logp[b]) / dlogits, ready for backward_from_dlogits."""
-    dlogits = -softmax(cache.logits)
-    np.put_along_axis(
-        dlogits,
-        targets[:, :, None],
-        np.take_along_axis(dlogits, targets[:, :, None], axis=2) + 1.0,
-        axis=2,
-    )
-    return dlogits * (target_mask * coeffs[:, None])[:, :, None]
+def target_dlogits(cache: ForwardCache, targets: np.ndarray, weights: np.ndarray, smoothing: float = 0.0) -> np.ndarray:
+    """d/dlogits of sum_{b,t} weights[b,t] * CE[b,t], ready for backward_from_dlogits.
+
+    CE[b,t] = -sum_v q_v log p_v is the cross-entropy against
+    q = (1 - smoothing) * onehot(targets[b,t]) + smoothing / V. With
+    smoothing 0, CE is minus the target log-prob, so weights -coeffs[b] at a
+    sequence's scored positions give the gradient of sum_b coeffs[b] * seq_logp[b].
+    """
+    dlogits = softmax(cache.logits) - smoothing / cache.logits.shape[2]
+    at = targets[:, :, None]
+    np.put_along_axis(dlogits, at, np.take_along_axis(dlogits, at, axis=2) - (1.0 - smoothing), axis=2)
+    dlogits *= weights[:, :, None]
+    return dlogits
 
 
 def _validate_entity(entity_tokens, eos_id: int) -> list[int]:

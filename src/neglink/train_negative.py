@@ -257,7 +257,7 @@ def preference_loss_and_grads(
     if not want_grads:
         return loss, None
     coeffs = np.concatenate([dlp_w, dlp_l]) / B
-    dlogits = model.sequence_grad_dlogits(cache, tg, tm, coeffs)
+    dlogits = model.target_dlogits(cache, tg, -(tm * coeffs[:, None]))
     return loss, model.backward_from_dlogits(ckpt, cache, dlogits)
 
 

@@ -76,23 +76,13 @@ def ce_from_cache(
     -sum_v q_v log p_v), q = (1 - eps) * onehot + eps / V.
     """
     B, T, V = cache.logits.shape
-    logp = model.log_softmax(cache.logits)
-    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+    logp, picked = model.target_log_probs(cache.logits, targets)
     lengths = target_mask.sum(axis=1)
     # -sum_v q_v log p_v = -(1-eps) log p_target - eps/V * sum_v log p_v
     per_pos = -(1.0 - smoothing) * picked - (smoothing / V) * logp.sum(axis=2)
     per_seq = (per_pos * target_mask).sum(axis=1) / lengths
     loss = float(per_seq.mean())
-
-    dlogits = model.softmax(cache.logits) - smoothing / V
-    np.put_along_axis(
-        dlogits,
-        targets[:, :, None],
-        np.take_along_axis(dlogits, targets[:, :, None], axis=2) - (1.0 - smoothing),
-        axis=2,
-    )
-    dlogits *= (target_mask / lengths[:, None] / B)[:, :, None]
-    return loss, dlogits
+    return loss, model.target_dlogits(cache, targets, target_mask / lengths[:, None] / B, smoothing)
 
 
 def ce_loss_and_grads(

@@ -50,8 +50,11 @@ class TokenTrie:
         if len(token_ids) > MAX_DEPTH:
             raise TrieFormatError(f"{len(token_ids)} tokens, over the trie depth limit of {MAX_DEPTH}")
         node = self.root
-        for t in token_ids:
-            node = node.children.setdefault(int(t), TrieNode())
+        for t in map(int, token_ids):
+            child = node.children.get(t)
+            if child is None:
+                child = node.children[t] = TrieNode()
+            node = child
         if not node.terminal:
             node.terminal = True
             self.size += 1

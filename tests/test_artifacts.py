@@ -1,4 +1,4 @@
-"""Artifact headers, digests, and canonical JSON lines."""
+"""Artifact headers, digests, canonical JSON lines, and the text readers."""
 
 from __future__ import annotations
 
@@ -8,8 +8,17 @@ import json
 import pytest
 
 from neglink import __version__
-from neglink.artifacts import atomic_write, canonical_json, make_header, read_jsonl, sha256_file, write_jsonl
-from neglink.errors import FormatError
+from neglink.artifacts import (
+    atomic_write,
+    canonical_json,
+    make_header,
+    read_jsonl,
+    read_lines,
+    read_records,
+    sha256_file,
+    write_jsonl,
+)
+from neglink.errors import FormatError, KBFormatError
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
@@ -96,3 +105,66 @@ def test_atomic_write_replaces_on_success(tmp_path):
         fh.write(b"new")
     assert path.read_bytes() == b"new"
     assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
+def test_invalid_utf8_raises_the_callers_error_naming_the_byte_offset(tmp_path):
+    p = tmp_path / "latin1.jsonl"
+    data = b'{"header":{}}\n{"name":"caf\xe9"}\n'
+    p.write_bytes(data)
+    where = f"0xe9 at offset {data.index(0xE9)}"
+    for read in (lambda: list(read_lines(p, KBFormatError)), lambda: list(read_records(p, None, KBFormatError))):
+        with pytest.raises(KBFormatError) as err:
+            read()
+        assert str(p) in str(err.value) and where in str(err.value)
+    with pytest.raises(FormatError, match=where):
+        read_jsonl(p)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_lines_read_as_text_mode_open_reads_them(tmp_path, newline):
+    p = tmp_path / "lines.txt"
+    p.write_bytes(newline.join(["a\tb", "", "  ", "c", "d"]).encode("utf-8"))
+    with open(p, encoding="utf-8") as fh:
+        want = [(n, line.removesuffix("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    assert list(read_lines(p)) == want == [(1, "a\tb"), (4, "c"), (5, "d")]
+
+
+def test_a_string_holding_line_separators_stays_one_record(tmp_path):
+    p = tmp_path / "seps.jsonl"
+    records = [{"name": "a\u2028b\x85c\u2029d"}, {"name": "e"}]
+    write_jsonl(p, {"seed": 0}, records)
+    assert "\u2028" in p.read_text(encoding="utf-8")  # written raw, not escaped
+    assert read_jsonl(p) == ({"seed": 0}, records)
+
+
+def test_records_must_be_json_objects(tmp_path):
+    p = tmp_path / "list.jsonl"
+    p.write_text('{"header":{}}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: expected a JSON object"):
+        read_jsonl(p)
+
+
+def test_optional_keys_may_be_missing_or_null(tmp_path):
+    p = tmp_path / "opt.jsonl"
+    p.write_text('{"name":"x"}\n{"fold":null,"name":"x","targets":null}\n{"fold":2,"name":"x","targets":["y"]}\n')
+    kinds = {"name": "a string", "fold": "an integer or null", "targets": "a list of strings or null"}
+    assert list(read_records(p, kinds)) == [(1, ["x", None, None]), (2, ["x", None, None]), (3, ["x", 2, ["y"]])]
+
+
+@pytest.mark.parametrize("rec, message", [
+    ({}, "line 2: record missing 'name'"),
+    ({"name": None}, "line 2: 'name' must be a string, got null"),
+    ({"name": "x", "score": True}, "line 2: 'score' must be a number or null, got true"),
+    ({"name": "x", "names": ["a", 5]}, "line 2: 'names' must be a list of strings or null, got [\"a\",5]"),
+])
+def test_field_mismatches_name_the_line_key_and_kind(tmp_path, rec, message):
+    kinds = {"name": "a string", "score": "a number or null", "names": "a list of strings or null"}
+    bare, headed = tmp_path / "bare.jsonl", tmp_path / "headed.jsonl"
+    bare.write_text("\n" + canonical_json(rec) + "\n", encoding="utf-8")
+    write_jsonl(headed, {"seed": 0}, [rec])
+    with pytest.raises(KBFormatError) as err:
+        list(read_records(bare, kinds, KBFormatError))
+    assert str(err.value) == f"{bare}: {message}"
+    with pytest.raises(FormatError) as err:
+        read_jsonl(headed, kinds)
+    assert str(err.value) == f"{headed}: {message}"

@@ -386,6 +386,46 @@ def test_malformed_record_exit_2(pipeline, tmp_path, caplog, command, record):
     assert "\n" not in errors[0].getMessage() and errors[0].exc_info is None
 
 
+@pytest.mark.parametrize("target", ["kb", "mentions", "abbrev", "config", "vocab", "preds", "pairs"])
+def test_non_utf8_input_exit_2_naming_the_file_and_byte(pipeline, tmp_path, caplog, target):
+    root, kb, train, test, cache = pipeline
+    good = {
+        "kb": Path(kb).read_bytes(),
+        "mentions": Path(test).read_bytes(),
+        "abbrev": b"mi\tmyocardial infarction\nht\thypertension\n",
+        "config": b"seed = 3\nbeam = 5\n",
+        "vocab": Path(cache, "vocab.json").read_bytes(),
+        "preds": (root / "preds_s1.jsonl").read_bytes(),
+        "pairs": (root / "pairs.jsonl").read_bytes(),
+    }[target]
+    offset = len(good) if target == "vocab" else good.index(b"\n") + 3  # inside line 2, or appended
+    data = good[:offset] + (b"\xff" if target == "vocab" else b"\xe9") + good[offset:]
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    bad = bad_cache / "vocab.json" if target == "vocab" else tmp_path / f"bad_{target}"
+    bad.write_bytes(data)
+    paths = {"kb": kb, "mentions": test, "cache": str(bad_cache), target: str(bad)}
+    inputs = ["--kb", paths["kb"], "--mentions", paths["mentions"], "--cache", paths["cache"]]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "kb": ["kb", "build", "--kb", paths["kb"], *out],
+        "mentions": ["link", *FAST, *inputs, "--ckpt", str(root / "s1.ckpt"), *out],
+        "abbrev": ["kb", "build", "--kb", kb, "--mentions", test, "--abbrev", str(bad), *out],
+        "config": ["kb", "build", "--config", str(bad), "--kb", kb, *out],
+        "vocab": ["link", *FAST, *inputs, "--ckpt", str(root / "s1.ckpt"), *out],
+        "preds": ["eval", *inputs, "--preds", str(bad), *out],
+        "pairs": ["train-negative", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
+                  "--ckpt", str(root / "s1.ckpt"), "--pairs", str(bad), *out],
+    }[target]
+    caplog.clear()
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert str(bad) in message and f"offset {offset}" in message and "\n" not in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # SciPy takes longer to import than all of neglink; only `eval --preds-b` needs it.
     src = str(Path(neglink.__file__).resolve().parents[1])

@@ -65,6 +65,8 @@ def test_load_mentions_order_and_fields(tmp_path):
         {"mention": "x", "gold_ids": ["C1"], "fold": "a"},
         {"mention": "x", "gold_ids": ["C1"], "targets": [1]},
         {"mention": "x", "gold_ids": ["C1"], "fold": True},  # a bool is not fold 1
+        {"left": 5, "mention": "x", "gold_ids": ["C1"]},
+        {"mention": "x", "right": ["x"], "gold_ids": ["C1"]},
     ],
 )
 def test_malformed_mention_records(tmp_path, record):

@@ -174,7 +174,7 @@ def test_gradients_match_finite_differences():
         return -score(ckpt, inputs, entities).sum()
 
     cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
-    dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([-1.0, -1.0]))
+    dlogits = model.target_dlogits(cache, targets, tmask)  # the gradient of minus the summed scores
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
 
     rng = np.random.default_rng(0)
@@ -204,7 +204,7 @@ def test_gradients_are_contiguous_and_shaped_as_their_parameters():
     inputs = [enc_input(ckpt, "ab"), enc_input(ckpt, "gfedcab")]
     entities = [v.encode_chars("a") + [v.eos_id], v.encode_chars("bcdefg") + [v.eos_id]]
     cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
-    dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([1.0, -1.0]))
+    dlogits = model.target_dlogits(cache, targets, tmask * np.array([[-1.0], [1.0]]))
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
     assert set(grads) == set(ckpt.params)
     for name, g in grads.items():
@@ -219,7 +219,7 @@ def test_gradients_zero_at_padded_positions():
     inputs = [enc_input(ckpt, "ab"), enc_input(ckpt, "gfedcab")]
     entities = [v.encode_chars("a") + [v.eos_id], v.encode_chars("bcdefg") + [v.eos_id]]
     cache, targets, tmask = model.forward_pairs(ckpt, inputs, entities)
-    dlogits = model.sequence_grad_dlogits(cache, targets, tmask, coeffs=np.array([1.0, 1.0]))
+    dlogits = model.target_dlogits(cache, targets, -tmask)
     grads = model.backward_from_dlogits(ckpt, cache, dlogits)
     assert np.all(grads["emb"][v.pad_id] == 0.0)
 
