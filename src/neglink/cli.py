@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -331,22 +332,8 @@ def cmd_analyze(args) -> int:
     binned = binned_error_report(examples, prediction_lists, kb, idx)
     gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, idx, max_ctx=cfg.max_ctx)
     header = artifacts.make_header(cfg.seed, {"mentions": args.mentions, "preds": args.preds, "ckpt": args.ckpt})
-    artifacts.write_jsonl(
-        args.out_bins,
-        header,
-        (
-            {"lo": b.lo, "hi": b.hi, "count": b.count, "errors": b.errors, "accuracy": b.accuracy}
-            for b in binned.bins
-        ),
-    )
-    artifacts.write_jsonl(
-        args.out_gaps,
-        header,
-        (
-            {"lo": b.lo, "hi": b.hi, "count": b.count, "mean_gap": b.mean_gap}
-            for b in gaps.bins
-        ),
-    )
+    artifacts.write_jsonl(args.out_bins, header, (dataclasses.asdict(b) for b in binned.bins))
+    artifacts.write_jsonl(args.out_gaps, header, (dataclasses.asdict(b) for b in gaps.bins))
     log.info("analysis written to %s and %s", args.out_bins, args.out_gaps)
     return 0
 

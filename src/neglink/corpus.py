@@ -10,6 +10,7 @@ whitespace. Rendering produces the encoder token sequence
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,14 +81,19 @@ def load_abbreviations(path: str | Path) -> dict[str, str]:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _abbreviation_pattern(keys: tuple[str, ...]) -> re.Pattern[str]:
+    # Longest key first so overlapping keys resolve deterministically;
+    # lookarounds give whole-word semantics even for keys with edge symbols.
+    ordered = sorted(keys, key=lambda k: (-len(k), k))
+    return re.compile("(?<!\\w)(?:" + "|".join(map(re.escape, ordered)) + ")(?!\\w)")
+
+
 def _expand(text: str, abbrev: dict[str, str]) -> str:
     if not abbrev:
         return text
-    # Longest key first so overlapping keys resolve deterministically;
-    # lookarounds give whole-word semantics even for keys with edge symbols.
-    keys = sorted(abbrev, key=lambda k: (-len(k), k))
-    pattern = "|".join(f"(?<!\\w){re.escape(k)}(?!\\w)" for k in keys)
-    return re.sub(pattern, lambda m: abbrev[m.group(0)], text)
+    # The pattern is built once per table, not once per text.
+    return _abbreviation_pattern(tuple(abbrev)).sub(lambda m: abbrev[m.group(0)], text)
 
 
 def preprocess(ex: MentionExample, abbrev: dict[str, str] | None = None) -> MentionExample:

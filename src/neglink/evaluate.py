@@ -4,20 +4,22 @@ Rank here always means the 1-based position of the first prediction whose
 identifier set intersects the gold set; None when the gold never appears.
 The bootstrap test resamples example indices with replacement, computes
 the paired Acc@k difference per resample, and runs a two-sided one-sample
-t-test on those differences. Zero variance is degenerate for a t-test, so
-it is mapped to p=1.0 when the mean difference is zero and p=0.0
-otherwise.
+t-test on those differences. The test's p-value is computed in this
+module, from the regularized incomplete beta function. Zero variance is
+degenerate for a t-test, so it is mapped to p=1.0 when the mean
+difference is zero and p=0.0 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import Prediction, name_tokens, rank_of_gold, sequence_score
 from .corpus import MentionExample, render
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .kb import KnowledgeBase
 from .model import Checkpoint
 from .tfidf import TfIdfIndex, rank_synonyms, similarity
@@ -118,10 +120,58 @@ def bootstrap_paired_test(
     mean = float(diffs.mean())
     if float(diffs.std(ddof=1)) == 0.0:
         return BootstrapResult(p_value=1.0 if mean == 0.0 else 0.0, mean_diff=mean)
-    from scipy import stats  # imported here: SciPy takes longer to load than the rest of neglink
+    t = mean / math.sqrt(float(diffs.var(ddof=1)) / resamples)
+    return BootstrapResult(p_value=_t_two_sided_p(t, resamples - 1), mean_diff=mean)
 
-    p = float(stats.ttest_1samp(diffs, 0.0).pvalue)
-    return BootstrapResult(p_value=p, mean_diff=mean)
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    This is I_x(df/2, 1/2) with x = df / (df + t^2). With r = t^2 / df,
+    x = 1 / (1 + r) and 1 - x = r / (1 + r), so both logarithms of the
+    prefactor come from log1p(r) without cancellation.
+    """
+    a, b = 0.5 * df, 0.5
+    r = t * t / df
+    if r == 0.0:
+        return 1.0
+    log1p_r = math.log1p(r)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) - a * log1p_r + b * (math.log(r) - log1p_r)
+    )
+    x = 1.0 / (1.0 + r)
+    # The fraction converges fast for x < (a + 1) / (a + b + 2); above that,
+    # use I_x(a, b) = 1 - I_{1-x}(b, a).
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, r / (1.0 + r)) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.4)."""
+    tiny = 1e-300
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        # Even step, then odd step, of the fraction's coefficients.
+        aa = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / nonzero(1.0 + aa * d)
+        c = nonzero(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        d = 1.0 / nonzero(1.0 + aa * d)
+        c = nonzero(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= math.ulp(1.0):
+            return h
+    raise NumericError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
 def _five_bin_index(s: float) -> int:

@@ -426,13 +426,29 @@ def test_non_utf8_input_exit_2_naming_the_file_and_byte(pipeline, tmp_path, capl
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy takes longer to import than all of neglink; only `eval --preds-b` needs it.
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's neglink."""
     src = str(Path(neglink.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import neglink.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is a test-only dependency, and it takes longer to import than all of neglink.
+    out = _python("import neglink.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_eval_preds_b_runs_without_scipy(pipeline, tmp_path):
+    root, kb, train, test, cache = pipeline
+    argv = ["eval", "--kb", kb, "--mentions", test, "--cache", cache, "--preds", str(root / "preds_s2.jsonl"),
+            "--preds-b", str(root / "preds_s1.jsonl"), "--k", "1", "--out"]
+    run(*argv, str(tmp_path / "with_scipy.json"))
+    blocked = argv + [str(tmp_path / "without_scipy.json")]
+    out = _python(f"import sys; sys.modules['scipy'] = None; from neglink.cli import main; sys.exit(main({blocked!r}))")
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "without_scipy.json").read_bytes() == (tmp_path / "with_scipy.json").read_bytes()
 
 
 def _edited_predictions(src: Path, dst: Path, case: str) -> None:

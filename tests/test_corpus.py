@@ -107,6 +107,9 @@ def test_abbreviation_longest_key_wins():
     ex = example(mention="acute mi", right_context="")
     got = preprocess(ex, {"mi": "wrong", "acute mi": "acute myocardial infarction"})
     assert got.mention == "acute myocardial infarction"
+    # A longer key that matches only part of a word gives way to a shorter whole-word key.
+    got = preprocess(example(mention="acute mix"), {"acute": "severe", "acute mi": "wrong"})
+    assert got.mention == "severe mix"
 
 
 def test_filter_linkable_drops_unknown_ids():

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from neglink import evaluate as evaluate_module
 from neglink import model
 from neglink.beam import Prediction
 from neglink.corpus import MentionExample
@@ -77,6 +78,49 @@ def test_bootstrap_is_seeded():
     r1 = bootstrap_paired_test(ranks_a, ranks_b, k=1, resamples=50, seed=3)
     r2 = bootstrap_paired_test(ranks_a, ranks_b, k=1, resamples=50, seed=3)
     assert r1 == r2
+
+
+# Worst relative p-value error against SciPy, by degrees of freedom: the
+# prefactor's lgamma(a + 1/2) - lgamma(a) cancels more as df grows.
+@pytest.mark.parametrize(
+    "dfs, bound",
+    [((1, 2, 3, 4, 7, 10, 30, 50, 99, 100, 150, 199), 1e-12), ((200, 500, 999, 2000, 5000, 9999), 1e-10)],
+)
+def test_t_test_p_value_matches_scipy(dfs, bound):
+    special = pytest.importorskip("scipy.special")
+    ts = np.linspace(0.0, 200.0, 501)
+    worst = 0.0
+    for df in dfs:
+        for t in ts:
+            want = 2.0 * float(special.stdtr(df, -t))
+            for signed in (float(t), -float(t)):
+                got = evaluate_module._t_two_sided_p(signed, df)
+                if want < np.finfo(float).tiny:
+                    assert got < np.finfo(float).tiny, (df, signed)
+                else:
+                    worst = max(worst, abs(got - want) / want)
+    assert worst <= bound
+
+
+def test_bootstrap_p_value_matches_scipy_ttest():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for seed in range(40):
+        n = int(rng.integers(5, 300))
+        ranks_a = [int(r) if r <= 5 else None for r in rng.integers(1, 9, size=n)]
+        ranks_b = [int(r) if r <= 5 else None for r in rng.integers(1, 9, size=n)]
+        got = bootstrap_paired_test(ranks_a, ranks_b, k=1, resamples=100, seed=seed)
+        # The resampled differences, drawn as bootstrap_paired_test draws them.
+        hit_a = np.array([r == 1 for r in ranks_a], dtype=np.float64)
+        hit_b = np.array([r == 1 for r in ranks_b], dtype=np.float64)
+        draw = np.random.default_rng(seed)
+        draws = [draw.integers(0, n, size=n) for _ in range(100)]
+        diffs = np.array([hit_a[idx].mean() - hit_b[idx].mean() for idx in draws])
+        want = float(stats.ttest_1samp(diffs, 0.0).pvalue)
+        assert got.mean_diff == float(diffs.mean())
+        worst = max(worst, abs(got.p_value - want) / want)
+    assert worst <= 1e-12
 
 
 def test_bootstrap_input_validation():
