@@ -12,6 +12,11 @@ Mentions are searched in chunks: one encoder pass and one prompt pass per
 chunk, then one decoder step per depth over every live hypothesis of every
 mention in it. Each mention keeps its own beam, so batching changes no
 ranking; scores may differ from a batch of one in their last bits.
+
+A decoder step reads the input tables that the chunk's prompt pass built
+(`model.InputTables`): its input projections are gathered by token and by
+mention, with no matmul over the inputs. Trie children are kept in
+ascending token order, so hypotheses expand in that order without sorting.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
     """Encode a batch of inputs and consume their prompts in one teacher-forced pass.
 
     Returns (states after each prompt (B, d), next-token log-distributions
-    (B, V), encoder summaries (B, d), prompt log-probs list). A prompt's
-    log-prob sums, in order, the log-probs of its tokens 2..n; the first
-    token is given, not predicted.
+    (B, V), the decoder's input tables over the encoder summaries, prompt
+    log-probs list). A prompt's log-prob sums, in order, the log-probs of
+    its tokens 2..n; the first token is given, not predicted.
     """
     prompts = [list(x.prompt_tokens) for x in inputs]
     if not all(prompts):
@@ -62,7 +67,7 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
     logp, picked = model.target_log_probs(cache.logits, targets)
     scores = np.cumsum(picked * scored, axis=1)[:, -1]  # in position order; .sum(axis=1) adds pairwise
     last, rows = mask.sum(axis=1).astype(np.int64) - 1, np.arange(len(prompts))
-    return cache.dec.H[last, rows], logp[rows, last], cache.summary, scores.tolist()
+    return cache.dec.H[last, rows], logp[rows, last], cache.dec.tables, scores.tolist()
 
 
 def _check_widths(beam: int, k: int) -> None:
@@ -105,14 +110,17 @@ def constrained_beam_search_batch(
 def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:
     """Beam search for a batch of mentions with one decoder step per depth.
 
-    A hypothesis is (score, text, trie node, row): `row` indexes the last
-    step's output, from which the next step gathers its state.
+    A hypothesis is (cost, text, trie node, row): `cost` is minus its
+    score, so sorting (cost, text) tuples ranks by score with ties by name,
+    and no two candidates of a mention share a text. `row` indexes the last
+    step's output, from which the next step gathers its state. The step
+    reads each hypothesis's mention's row of the prompt pass's tables.
     """
     eos = ckpt.vocab.eos_id
-    token = ckpt.vocab.token
-    states, logps, summaries, bases = prompt_log_prob(ckpt, inputs)
+    chars = ckpt.vocab.tokens
+    states, logps, tables, bases = prompt_log_prob(ckpt, inputs)
     lp_rows = logps.tolist()
-    active = [[(base, "", trie.root, i)] for i, base in enumerate(bases)]
+    active = [[(-base, "", trie.root, i)] for i, base in enumerate(bases)]
     finished: list[list[tuple[float, str]]] = [[] for _ in inputs]
     for _ in range(trie.max_depth() + 1):
         parents: list[int] = []
@@ -122,32 +130,32 @@ def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:
             # Expand every hypothesis over its legal tokens; EOS candidates
             # finish immediately and do not compete for beam slots.
             grown = []
-            for score, text, node, row in hyps:
+            for cost, text, node, row in hyps:
                 lp = lp_rows[row]
                 if node.terminal:
-                    finished[m].append((score + lp[eos], text))
-                for tok in sorted(node.children):
-                    grown.append((score + lp[tok], text + token(tok), node.children[tok], row, tok))
-            grown.sort(key=lambda c: (-c[0], c[1]))
+                    finished[m].append((cost - lp[eos], text))
+                for tok, child in node.children.items():
+                    grown.append((cost - lp[tok], text + chars[tok], child, row, tok))
+            grown.sort()
             del grown[beam:]
             kept = []
-            for score, text, node, row, tok in grown:
-                kept.append((score, text, node, len(parents)))
+            for cost, text, node, row, tok in grown:
+                kept.append((cost, text, node, len(parents)))
                 parents.append(row)
                 tokens.append(tok)
                 owners.append(m)
             active[m] = kept
         if not parents:
             break
-        states, logits = model.step_batch(states[parents], np.array(tokens), summaries[owners], ckpt)
+        states, logits = model.step_batch(states[parents], np.array(tokens), np.array(owners), tables, ckpt)
         lp_rows = log_softmax(logits, axis=1).tolist()
     else:
         if any(active):
             raise RuntimeError("beam search exceeded the trie depth bound")
     out = []
     for done in finished:
-        done.sort(key=lambda f: (-f[0], f[1]))
-        out.append([Prediction(name=name, ids=kb.align(name), score=score) for score, name in done[:k]])
+        done.sort()
+        out.append([Prediction(name=name, ids=kb.align(name), score=-cost) for cost, name in done[:k]])
     return out
 
 

@@ -42,7 +42,7 @@ from .kb import KnowledgeBase, load_kb, normalize_name
 from .tfidf import build_index
 from .train_negative import PreferenceTriplet, mine_pairs, train_preference
 from .train_positive import build_positive_set, train
-from .trie import TokenTrie, build_trie, load_trie, save_trie
+from .trie import build_trie, load_trie, save_trie
 from .vocab import Vocab
 
 log = logging.getLogger("neglink")
@@ -80,13 +80,13 @@ def vocab_from_sources(kb: KnowledgeBase, mention_files: list[str], abbrev: str 
     return Vocab.from_texts(texts)
 
 
-def _load_cache(cache_dir) -> tuple[Vocab, TokenTrie]:
+def _load_vocab(cache_dir) -> Vocab:
     path = Path(cache_dir) / "vocab.json"
     records = [values for _, values in artifacts.read_records(path, {"tokens": "a list of strings"})]
     if len(records) != 1:
         raise FormatError(f"{path}: expected one JSON object, found {len(records)}")
     (tokens,) = records[0]
-    return Vocab(tokens), load_trie(path.with_name("trie.bin"))
+    return Vocab(tokens)
 
 
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
@@ -169,7 +169,7 @@ def cmd_kb_build(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
-    vocab, _ = _load_cache(args.cache)
+    vocab = _load_vocab(args.cache)
     idx = build_index(kb.names())
     examples = synth.gen_pretrain_examples(kb, idx, cap=args.cap)
     pairs = synth.gen_pretrain_pairs(kb, idx, vocab, k=args.k, examples=examples, max_ctx=cfg.max_ctx)
@@ -197,17 +197,17 @@ def cmd_synth(args) -> int:
 def _load_training_inputs(args):
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
-    vocab, trie = _load_cache(args.cache)
+    vocab = _load_vocab(args.cache)
     examples, dropped = prepare_mentions(args.mentions, kb, args.abbrev)
     if dropped:
         log.info("dropped %d unlinkable examples", dropped)
     if not examples:
         raise FormatError(f"{args.mentions}: no linkable examples")
-    return cfg, kb, vocab, trie, examples
+    return cfg, kb, vocab, examples
 
 
 def cmd_train_positive(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
     idx = build_index(kb.names())
     instances = build_positive_set(examples, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
     if args.init:
@@ -224,7 +224,8 @@ def cmd_train_positive(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
+    trie = load_trie(Path(args.cache) / "trie.bin")
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
     triplets = mine_pairs(
@@ -243,7 +244,7 @@ def _pair_record(t: PreferenceTriplet) -> dict:
 
 
 def cmd_train_negative(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     _, records = artifacts.read_jsonl(args.pairs, {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"})
     triplets = []
@@ -266,7 +267,8 @@ def cmd_train_negative(args) -> int:
 
 
 def cmd_link(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
+    trie = load_trie(Path(args.cache) / "trie.bin")
     ckpt = _load_checkpoint(args.ckpt, vocab)
     prediction_lists = _link_all(ckpt, examples, trie, kb, cfg)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
@@ -295,7 +297,7 @@ def _fold_reports(examples: list[MentionExample], prediction_lists, whole, ks) -
 
 
 def cmd_eval(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
     ks = (1, args.k) if args.k != 1 else (1,)
     prediction_lists = _predictions_from_file(args.preds, kb, len(examples))
     gold_sets = [ex.gold_ids for ex in examples]
@@ -325,7 +327,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, kb, vocab, trie, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
     prediction_lists = _predictions_from_file(args.preds, kb, len(examples))

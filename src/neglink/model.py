@@ -15,11 +15,15 @@ point).
 
 Recurrent loops run time-major: a GRU's cached gates, candidates and
 states are (T, B, .) arrays, so step t reads and writes contiguous (B, .)
-blocks in place. Both GRUs read token embeddings, so the embedding share of
-their input projections, E@W[:d], is computed once per vocabulary entry and
-gathered per token, and its gradients are summed per vocabulary entry with
-one one-hot product. The decoder also reads the summary, a per-row input
-S (B, d) at every step; its share, S@W[d:] + b, is computed once per row.
+blocks in place. A GRU's input projections come from precomputed tables
+(InputTables): both GRUs read token embeddings, so the embedding share,
+E@W[:d], is computed once per vocabulary entry and gathered per token, and
+its gradients are summed per vocabulary entry with one one-hot product.
+The decoder also reads the summary, a per-row input S (B, d) at every step;
+its share, S@W[d:] + b, is computed once per row. The encoder has no
+per-row input, so its bias is folded into the per-entry tables.
+Teacher forcing and decoding (`step_batch`) gather from the same tables, so
+a decode step computes what the teacher-forced loop computes at that step.
 
 Batched sequences are right-padded. Each row runs on through its padding,
 which no real step reads, so batched results equal one-at-a-time results
@@ -180,11 +184,39 @@ def pad_batch(seqs: list, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
 # gated recurrent cell, batched over (batch, time)
 
 
+@dataclass(frozen=True)
+class InputTables:
+    """A GRU's input projections, split by source: x@Wg + bg = EG[token] + SG[row].
+
+    EG (V, 2d) and EH (V, d) hold every vocabulary entry's embedding share.
+    SG (B, 2d) and SH (B, d) hold each row's share of the per-row input
+    S (B, m) plus the bias. Without S (the encoder) the bias is folded into
+    EG and EH, and S, SG and SH are None.
+    """
+
+    S: np.ndarray | None
+    EG: np.ndarray
+    EH: np.ndarray
+    SG: np.ndarray | None
+    SH: np.ndarray | None
+
+
+def input_tables(ckpt: Checkpoint, side: str, S: np.ndarray | None = None) -> InputTables:
+    """The `side` GRU's input tables, over per-row inputs S (the decoder's summaries) or none."""
+    p = ckpt.params
+    emb, Wg, Wh = p["emb"], p[f"{side}_Wg"], p[f"{side}_Wh"]
+    bg, bh = p[f"{side}_bg"], p[f"{side}_bh"]
+    if S is None:
+        return InputTables(S=None, EG=emb @ Wg + bg, EH=emb @ Wh + bh, SG=None, SH=None)
+    d = emb.shape[1]
+    return InputTables(S=S, EG=emb @ Wg[:d], EH=emb @ Wh[:d], SG=S @ Wg[d:] + bg, SH=S @ Wh[d:] + bh)
+
+
 @dataclass
 class GruCache:
     tokens: np.ndarray  # (B, T) input ids; the GRU reads their embeddings
     mask: np.ndarray  # (B, T)
-    S: np.ndarray | None  # (B, d) per-row input read at every step (decoder: summary); None for the encoder
+    tables: InputTables  # the input projections; tables.S is the per-row input, None for the encoder
     G: np.ndarray  # (T, B, 2d) fused gates: update z in [:d], reset r in [d:]
     Hh: np.ndarray  # (T, B, d) tanh candidates
     H: np.ndarray  # (T, B, d) hidden states (frozen after each row's last real token)
@@ -218,22 +250,19 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _gru_forward(tokens, S, mask, p: dict, side: str):
+def _gru_forward(tokens, mask, tables: InputTables, p: dict, side: str):
     """The `side` GRU over right-padded (B, T) tokens: time-major (H, G, Hh) as in GruCache.
 
-    Step t reads the embeddings of tokens[:, t] and, when S is not None,
-    the per-row S (B, m); the GRU's input weights have d + m rows.
+    Step t's input projections are the tables' rows for tokens[:, t], plus
+    each row's per-row share when the tables have one.
     """
-    Wg, Ug, bg = p[f"{side}_Wg"], p[f"{side}_Ug"], p[f"{side}_bg"]
-    Wh, Uh, bh = p[f"{side}_Wh"], p[f"{side}_Uh"], p[f"{side}_bh"]
+    Ug, Uh = p[f"{side}_Ug"], p[f"{side}_Uh"]
     B, T = tokens.shape
     d = Uh.shape[0]
-    # Input projections: every vocabulary entry's once, then gathered per step;
-    # S's once per row.
-    if S is not None:
-        bg, bh = S @ Wg[d:] + bg, S @ Wh[d:] + bh
-    XG = (p["emb"] @ Wg[:d])[tokens.T] + bg
-    XH = (p["emb"] @ Wh[:d])[tokens.T] + bh
+    XG, XH = tables.EG[tokens.T], tables.EH[tokens.T]
+    if tables.SG is not None:
+        XG += tables.SG
+        XH += tables.SH
     G = np.empty((T, B, 2 * d))
     Hh = np.empty((T, B, d))
     H = np.empty((T, B, d))
@@ -253,9 +282,9 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
     """Backprop through the `side` GRU. Returns (d emb, dS, weight grads by parameter name).
 
     dH_ext (T, B, d) must be zero at padded steps; the gradient then stays
-    zero there. dS is None when the cache has no S.
+    zero there. dS is None when the GRU has no per-row input S.
     """
-    S, G, Hh, H = cache.S, cache.G, cache.Hh, cache.H
+    S, G, Hh, H = cache.tables.S, cache.G, cache.Hh, cache.H
     T, B, d = H.shape
     emb = p["emb"]
     Wg, UgT = p[f"{side}_Wg"], p[f"{side}_Ug"].T
@@ -309,9 +338,10 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("encoder sequence with no real tokens")
-    H, G, Hh = _gru_forward(tokens, None, mask, ckpt.params, "enc")
+    tables = input_tables(ckpt, "enc")
+    H, G, Hh = _gru_forward(tokens, mask, tables, ckpt.params, "enc")
     summary = (H * mask.T[:, :, None]).sum(axis=0) / counts[:, None]
-    return summary, GruCache(tokens=tokens, mask=mask, S=None, G=G, Hh=Hh, H=H), counts
+    return summary, GruCache(tokens=tokens, mask=mask, tables=tables, G=G, Hh=Hh, H=H), counts
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +351,22 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
 def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summary: np.ndarray):
     """Hidden states (B, T, d), a view of the time-major cache.H, over [embedding ++ summary] inputs."""
     _check_tokens(tokens, len(ckpt.vocab))
-    H, G, Hh = _gru_forward(tokens, summary, mask, ckpt.params, "dec")
-    return H.transpose(1, 0, 2), GruCache(tokens=tokens, mask=mask, S=summary, G=G, Hh=Hh, H=H)
+    tables = input_tables(ckpt, "dec", summary)
+    H, G, Hh = _gru_forward(tokens, mask, tables, ckpt.params, "dec")
+    return H.transpose(1, 0, 2), GruCache(tokens=tokens, mask=mask, tables=tables, G=G, Hh=Hh, H=H)
 
 
-def step_batch(states: np.ndarray, tokens: np.ndarray, summaries: np.ndarray, ckpt: Checkpoint):
-    """One decoder step over B hypotheses: (next_states (B,d), logits (B,V))."""
+def step_batch(states: np.ndarray, tokens: np.ndarray, rows: np.ndarray, tables: InputTables, ckpt: Checkpoint):
+    """One decoder step over B hypotheses: (next_states (B, d), logits (B, V)).
+
+    Hypothesis i reads tokens[i] and row rows[i] of the decoder's `tables`,
+    as the teacher-forced loop reads a token and its row's summary.
+    """
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
-    x = np.concatenate([p["emb"][tokens], summaries], axis=1)
-    xg, xh = x @ p["dec_Wg"] + p["dec_bg"], x @ p["dec_Wh"] + p["dec_bh"]
+    xg, xh = tables.EG[tokens], tables.EH[tokens]
+    xg += tables.SG[rows]
+    xh += tables.SH[rows]
     *_, new_states = _gru_cell(xg, xh, states, p["dec_Ug"], p["dec_Uh"])
     logits = new_states @ p["out_W"] + p["out_b"]
     return new_states, logits

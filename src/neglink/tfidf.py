@@ -8,13 +8,18 @@ trigrams the index never saw; those get df = 0 in the same formula.
 
 Ties in every ranking are broken by ascending name order so that
 downstream training sets are reproducible.
+
+An index vectorizes an indexed name the first time it is asked for and
+keeps the vector. Training ranks only each mention's gold synonyms, so on
+a large KB most names are never vectorized. Other strings are vectorized
+on every call.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kb import KnowledgeBase
 
@@ -31,14 +36,17 @@ def trigrams(s: str) -> Counter:
 class TfIdfIndex:
     n_docs: int
     df: dict[str, int]
-    vectors: dict[str, dict[str, float]]
+    names: frozenset[str]
+    vectors: dict[str, dict[str, float]] = field(default_factory=dict)  # indexed names vectorized so far
 
     def vector(self, s: str) -> dict[str, float]:
-        """Unit-norm weight map for any string (cached for indexed names)."""
+        """Unit-norm weight map for any string (kept for indexed names)."""
         cached = self.vectors.get(s)
-        if cached is not None:
-            return cached
-        return _vectorize(s, self.n_docs, self.df)
+        if cached is None:
+            cached = _vectorize(s, self.n_docs, self.df)
+            if s in self.names:
+                self.vectors[s] = cached
+        return cached
 
 
 def _vectorize(s: str, n_docs: int, df: dict[str, int]) -> dict[str, float]:
@@ -62,9 +70,7 @@ def build_index(names: list[str]) -> TfIdfIndex:
     for name in unique:
         for t in trigrams(name):
             df[t] = df.get(t, 0) + 1
-    idx = TfIdfIndex(n_docs=len(unique), df=df, vectors={})
-    idx.vectors = {name: _vectorize(name, idx.n_docs, df) for name in unique}
-    return idx
+    return TfIdfIndex(n_docs=len(unique), df=df, names=frozenset(unique))
 
 
 def similarity(a: str, b: str, idx: TfIdfIndex) -> float:

@@ -8,7 +8,9 @@ name and every KB name remains reachable.
 `insert` is the only way a trie is built, whether from KB names or from a
 file. It records the depth (the token count of its longest name), so
 `max_depth()`, called once per beam search, costs nothing, and it rejects
-names longer than MAX_DEPTH tokens.
+names longer than MAX_DEPTH tokens. It keeps every node's children in
+ascending token order, whatever order the names come in, so readers
+iterate `children` directly instead of sorting it.
 
 Serialization (format 3), all integers u32 little-endian: magic b"ATRI",
 the format version, the name count, then each name as its token count
@@ -51,9 +53,13 @@ class TokenTrie:
             raise TrieFormatError(f"{len(token_ids)} tokens, over the trie depth limit of {MAX_DEPTH}")
         node = self.root
         for t in map(int, token_ids):
-            child = node.children.get(t)
+            children = node.children
+            child = children.get(t)
             if child is None:
-                child = node.children[t] = TrieNode()
+                in_order = not children or t > next(reversed(children))
+                child = children[t] = TrieNode()
+                if not in_order:
+                    node.children = dict(sorted(children.items()))
             node = child
         if not node.terminal:
             node.terminal = True
@@ -97,7 +103,7 @@ def build_trie(names: list[str], vocab: Vocab) -> TokenTrie:
 def allowed_next(trie: TokenTrie, prefix, eos_id: int) -> list[int]:
     """Legal next token ids after `prefix`, ascending; EOS iff terminal."""
     node = trie.node_at(prefix)
-    out = sorted(node.children)
+    out = list(node.children)
     if node.terminal:
         out.append(eos_id)
     return out
@@ -116,7 +122,7 @@ def serialize(trie: TokenTrie) -> bytes:
             words.append(depth)
             words.extend(prefix)
         # Pushed in descending order so children pop in ascending order.
-        stack.extend((depth + 1, t, node.children[t]) for t in sorted(node.children, reverse=True))
+        stack.extend((depth + 1, t, child) for t, child in reversed(node.children.items()))
     return MAGIC + struct.pack(f"<{len(words) + 2}I", FORMAT_VERSION, count, *words)
 
 

@@ -36,7 +36,7 @@ from neglink.corpus import MentionExample, prepare_mentions, render
 from neglink.evaluate import acc_at_k, bootstrap_paired_test, logprob_gap_report
 from neglink.gradcheck import run_gradcheck
 from neglink.kb import Concept, build_kb, load_kb
-from neglink.model import ModelConfig, copy_checkpoint, init_checkpoint, softmax, step_batch
+from neglink.model import ModelConfig, copy_checkpoint, init_checkpoint, input_tables, softmax, step_batch
 from neglink.optim import OptimizerConfig
 from neglink.tfidf import build_index, rank_synonyms, similarity, trigrams
 from neglink.train_negative import (
@@ -348,7 +348,7 @@ def test_a8_next_token_distributions_are_normalized(verdict):
     states = rng.normal(size=(100, d)) * scale
     tokens = rng.integers(0, len(vocab), size=100)
     summaries = rng.normal(size=(100, d))
-    _, logits = step_batch(states, tokens, summaries, ckpt)
+    _, logits = step_batch(states, tokens, np.arange(100), input_tables(ckpt, "dec", summaries), ckpt)
     sums = softmax(logits, axis=1).sum(axis=1)
     worst = float(np.abs(sums - 1.0).max())
     verdict("A8 probability normalization", worst <= 1e-9, f"100 states, worst |sum - 1| = {worst:.1e}")

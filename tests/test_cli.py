@@ -211,6 +211,36 @@ def test_missing_inputs_exit_2(pipeline, tmp_path, caplog):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
+def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    no_trie = tmp_path / "cache"
+    shutil.copytree(cache, no_trie)
+    (no_trie / "trie.bin").unlink()
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = ["--kb", kb, "--cache", str(no_trie)]
+    s1, preds = ["--ckpt", str(root / "s1.ckpt")], ["--preds", str(root / "preds_s1.jsonl")]
+    for argv in (
+        ["synth", *inputs, "--cap", "1", "--out-mentions", str(out / "m.jsonl"), "--out-pairs", str(out / "p.jsonl")],
+        ["train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train, "--out", str(out / "a.ckpt")],
+        ["train-negative", *FAST, *inputs, "--mentions", train, *s1, "--pairs", str(root / "pairs.jsonl"),
+         "--out", str(out / "b.ckpt")],
+        ["eval", *inputs, "--mentions", test, *preds, "--out", str(out / "eval.json")],
+        ["analyze", *inputs, "--mentions", test, *s1, *preds,
+         "--out-bins", str(out / "bins.jsonl"), "--out-gaps", str(out / "gaps.jsonl")],
+    ):
+        run(*argv)
+    for argv in (
+        ["link", *FAST, *inputs, "--mentions", test, *s1, "--out", str(tmp_path / "preds.jsonl")],
+        ["mine", *FAST, *inputs, "--mentions", train, *s1, "--out", str(tmp_path / "pairs.jsonl")],
+    ):
+        caplog.clear()
+        assert main(argv) == 2, argv
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(no_trie / "trie.bin") in errors[0].getMessage(), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "out"]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("link", ["--beam", "2", "--topk", "5"]),
     ("mine", ["--topk", "1"]),

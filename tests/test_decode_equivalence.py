@@ -3,12 +3,13 @@
 `reference_prompt_log_prob` is the former per-mention implementation of
 `beam.prompt_log_prob`: it feeds one prompt one token at a time through
 `reference_step`, a copy of the former `model.step_batch` arithmetic
-(`x@W + h@U + b` in that order). The current implementation encodes a
-batch of inputs and consumes their prompts with one `model.decoder_forward`
-call, and `model.step_batch` now adds the bias before `h@U`. Both must agree
-within 1e-12 on the bundled toy test set, and so must the rankings and
-scores of the whole search, which also runs the current `step_batch`
-against the former one.
+(`x@W + h@U + b` in that order, x = [embedding ++ summary] through one
+matmul). The current implementation encodes a batch of inputs and consumes
+their prompts with one `model.decoder_forward` call, and `model.step_batch`
+gathers its input projections from that call's input tables and adds them
+before `h@U`. Both must agree within 1e-12 on the bundled toy test set, and
+so must the rankings and scores of the whole search, which also runs the
+current `step_batch` against the former one.
 
 `constrained_beam_search_batch` searches many mentions with shared model
 calls. Its rankings must equal the per-mention search's, with scores within
@@ -18,6 +19,7 @@ calls. Its rankings must equal the per-mention search's, with scores within
 from __future__ import annotations
 
 import dataclasses
+import random
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +41,14 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
-def reference_step(states, tokens, summaries, ckpt):
-    """One decoder step as the former `model.step_batch` computed it, one gate at a time."""
+def reference_step(states, tokens, rows, tables, ckpt):
+    """One decoder step as the former `model.step_batch` computed it, one gate at a time.
+
+    It reads only the summaries (`tables.S`) of the tables, one per row.
+    """
     p = ckpt.params
     (Wz, Wr), (Uz, Ur), (bz, br) = (np.hsplit(p[f"dec_{k}g"], 2) for k in "WUb")
-    x = np.concatenate([p["emb"][tokens], summaries], axis=1)
+    x = np.concatenate([p["emb"][tokens], tables.S[rows]], axis=1)
     z = expit(x @ Wz + states @ Uz + bz)
     r = expit(x @ Wr + states @ Ur + br)
     hh = np.tanh(x @ p["dec_Wh"] + (r * states) @ p["dec_Uh"] + p["dec_bh"])
@@ -56,11 +61,12 @@ def reference_prompt_log_prob(ckpt, enc_input):
     prompt = list(enc_input.prompt_tokens)
     toks, mask = model.pad_batch([list(enc_input.encoder_tokens)], ckpt.vocab.pad_id)
     summary, _, _ = model.encoder_forward(ckpt, toks, mask)
+    tables = model.input_tables(ckpt, "dec", summary)
     state = np.zeros((1, ckpt.config.hidden_dim))
     score = 0.0
     logp = None
     for j, tok in enumerate(prompt):
-        state, logits = reference_step(state, np.array([tok]), summary, ckpt)
+        state, logits = reference_step(state, np.array([tok]), np.array([0]), tables, ckpt)
         logp = log_softmax(logits[0])
         if j + 1 < len(prompt):
             score += float(logp[prompt[j + 1]])
@@ -70,7 +76,7 @@ def reference_prompt_log_prob(ckpt, enc_input):
 def reference_prompt_batch(ckpt, inputs):
     """`reference_prompt_log_prob` for each input, stacked as `prompt_log_prob` returns them."""
     states, logps, summaries, scores = zip(*(reference_prompt_log_prob(ckpt, x) for x in inputs))
-    return np.stack(states), np.stack(logps), np.stack(summaries), list(scores)
+    return np.stack(states), np.stack(logps), model.input_tables(ckpt, "dec", np.stack(summaries)), list(scores)
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +101,8 @@ def test_one_pass_prompt_matches_the_per_token_loop(toy):
     _, _, ckpt, inputs, _ = toy
     worst = 0.0
     for enc in inputs:
-        states, logps, summaries, scores = prompt_log_prob(ckpt, [enc])
-        state, logp, summary, score = states[0], logps[0], summaries[0], scores[0]
+        states, logps, tables, scores = prompt_log_prob(ckpt, [enc])
+        state, logp, summary, score = states[0], logps[0], tables.S[0], scores[0]
         ref_state, ref_logp, ref_summary, ref_score = reference_prompt_log_prob(ckpt, enc)
         assert np.array_equal(summary, ref_summary)
         worst = max(worst, float(np.abs(state - ref_state).max()),
@@ -159,7 +165,8 @@ def test_mixed_lengths_in_one_chunk(toy):
     chunk = [by_prompt[0], by_encoder[-1], by_prompt[-1], by_encoder[0], by_prompt[1], by_prompt[-2]]
     assert len(by_prompt[0].prompt_tokens) < len(by_prompt[-1].prompt_tokens)
     assert len(by_encoder[0].encoder_tokens) < len(by_encoder[-1].encoder_tokens)
-    states, logps, summaries, scores = prompt_log_prob(ckpt, chunk)
+    states, logps, tables, scores = prompt_log_prob(ckpt, chunk)
+    summaries = tables.S
     for i, enc in enumerate(chunk):
         ref_state, ref_logp, ref_summary, ref_score = reference_prompt_log_prob(ckpt, enc)
         worst = max(float(np.abs(states[i] - ref_state).max()), float(np.abs(logps[i] - ref_logp).max()),
@@ -167,6 +174,18 @@ def test_mixed_lengths_in_one_chunk(toy):
         assert worst <= TOL, (i, worst)
     got = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
     assert_same_rankings(got, per_mention(toy, chunk))
+
+
+def test_a_trie_built_from_shuffled_names_searches_identically(toy):
+    kb, trie, ckpt, inputs, cfg = toy
+    names = kb.names()
+    assert names == sorted(names)
+    shuffled = names[:]
+    random.Random(3).shuffle(shuffled)
+    other = build_trie(shuffled, ckpt.vocab)
+    for chunk in (inputs[:40], inputs[40:41]):
+        want = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
+        assert constrained_beam_search_batch(ckpt, chunk, other, kb, beam=cfg.beam, k=cfg.topk) == want
 
 
 def test_batch_edge_cases(toy):

@@ -216,10 +216,12 @@ def test_beam_rankings_match_the_batch_major_loops(toy, monkeypatch):
 
     got = search()
 
-    def reference_prompt_pass(*args):
-        # The search reads the states after each prompt from the time-major cache.dec.H.
-        cache = reference_forward_teacher(*args)
+    def reference_prompt_pass(ckpt, *args):
+        # The search reads the states after each prompt from the time-major cache.dec.H,
+        # and decodes from the input tables over the prompt pass's summaries.
+        cache = reference_forward_teacher(ckpt, *args)
         cache.dec.H = cache.dec.H.transpose(1, 0, 2)
+        cache.dec.tables = model.input_tables(ckpt, "dec", cache.summary)
         return cache
 
     monkeypatch.setattr(model, "forward_teacher", reference_prompt_pass)

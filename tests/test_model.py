@@ -14,7 +14,7 @@ import pytest
 
 from neglink import model
 from neglink.corpus import MentionExample, render
-from neglink.errors import CheckpointFormatError, NumericError
+from neglink.errors import CheckpointFormatError, NumericError, VocabError
 from neglink.vocab import Vocab
 
 
@@ -152,16 +152,43 @@ def test_incremental_step_matches_teacher_forcing():
     toks, mask = model.pad_batch([list(inp.encoder_tokens)], v.pad_id)
     summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     seq = list(inp.prompt_tokens) + v.encode_chars("ba") + [v.eos_id]
+    tables = model.input_tables(ckpt, "dec", summary)
     state = np.zeros((1, ckpt.config.hidden_dim))
     total = 0.0
     for t in range(len(seq) - 1):
-        state, logits = model.step_batch(state, np.array([seq[t]]), summary, ckpt)
+        state, logits = model.step_batch(state, np.array([seq[t]]), np.array([0]), tables, ckpt)
         logp = model.log_softmax(logits[0])
         if t >= len(inp.prompt_tokens) - 1:
             total += logp[seq[t + 1]]
     ent = v.encode_chars("ba") + [v.eos_id]
     want = score(ckpt, [inp], [ent])[0]
     assert abs(total - want) < 1e-9
+
+
+def test_step_batch_reproduces_decoder_forward_bit_for_bit():
+    """One row fed token by token: every step's state equals the teacher-forced loop's, bit for bit."""
+    ckpt = make_ckpt(seed=5, d=12)
+    v = ckpt.vocab
+    inp = enc_input(ckpt, "abc")
+    toks, mask = model.pad_batch([list(inp.encoder_tokens)], v.pad_id)
+    summary, _, _ = model.encoder_forward(ckpt, toks, mask)
+    seq = list(inp.prompt_tokens) + v.encode_chars("bag") + [v.eos_id]
+    dec_tokens, dec_mask = model.pad_batch([seq], v.pad_id)
+    states, cache = model.decoder_forward(ckpt, dec_tokens, dec_mask, summary)
+    state = np.zeros((1, ckpt.config.hidden_dim))
+    for t, tok in enumerate(seq):
+        state, logits = model.step_batch(state, np.array([tok]), np.array([0]), cache.tables, ckpt)
+        assert np.array_equal(state[0], states[0, t]), t
+        assert np.array_equal(logits[0], states[0, t] @ ckpt.params["out_W"] + ckpt.params["out_b"]), t
+
+
+def test_step_batch_rejects_out_of_range_tokens():
+    ckpt = make_ckpt()
+    tables = model.input_tables(ckpt, "dec", np.zeros((1, ckpt.config.hidden_dim)))
+    state = np.zeros((1, ckpt.config.hidden_dim))
+    for bad in (-1, len(ckpt.vocab)):
+        with pytest.raises(VocabError, match=f"token id {bad} outside"):
+            model.step_batch(state, np.array([bad]), np.array([0]), tables, ckpt)
 
 
 def test_gradients_match_finite_differences():

@@ -8,11 +8,16 @@ sparse dictionaries; the two must agree to near machine precision.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import numpy as np
 
+from neglink import tfidf
+from neglink.corpus import prepare_mentions
+from neglink.kb import Concept, build_kb, load_kb
 from neglink.tfidf import TfIdfIndex, build_index, hard_negatives, rank_synonyms, similarity, trigrams
-from neglink.kb import Concept, build_kb
+
+TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
 
 def dense_reference(corpus: list[str], probes: list[str] = ()):
@@ -141,3 +146,21 @@ def test_index_is_deterministic():
     i2 = build_index(list(reversed(corpus)))
     assert i1.n_docs == i2.n_docs
     assert i1.df == i2.df
+
+
+def test_memoized_vectors_give_the_eager_index_similarities_bit_for_bit():
+    kb = load_kb(TOY / "kb.jsonl")
+    names = kb.names()
+    lazy = build_index(names)
+    assert lazy.vectors == {}
+    eager = TfIdfIndex(n_docs=lazy.n_docs, df=lazy.df, names=lazy.names,
+                       vectors={n: tfidf._vectorize(n, lazy.n_docs, lazy.df) for n in names})
+    rng = random.Random(7)
+    probes = [(rng.choice(names), rng.choice(names)) for _ in range(2000)]
+    probes += [(ex.mention, rng.choice(names)) for ex in prepare_mentions(TOY / "test.jsonl", kb)[0]]
+    for a, b in probes:
+        got = similarity(a, b, lazy)
+        assert got == similarity(a, b, eager) and got == similarity(b, a, lazy), (a, b)
+    # Only indexed names are kept, each as the eager index's vector.
+    assert lazy.vectors and set(lazy.vectors) <= lazy.names
+    assert all(lazy.vectors[n] == eager.vectors[n] for n in lazy.vectors)

@@ -94,6 +94,22 @@ def test_round_trip_bytes_stable():
     assert blob == again
 
 
+def test_children_stay_in_ascending_order_whatever_the_insert_order():
+    rng = random.Random(17)
+    vocab = make_vocab()
+    names = sorted({"".join(rng.choice("abcdefghij ") for _ in range(rng.randrange(1, 9))) for _ in range(300)})
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    assert shuffled != names
+    trie = build_trie(shuffled, vocab)
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        assert list(node.children) == sorted(node.children)
+        stack.extend(node.children.values())
+    assert serialize(trie) == serialize(build_trie(names, vocab))
+
+
 def test_save_load_preserves_membership(tmp_path):
     rng = random.Random(5)
     vocab = make_vocab()
