@@ -57,7 +57,7 @@ def main() -> None:
     print(f"(an untrained loss should sit near ln {len(vocab)} = {math.log(len(vocab)):.3f})")
 
     print(f"\n=== training ({cfg.pos_steps} steps, lr {cfg.pos_lr}, batch {cfg.pos_batch}) ===")
-    result = train(ckpt, instances, cfg.positive_optimizer(), seed=cfg.seed)
+    result = train(ckpt, instances, cfg)
     losses = [l for _, l in result.loss_log]
     for lo in range(0, len(losses), 150):
         window = losses[lo : lo + 150]

@@ -45,7 +45,7 @@ def main() -> None:
     print("=== stage 1 (positive-only) ===")
     instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
     base = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
-    stage1 = train(base, instances, cfg.positive_optimizer(), seed=cfg.seed).checkpoint
+    stage1 = train(base, instances, cfg).checkpoint
 
     def link(ckpt):
         return constrained_beam_search_batch(
@@ -68,13 +68,12 @@ def main() -> None:
               f"{fallback.preferred!r} over {fallback.dispreferred!r} (rank {fallback.rank_l})")
 
     print("\n=== dpo against the frozen stage-1 reference ===")
-    pref = cfg.preference_config()
     # Before any update the policy equals the reference, so every pair's
     # loss is -ln sigmoid(0) = ln 2.
-    anchor = preference_loss(stage1, stage1, triplets[0], pref)
+    anchor = preference_loss(stage1, stage1, triplets[0], cfg)
     print(f"loss at the reference: {anchor:.9f}  (ln 2 = {math.log(2.0):.9f})")
 
-    result = train_preference(stage1, triplets, pref, seed=cfg.seed)
+    result = train_preference(stage1, triplets, cfg)
     losses = [l for _, l in result.loss_log]
     print(f"epoch mean loss: {sum(losses) / len(losses):.4f} "
           f"(first batch {losses[0]:.4f}, last batch {losses[-1]:.4f})")

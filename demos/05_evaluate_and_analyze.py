@@ -47,7 +47,7 @@ def main() -> None:
 
     untrained = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
     instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
-    trained = train(untrained, instances, cfg.positive_optimizer(), seed=cfg.seed).checkpoint
+    trained = train(untrained, instances, cfg).checkpoint
 
     def link(ckpt):
         return constrained_beam_search_batch(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
-from .config import PRESETS, RunConfig, build_config
+from .config import LOSS_KINDS, PRESETS, RunConfig, build_config
 from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
 from .errors import ConfigError, FormatError, NeglinkError, NumericError
 from .evaluate import (
@@ -214,7 +214,7 @@ def cmd_train_positive(args) -> int:
         ckpt = _load_checkpoint(args.init, vocab)
     else:
         ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
-    result = train(ckpt, instances, cfg.positive_optimizer(), seed=cfg.seed)
+    result = train(ckpt, instances, cfg)
     model.save(result.checkpoint, args.out)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions})
     _write_loss_log(str(args.out) + ".losses.jsonl", header, result.loss_log)
@@ -255,7 +255,7 @@ def cmd_train_negative(args) -> int:
         triplets.append(PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i))
     if not triplets:
         raise FormatError(f"{args.pairs}: no preference pairs")
-    result = train_preference(ckpt, triplets, cfg.preference_config(), seed=cfg.seed)
+    result = train_preference(ckpt, triplets, cfg)
     model.save(result.checkpoint, args.out)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions,
                                               "ckpt": args.ckpt, "pairs": args.pairs})
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--pairs", dest="pairs", required=True, help="mined pairs file")
-    p.add_argument("--loss", choices=("pairwise", "dpo", "cpo", "simpo"), default=None)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_negative)
 

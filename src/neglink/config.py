@@ -1,4 +1,9 @@
-"""Run configuration: defaults, named presets, file parsing, overrides.
+"""Run configuration: the one settings object, its presets, file parsing, overrides.
+
+`RunConfig` holds every hyperparameter of both training stages and of
+decoding; the training loops, losses and CLI read it directly. It checks
+every value once, when it is built: a non-finite float or an out-of-range
+value raises `ConfigError`, whether or not the command uses that setting.
 
 Configuration files are plain text, one `key = value` per line, with `#`
 comments. Precedence, lowest to highest: built-in defaults, named preset,
@@ -12,13 +17,14 @@ bundled confusable benchmark.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import artifacts
 from .errors import ConfigError
-from .optim import OptimizerConfig
-from .train_negative import PreferenceConfig
+
+LOSS_KINDS = ("pairwise", "dpo", "cpo", "simpo")
 
 
 @dataclass(frozen=True)
@@ -53,35 +59,35 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
-    def _optimizer(self, learning_rate: float, steps: int, batch_size: int, warmup_steps: int) -> OptimizerConfig:
-        """Stage-specific rate and schedule; the Adam, decay, clipping and smoothing fields are shared."""
-        return OptimizerConfig(
-            learning_rate=learning_rate,
-            steps=steps,
-            batch_size=batch_size,
-            warmup_steps=warmup_steps,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            weight_decay=self.weight_decay,
-            grad_clip=self.grad_clip,
-            label_smoothing=self.label_smoothing,
-        )
-
-    def positive_optimizer(self) -> OptimizerConfig:
-        return self._optimizer(self.pos_lr, self.pos_steps, self.pos_batch, self.pos_warmup)
-
-    def preference_config(self) -> PreferenceConfig:
-        # Preference training is epoch-driven; the steps field is unused there.
-        opt = self._optimizer(self.neg_lr, 1, self.neg_batch, self.neg_warmup)
-        return PreferenceConfig(
-            loss_kind=self.loss,
-            beta=self.beta,
-            cpo_lambda=self.cpo_lambda,
-            simpo_gamma=self.simpo_gamma,
-            epochs=self.neg_epochs,
-            optimizer=opt,
-        )
+    def __post_init__(self):
+        # Every comparison is written so that NaN fails it.
+        rules = [
+            (f.name, math.isfinite(getattr(self, f.name)), "be finite")
+            for f in dataclasses.fields(self) if f.type in ("float", float)
+        ]
+        rules += [
+            ("pos_lr", self.pos_lr >= 0, "be >= 0"),
+            ("pos_steps", self.pos_steps >= 1, "be >= 1"),
+            ("pos_batch", self.pos_batch >= 1, "be >= 1"),
+            ("pos_warmup", self.pos_warmup >= 0, "be >= 0"),
+            ("label_smoothing", 0 <= self.label_smoothing < 1, "lie in [0, 1)"),
+            ("neg_lr", self.neg_lr >= 0, "be >= 0"),
+            ("neg_epochs", self.neg_epochs >= 1, "be >= 1"),
+            ("neg_batch", self.neg_batch >= 1, "be >= 1"),
+            ("neg_warmup", self.neg_warmup >= 0, "be >= 0"),
+            ("loss", self.loss in LOSS_KINDS, f"be one of {LOSS_KINDS}"),
+            ("beta", self.beta > 0, "be > 0"),
+            ("cpo_lambda", self.cpo_lambda >= 0, "be >= 0"),
+            ("simpo_gamma", self.simpo_gamma >= 0, "be >= 0"),
+            ("weight_decay", self.weight_decay >= 0, "be >= 0"),
+            ("grad_clip", self.grad_clip > 0, "be > 0"),
+            ("adam_beta1", 0 < self.adam_beta1 < 1, "lie in (0, 1)"),
+            ("adam_beta2", 0 < self.adam_beta2 < 1, "lie in (0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "be > 0"),
+        ]
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 # Published per-dataset rows (positive-only steps/rate/batch/warmup, then

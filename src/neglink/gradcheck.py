@@ -10,14 +10,17 @@ sampled coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
 from .beam import name_tokens
+from .config import LOSS_KINDS, RunConfig
 from .corpus import MentionExample, render
-from .train_negative import LOSS_KINDS, PreferenceConfig, PreferenceTriplet, preference_loss_and_grads
+from .errors import ConfigError
+from .train_negative import PreferenceTriplet, preference_loss_and_grads
 from .train_positive import PositiveInstance, ce_loss_and_grads
 from .vocab import Vocab
 
@@ -64,11 +67,15 @@ def _fixture(seed: int):
 def _loss_fn(kind: str, ckpt, ref, instances, triplets):
     if kind == "ce":
         return lambda want: ce_loss_and_grads(ckpt, instances, smoothing=0.1)
-    cfg = PreferenceConfig(loss_kind=kind)
+    cfg = RunConfig(loss=kind)
     return lambda want: preference_loss_and_grads(ckpt, ref, triplets, cfg, want_grads=want)
 
 
 def check_loss(kind: str, seed: int, n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> LossCheck:
+    if n_coords < 1:
+        raise ConfigError(f"n_coords must be >= 1, got {n_coords}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     ckpt, ref, instances, triplets = _fixture(seed)
     fn = _loss_fn(kind, ckpt, ref, instances, triplets)
     _, grads = fn(True)

@@ -18,34 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import RunConfig
 from .model import Checkpoint, check_finite_loss, copy_checkpoint
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    learning_rate: float
-    steps: int
-    batch_size: int = 16
-    warmup_steps: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    grad_clip: float = 0.1
-    label_smoothing: float = 0.1
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.steps < 1 or self.batch_size < 1 or self.warmup_steps < 0:
-            raise ConfigError("steps/batch_size must be >= 1 and warmup_steps >= 0")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0 or self.grad_clip <= 0 or self.weight_decay < 0:
-            raise ConfigError("adam_eps/grad_clip must be > 0 and weight_decay >= 0")
-        if not 0 <= self.label_smoothing < 1:
-            raise ConfigError("label_smoothing must lie in [0, 1)")
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -62,11 +36,11 @@ def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def effective_rate(cfg: OptimizerConfig, step: int) -> float:
+def effective_rate(learning_rate: float, warmup_steps: int, step: int) -> float:
     """Rate for 0-based optimizer step `step`."""
-    if cfg.warmup_steps > 0:
-        return cfg.learning_rate * min(1.0, (step + 1) / cfg.warmup_steps)
-    return cfg.learning_rate
+    if warmup_steps > 0:
+        return learning_rate * min(1.0, (step + 1) / warmup_steps)
+    return learning_rate
 
 
 @dataclass
@@ -90,16 +64,19 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    cfg: OptimizerConfig,
+    cfg: RunConfig,
+    learning_rate: float,
+    warmup_steps: int,
 ) -> float:
     """One in-place update over all parameters. Returns the rate used.
 
-    Parameter names are visited in sorted order so the arithmetic sequence
-    is identical between runs.
+    The stage's base rate and warmup come from the caller, the Adam
+    constants and the weight decay from `cfg`. Parameter names are visited
+    in sorted order so the arithmetic sequence is identical between runs.
     """
     state.step += 1
     t = state.step
-    lr = effective_rate(cfg, t - 1)
+    lr = effective_rate(learning_rate, warmup_steps, t - 1)
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
@@ -125,37 +102,41 @@ def train_loop(
     ckpt: Checkpoint,
     items: Sequence,
     loss_and_grads: Callable[[Checkpoint, list], tuple[float, dict[str, np.ndarray]]],
-    opt: OptimizerConfig,
+    cfg: RunConfig,
+    learning_rate: float,
+    batch_size: int,
+    warmup_steps: int,
     steps: int,
-    seed: int,
     stage: str,
 ) -> TrainResult:
     """`steps` clipped AdamW steps on a copy of `ckpt`, which is not modified.
 
-    Each epoch draws one permutation of `items` from the seeded generator and
-    slices it into batches of `opt.batch_size`; an epoch's short last batch is
-    kept, and a `steps` that is not a multiple of the epoch length stops
-    mid-epoch. `loss_and_grads(ckpt, batch)` returns the batch loss and the
-    gradient of every parameter. The copy starts with a fresh optimizer state
-    and is returned tagged with `stage`.
+    Each epoch draws one permutation of `items` from a generator seeded with
+    `cfg.seed` and slices it into batches of `batch_size`; an epoch's short
+    last batch is kept, and a `steps` that is not a multiple of the epoch
+    length stops mid-epoch. The rate warms up over `warmup_steps` to
+    `learning_rate`; clipping, Adam and weight decay read `cfg`.
+    `loss_and_grads(ckpt, batch)` returns the batch loss and the gradient of
+    every parameter. The copy starts with a fresh optimizer state and is
+    returned tagged with `stage`.
     """
     if not items:
         raise ValueError("nothing to train on")
     out = copy_checkpoint(ckpt)
     state = OptimizerState.fresh(out.params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     loss_log: list[tuple[int, float]] = []
     step = 0
     while step < steps:
         order = rng.permutation(len(items))
-        for start in range(0, len(order), opt.batch_size):
+        for start in range(0, len(order), batch_size):
             if step >= steps:
                 break
-            batch = [items[i] for i in order[start : start + opt.batch_size]]
+            batch = [items[i] for i in order[start : start + batch_size]]
             loss, grads = loss_and_grads(out, batch)
             check_finite_loss(loss, step_index=step)
-            clip_grads(grads, opt.grad_clip)
-            adamw_step(out.params, grads, state, opt)
+            clip_grads(grads, cfg.grad_clip)
+            adamw_step(out.params, grads, state, cfg, learning_rate, warmup_steps)
             loss_log.append((step, loss))
             step += 1
     out.stage = stage

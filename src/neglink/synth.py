@@ -111,6 +111,8 @@ def gen_synonym_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> li
 
 def gen_pretrain_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> list[SyntheticExample]:
     """Both template families, definition examples first."""
+    if cap < 1:
+        raise ConfigError(f"cap must be >= 1, got {cap}")
     return gen_definition_examples(kb, idx, cap) + gen_synonym_examples(kb, idx, cap)
 
 

@@ -26,13 +26,12 @@ import numpy as np
 
 from . import model, optim
 from .beam import Prediction, constrained_beam_search, name_tokens
+from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
 from .errors import ConfigError
 from .kb import KnowledgeBase
 from .tfidf import TfIdfIndex, hard_negatives, rank_synonyms
 from .train_positive import gold_synonyms
-
-LOSS_KINDS = ("pairwise", "dpo", "cpo", "simpo")
 
 
 @dataclass(frozen=True)
@@ -43,28 +42,6 @@ class PreferenceTriplet:
     mention_index: int | None = field(default=None, compare=False)
     rank_w: int | None = field(default=None, compare=False)
     rank_l: int | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class PreferenceConfig:
-    loss_kind: str = "dpo"
-    beta: float = 0.1
-    cpo_lambda: float = 1.0
-    simpo_gamma: float = 0.5
-    epochs: int = 1
-    optimizer: optim.OptimizerConfig = field(
-        default_factory=lambda: optim.OptimizerConfig(learning_rate=1e-3, steps=1, batch_size=8)
-    )
-
-    def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.beta <= 0:
-            raise ConfigError("beta must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.cpo_lambda < 0 or self.simpo_gamma < 0:
-            raise ConfigError("cpo_lambda and simpo_gamma must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +162,18 @@ def preference_loss_values(
     ref_l: np.ndarray,
     len_w: np.ndarray,
     len_l: np.ndarray,
-    cfg: PreferenceConfig,
+    cfg: RunConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair losses and d(loss)/d(lp_w), d(loss)/d(lp_l), all (B,).
 
     -log sigma(m) is computed as logaddexp(0, -m) for stability.
     """
     beta = cfg.beta
-    if cfg.loss_kind == "simpo":
+    if cfg.loss == "simpo":
         margin = (beta / len_w) * lp_w - (beta / len_l) * lp_l - cfg.simpo_gamma
         s = model.sigmoid(-margin)
         return np.logaddexp(0.0, -margin), -(beta / len_w) * s, (beta / len_l) * s
-    if cfg.loss_kind == "dpo":
+    if cfg.loss == "dpo":
         margin = beta * ((lp_w - ref_w) - (lp_l - ref_l))
     else:
         margin = beta * (lp_w - lp_l)
@@ -204,7 +181,7 @@ def preference_loss_values(
     s = model.sigmoid(-margin)
     dlp_w = -beta * s
     dlp_l = beta * s
-    if cfg.loss_kind == "cpo":
+    if cfg.loss == "cpo":
         loss = loss - cfg.cpo_lambda * lp_w / len_w
         dlp_w = dlp_w - cfg.cpo_lambda / len_w
     return loss, dlp_w, dlp_l
@@ -214,7 +191,7 @@ def preference_loss(
     ckpt: model.Checkpoint,
     ref: model.Checkpoint | None,
     triplet: PreferenceTriplet,
-    cfg: PreferenceConfig,
+    cfg: RunConfig,
 ) -> float:
     """Per-pair loss for one triplet; ref is consulted only for dpo."""
     loss, _ = preference_loss_and_grads(ckpt, ref, [triplet], cfg, want_grads=False)
@@ -225,7 +202,7 @@ def preference_loss_and_grads(
     ckpt: model.Checkpoint,
     ref: model.Checkpoint | None,
     triplets: list[PreferenceTriplet],
-    cfg: PreferenceConfig,
+    cfg: RunConfig,
     want_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Mean per-pair loss over the batch, plus exact parameter gradients.
@@ -236,7 +213,7 @@ def preference_loss_and_grads(
     lays them out in identical arrays, so both sides see the same padding
     and reduction order.
     """
-    if cfg.loss_kind == "dpo" and ref is None:
+    if cfg.loss == "dpo" and ref is None:
         raise ValueError("dpo requires a frozen reference checkpoint")
     B = len(triplets)
     inputs = [t.input for t in triplets] * 2
@@ -244,7 +221,7 @@ def preference_loss_and_grads(
     entities += [name_tokens(t.dispreferred, ckpt.vocab) for t in triplets]
     cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
     lp = model.sequence_log_probs(cache, tg, tm)
-    if cfg.loss_kind == "dpo":
+    if cfg.loss == "dpo":
         ref_lp = model.sequence_log_probs(*model.forward_pairs(ref, inputs, entities))
     else:
         ref_lp = np.zeros_like(lp)
@@ -268,19 +245,18 @@ def preference_loss_and_grads(
 def train_preference(
     ckpt: model.Checkpoint,
     triplets: list[PreferenceTriplet],
-    cfg: PreferenceConfig,
-    seed: int,
+    cfg: RunConfig,
 ) -> optim.TrainResult:
-    """`cfg.epochs` epochs of the preference loss over the mined triplets.
+    """`cfg.neg_epochs` epochs of the preference loss over the mined triplets.
 
     `optim.train_loop` trains a copy, so `ckpt` itself is never modified and
     serves as the frozen dpo reference. Epochs become a step count for
-    `optim.train_loop`, which draws one permutation per epoch.
+    `optim.train_loop`, which draws one permutation per epoch and runs at the
+    `neg_*` rate, batch and warmup.
     """
-    ref = ckpt if cfg.loss_kind == "dpo" else None
-    opt = cfg.optimizer
-    steps = cfg.epochs * math.ceil(len(triplets) / opt.batch_size)
+    ref = ckpt if cfg.loss == "dpo" else None
+    steps = cfg.neg_epochs * math.ceil(len(triplets) / cfg.neg_batch)
     return optim.train_loop(
         ckpt, triplets, lambda c, batch: preference_loss_and_grads(c, ref, batch, cfg),
-        opt, steps, seed, "negative",
+        cfg, cfg.neg_lr, cfg.neg_batch, cfg.neg_warmup, steps, "negative",
     )

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import model, optim
 from .beam import name_tokens
+from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
 from .errors import ConfigError
 from .kb import KnowledgeBase
@@ -98,15 +99,14 @@ def ce_loss_and_grads(
 def train(
     ckpt: Checkpoint,
     instances: list[PositiveInstance],
-    opt: optim.OptimizerConfig,
-    seed: int,
+    cfg: RunConfig,
 ) -> optim.TrainResult:
-    """Stage-1 training: `opt.steps` steps of smoothed cross-entropy.
+    """Stage-1 training: `cfg.pos_steps` steps of smoothed cross-entropy.
 
     Returns a positive-stage copy of `ckpt` and the loss curve; the schedule
-    is `optim.train_loop`'s.
+    is `optim.train_loop`'s, at the `pos_*` rate, batch and warmup.
     """
     return optim.train_loop(
-        ckpt, instances, lambda c, batch: ce_loss_and_grads(c, batch, opt.label_smoothing),
-        opt, opt.steps, seed, "positive",
+        ckpt, instances, lambda c, batch: ce_loss_and_grads(c, batch, cfg.label_smoothing),
+        cfg, cfg.pos_lr, cfg.pos_batch, cfg.pos_warmup, cfg.pos_steps, "positive",
     )

@@ -12,6 +12,7 @@ artifact.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import time
@@ -31,16 +32,14 @@ from neglink.beam import (
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main as cli_main
 from neglink.cli import vocab_from_sources
-from neglink.config import build_config
+from neglink.config import RunConfig, build_config
 from neglink.corpus import MentionExample, prepare_mentions, render
 from neglink.evaluate import acc_at_k, bootstrap_paired_test, logprob_gap_report
 from neglink.gradcheck import run_gradcheck
 from neglink.kb import Concept, build_kb, load_kb
 from neglink.model import ModelConfig, copy_checkpoint, init_checkpoint, input_tables, softmax, step_batch
-from neglink.optim import OptimizerConfig
 from neglink.tfidf import build_index, rank_synonyms, similarity, trigrams
 from neglink.train_negative import (
-    PreferenceConfig,
     PreferenceTriplet,
     mine_pairs,
     preference_loss,
@@ -150,9 +149,7 @@ def test_a3_dpo_loss_is_ln2_at_the_reference(verdict):
     vocab = Vocab.from_texts([" is"] + pool)
     ckpt = init_checkpoint(vocab, ModelConfig(hidden_dim=16, seed=11))
     ref = copy_checkpoint(ckpt)
-    cfg = PreferenceConfig(
-        loss_kind="dpo", optimizer=OptimizerConfig(learning_rate=0.0, steps=1, batch_size=1)
-    )
+    cfg = RunConfig(loss="dpo", neg_lr=0.0, neg_batch=1)
     worst = 0.0
     for _ in range(100):
         w, l = rng.permutation(len(pool))[:2]
@@ -288,12 +285,13 @@ def benchmark_runs():
     runs = []
     for seed in range(5):
         base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=seed))
-        stage1 = train(base, instances, cfg.positive_optimizer(), seed=seed).checkpoint
+        run = dataclasses.replace(cfg, seed=seed)
+        stage1 = train(base, instances, run).checkpoint
         triplets = mine_pairs(
             stage1, train_ex, kb, trie, idx,
             topk=cfg.topk, negatives=cfg.negatives, pairs=cfg.pairs, max_ctx=cfg.max_ctx,
         )
-        result2 = train_preference(stage1, triplets, cfg.preference_config(), seed=seed)
+        result2 = train_preference(stage1, triplets, run)
         stage2 = result2.checkpoint
         preds1, preds2 = link(stage1), link(stage2)
         gaps1 = logprob_gap_report(stage1, test_ex, preds1, kb, idx, max_ctx=cfg.max_ctx)

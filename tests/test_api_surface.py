@@ -1,16 +1,21 @@
-"""Every public function and method in `src/neglink` has a caller in the program.
+"""Every public function and method in `src/neglink` has a caller in the program,
+and every run setting is read by it.
 
 A public module-level function, or a public method of a module-level class,
 must be named, as a whole word, somewhere in `src/neglink/`, `demos/` or
 `perfbench/` outside its own definition. One that only tests call is
 test-only API: fold it into its caller or let the test build what it needs.
+A `RunConfig` field that no module but `config.py` reads is a dead setting.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from neglink.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "neglink"
@@ -48,3 +53,14 @@ def test_every_public_function_has_a_caller_outside_tests():
             if not any(word.search("".join(body)) for body in outside):
                 unused.append(f"{path.stem}.{qualified}")
     assert unused == [], f"public functions and methods with no caller outside tests: {unused}"
+
+
+def test_every_run_setting_is_read_outside_config():
+    read = {
+        node.attr
+        for path in PACKAGE.glob("*.py") if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert unread == [], f"RunConfig fields read nowhere in src/neglink outside config.py: {unread}"

@@ -249,7 +249,12 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("eval-b", ["--resamples", "1"]),
     ("eval", ["--k", "0"]),
     ("synth", ["--k", "0"]),
-], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0"])
+    ("synth", ["--cap", "0"]),
+    ("train-positive", ["--set", "grad_clip=nan"]),
+    ("gradcheck", ["--coords", "0"]),
+    ("gradcheck", ["--tol", "nan"]),
+], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0",
+        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     root, kb, train, test, cache = pipeline
     inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
@@ -263,6 +268,7 @@ def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
         "eval": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl")],
         "synth": ["synth", "--kb", kb, "--cache", cache, "--out-mentions", str(tmp_path / "m.jsonl"),
                   "--out-pairs", str(tmp_path / "p.jsonl")],
+        "gradcheck": ["gradcheck"],
     }[command]
     caplog.clear()
     assert main(argv + extra) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from neglink.config import PRESETS, RunConfig, build_config, parse_config_file
@@ -30,8 +32,6 @@ def test_all_presets_are_buildable():
     for name in PRESETS:
         cfg = build_config(preset=name)
         assert isinstance(cfg, RunConfig)
-        cfg.positive_optimizer()
-        cfg.preference_config()
 
 
 def test_config_file_parsing(tmp_path):
@@ -81,17 +81,16 @@ def test_bad_values_rejected(tmp_path):
         build_config(config_file=p)
 
 
-def test_derived_optimizer_configs():
-    cfg = build_config(preset="toy", overrides={"loss": "cpo", "neg_epochs": "3"})
-    opt = cfg.positive_optimizer()
-    assert opt.learning_rate == cfg.pos_lr
-    assert opt.steps == cfg.pos_steps
-    assert opt.warmup_steps == cfg.pos_warmup
-    pref = cfg.preference_config()
-    assert pref.loss_kind == "cpo"
-    assert pref.epochs == 3
-    assert pref.optimizer.learning_rate == cfg.neg_lr
-    assert pref.optimizer.batch_size == cfg.neg_batch
-    assert opt.batch_size == cfg.pos_batch and pref.optimizer.warmup_steps == cfg.neg_warmup
-    for field in ("adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "grad_clip", "label_smoothing"):
-        assert getattr(opt, field) == getattr(pref.optimizer, field) == getattr(cfg, field)
+def test_non_finite_float_settings_rejected():
+    floats = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("float", float)]
+    assert "grad_clip" in floats
+    for key in floats:
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                build_config(overrides={key: raw})
+
+
+def test_settings_are_checked_even_where_unused():
+    # a stage-1 run never reads neg_batch, but the settings object is checked as a whole
+    with pytest.raises(ConfigError, match="neg_batch"):
+        build_config(preset="toy", overrides={"neg_batch": "0"})

@@ -91,8 +91,7 @@ def toy():
     instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab,
                                    k=cfg.syn_topk, max_ctx=cfg.max_ctx)
     base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=0))
-    opt = dataclasses.replace(cfg.positive_optimizer(), steps=40)
-    ckpt = train(base, instances, opt, seed=0).checkpoint
+    ckpt = train(base, instances, dataclasses.replace(cfg, pos_steps=40, seed=0)).checkpoint
     inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
     return kb, trie, ckpt, inputs, cfg
 

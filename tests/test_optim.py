@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from neglink.config import RunConfig
 from neglink.errors import ConfigError
 from neglink import model
 from neglink.optim import (
-    OptimizerConfig,
     OptimizerState,
     adamw_step,
     clip_grads,
@@ -41,21 +41,19 @@ def test_clip_rescales_only_above_threshold():
 
 
 def test_warmup_schedule():
-    cfg = OptimizerConfig(learning_rate=1.0, steps=10, warmup_steps=4)
-    rates = [effective_rate(cfg, t) for t in range(6)]
+    rates = [effective_rate(1.0, 4, t) for t in range(6)]
     assert rates == [0.25, 0.5, 0.75, 1.0, 1.0, 1.0]
-    flat = OptimizerConfig(learning_rate=0.5, steps=10, warmup_steps=0)
-    assert effective_rate(flat, 0) == 0.5
+    assert effective_rate(0.5, 0, 0) == 0.5
 
 
 def test_zero_learning_rate_leaves_params_bitwise_unchanged():
     params = small_params()
     before = {k: v.copy() for k, v in params.items()}
     state = OptimizerState.fresh(params)
-    cfg = OptimizerConfig(learning_rate=0.0, steps=5, weight_decay=0.01)
+    cfg = RunConfig(weight_decay=0.01)
     grads = {k: np.ones_like(v) for k, v in params.items()}
     for _ in range(3):
-        adamw_step(params, {k: g.copy() for k, g in grads.items()}, state, cfg)
+        adamw_step(params, {k: g.copy() for k, g in grads.items()}, state, cfg, 0.0, 0)
     for k in params:
         assert np.array_equal(params[k], before[k])
     assert state.step == 3
@@ -65,16 +63,14 @@ def test_adamw_matches_manual_reference():
     params = small_params(seed=1)
     reference = {k: v.copy() for k, v in params.items()}
     state = OptimizerState.fresh(params)
-    cfg = OptimizerConfig(
-        learning_rate=1e-2, steps=10, warmup_steps=2, weight_decay=0.04,
-        adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, grad_clip=1e9,
-    )
+    learning_rate, warmup_steps = 1e-2, 2
+    cfg = RunConfig(weight_decay=0.04, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, grad_clip=1e9)
     rng = np.random.default_rng(7)
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v2 = {k: np.zeros_like(v) for k, v in params.items()}
     for t in range(5):
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        lr = cfg.learning_rate * min(1.0, (t + 1) / cfg.warmup_steps)
+        lr = learning_rate * min(1.0, (t + 1) / warmup_steps)
         for k in sorted(reference):
             g = grads[k]
             m[k] = cfg.adam_beta1 * m[k] + (1 - cfg.adam_beta1) * g
@@ -83,7 +79,7 @@ def test_adamw_matches_manual_reference():
             vhat = v2[k] / (1 - cfg.adam_beta2 ** (t + 1))
             reference[k] = reference[k] - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
             reference[k] = reference[k] - lr * cfg.weight_decay * reference[k]
-        adamw_step(params, {k: g.copy() for k, g in grads.items()}, state, cfg)
+        adamw_step(params, {k: g.copy() for k, g in grads.items()}, state, cfg, learning_rate, warmup_steps)
         for k in params:
             np.testing.assert_allclose(params[k], reference[k], atol=1e-14)
 
@@ -92,18 +88,18 @@ def test_weight_decay_is_decoupled_from_gradient():
     # with zero gradients and nonzero decay, parameters shrink multiplicatively
     params = {"a": np.array([2.0, -2.0])}
     state = OptimizerState.fresh(params)
-    cfg = OptimizerConfig(learning_rate=0.1, steps=5, weight_decay=0.5)
-    adamw_step(params, {"a": np.zeros(2)}, state, cfg)
+    cfg = RunConfig(weight_decay=0.5)
+    adamw_step(params, {"a": np.zeros(2)}, state, cfg, 0.1, 0)
     np.testing.assert_allclose(params["a"], [2.0 * (1 - 0.05), -2.0 * (1 - 0.05)], atol=1e-15)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        OptimizerConfig(learning_rate=-1.0, steps=5)
+        RunConfig(pos_lr=-1.0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(learning_rate=0.1, steps=0)
+        RunConfig(pos_steps=0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(learning_rate=0.1, steps=5, adam_beta1=1.5)
+        RunConfig(adam_beta1=1.5)
 
 
 def test_train_loop_schedule():
@@ -115,12 +111,12 @@ def test_train_loop_schedule():
         batches.append(list(batch))
         return 1.0, {k: np.zeros_like(p) for k, p in c.params.items()}
 
-    opt = OptimizerConfig(learning_rate=1e-3, steps=7, batch_size=4)
-    result = train_loop(ckpt, list(range(10)), record, opt, opt.steps, seed=5, stage="x")
+    cfg = RunConfig(seed=5)
+    result = train_loop(ckpt, list(range(10)), record, cfg, 1e-3, 4, 0, 7, stage="x")
     assert [len(b) for b in batches] == [4, 4, 2, 4, 4, 2, 4]
     for epoch in (batches[0:3], batches[3:6]):
         assert sorted(i for b in epoch for i in b) == list(range(10))
     assert result.loss_log == [(step, 1.0) for step in range(7)]
     assert result.checkpoint.stage == "x"
     with pytest.raises(ValueError):
-        train_loop(ckpt, [], record, opt, opt.steps, seed=5, stage="x")
+        train_loop(ckpt, [], record, cfg, 1e-3, 4, 0, 7, stage="x")

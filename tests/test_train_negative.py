@@ -10,14 +10,12 @@ import pytest
 
 from neglink import model
 from neglink.beam import Prediction
+from neglink.config import LOSS_KINDS, RunConfig
 from neglink.corpus import EncodedInput, MentionExample, render
 from neglink.errors import ConfigError
 from neglink.kb import Concept, build_kb
-from neglink.optim import OptimizerConfig
 from neglink.tfidf import build_index
 from neglink.train_negative import (
-    LOSS_KINDS,
-    PreferenceConfig,
     PreferenceTriplet,
     dedup_triplets,
     mine_pairs,
@@ -34,9 +32,8 @@ from neglink.vocab import Vocab
 DUMMY = EncodedInput(encoder_tokens=(1, 2), prompt_tokens=(1,))
 
 
-def pconfig(kind, **kw):
-    opt = OptimizerConfig(learning_rate=kw.pop("lr", 1e-3), steps=1, batch_size=4)
-    return PreferenceConfig(loss_kind=kind, optimizer=opt, **kw)
+def pconfig(kind, lr=1e-3, epochs=1, seed=0, **kw):
+    return RunConfig(loss=kind, neg_lr=lr, neg_epochs=epochs, neg_batch=4, seed=seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +291,11 @@ def test_train_preference_runs_and_freezes_reference():
     before = {k: v.copy() for k, v in ckpt.params.items()}
     cfg = pconfig("dpo", lr=1e-3, epochs=2)
     # batch size 4: six triplets take two steps per epoch, the second one short
-    assert len(train_preference(ckpt, triplets, cfg, seed=0).loss_log) == 2 * 2
+    assert len(train_preference(ckpt, triplets, cfg).loss_log) == 2 * 2
     triplets = triplets[:4]
-    result = train_preference(ckpt, triplets, cfg, seed=0)
+    result = train_preference(ckpt, triplets, cfg)
     assert result.checkpoint.stage == "negative"
-    assert len(result.loss_log) == 2 * math.ceil(len(triplets) / cfg.optimizer.batch_size)
+    assert len(result.loss_log) == 2 * math.ceil(len(triplets) / cfg.neg_batch)
     # first batch of the first epoch starts at the reference, so its dpo loss is ln 2
     assert result.loss_log[0][1] == pytest.approx(math.log(2.0), abs=1e-12)
     for name in before:
@@ -308,8 +305,8 @@ def test_train_preference_runs_and_freezes_reference():
 def test_train_preference_zero_rate_is_identity():
     kb, vocab, trie, idx, ckpt, examples = linking_setup()
     triplets = [make_triplet(vocab, examples[0], "abc", "bcd")]
-    cfg = pconfig("simpo", lr=0.0)
-    result = train_preference(ckpt, triplets, cfg, seed=3)
+    cfg = pconfig("simpo", lr=0.0, seed=3)
+    result = train_preference(ckpt, triplets, cfg)
     for name, p in ckpt.params.items():
         assert np.array_equal(result.checkpoint.params[name], p)
 
@@ -321,9 +318,9 @@ def test_train_preference_deterministic():
         make_triplet(vocab, examples[1], "bcd", "abc"),
         make_triplet(vocab, examples[0], "abd", "bce"),
     ]
-    cfg = pconfig("cpo", lr=1e-3, epochs=2)
-    r1 = train_preference(ckpt, triplets, cfg, seed=11)
-    r2 = train_preference(ckpt, triplets, cfg, seed=11)
+    cfg = pconfig("cpo", lr=1e-3, epochs=2, seed=11)
+    r1 = train_preference(ckpt, triplets, cfg)
+    r2 = train_preference(ckpt, triplets, cfg)
     assert r1.loss_log == r2.loss_log
     for name in ckpt.params:
         assert np.array_equal(r1.checkpoint.params[name], r2.checkpoint.params[name])

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from neglink import model
+from neglink.config import RunConfig
 from neglink.corpus import MentionExample
 from neglink.kb import Concept, build_kb
-from neglink.optim import OptimizerConfig
 from neglink.tfidf import build_index
 from neglink.train_positive import (
     build_positive_set,
@@ -121,8 +122,8 @@ def training_setup(seed=0):
 
 def test_training_reduces_loss():
     ckpt, instances = training_setup()
-    opt = OptimizerConfig(learning_rate=5e-3, steps=60, batch_size=4, warmup_steps=5)
-    result = train(ckpt, instances, opt, seed=0)
+    cfg = RunConfig(pos_lr=5e-3, pos_steps=60, pos_batch=4, pos_warmup=5, seed=0)
+    result = train(ckpt, instances, cfg)
     first = np.mean([l for _, l in result.loss_log[:5]])
     last = np.mean([l for _, l in result.loss_log[-5:]])
     assert last < first
@@ -132,21 +133,21 @@ def test_training_reduces_loss():
 
 def test_zero_rate_training_is_identity():
     ckpt, instances = training_setup()
-    opt = OptimizerConfig(learning_rate=0.0, steps=8, batch_size=4)
-    result = train(ckpt, instances, opt, seed=0)
+    cfg = RunConfig(pos_lr=0.0, pos_steps=8, pos_batch=4, seed=0)
+    result = train(ckpt, instances, cfg)
     for name, p in ckpt.params.items():
         assert np.array_equal(result.checkpoint.params[name], p)
 
 
 def test_training_is_deterministic():
     ckpt, instances = training_setup()
-    opt = OptimizerConfig(learning_rate=5e-3, steps=20, batch_size=4)
-    r1 = train(ckpt, instances, opt, seed=7)
-    r2 = train(ckpt, instances, opt, seed=7)
+    cfg = RunConfig(pos_lr=5e-3, pos_steps=20, pos_batch=4, seed=7)
+    r1 = train(ckpt, instances, cfg)
+    r2 = train(ckpt, instances, cfg)
     assert r1.loss_log == r2.loss_log
     for name in ckpt.params:
         assert np.array_equal(r1.checkpoint.params[name], r2.checkpoint.params[name])
-    r3 = train(ckpt, instances, opt, seed=8)
+    r3 = train(ckpt, instances, dataclasses.replace(cfg, seed=8))
     assert any(
         not np.array_equal(r1.checkpoint.params[n], r3.checkpoint.params[n]) for n in ckpt.params
     )
@@ -155,14 +156,14 @@ def test_training_is_deterministic():
 def test_input_checkpoint_not_modified():
     ckpt, instances = training_setup()
     before = {k: v.copy() for k, v in ckpt.params.items()}
-    opt = OptimizerConfig(learning_rate=5e-3, steps=10, batch_size=4)
-    train(ckpt, instances, opt, seed=0)
+    cfg = RunConfig(pos_lr=5e-3, pos_steps=10, pos_batch=4, seed=0)
+    train(ckpt, instances, cfg)
     for name in before:
         assert np.array_equal(ckpt.params[name], before[name])
 
 
 def test_empty_instances_rejected():
     ckpt, _ = training_setup()
-    opt = OptimizerConfig(learning_rate=1e-3, steps=5)
+    cfg = RunConfig(pos_lr=1e-3, pos_steps=5, seed=0)
     with pytest.raises(ValueError):
-        train(ckpt, [], opt, seed=0)
+        train(ckpt, [], cfg)
