@@ -47,7 +47,7 @@ def main() -> None:
         print(f"  after {prefix!r}: {len(legal)} legal tokens: {shown}")
 
     print("\n=== constrained decoding with an untrained model ===")
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=32, seed=0))
+    ckpt = model.init_checkpoint(vocab, hidden_dim=32, seed=0)
     ex = MentionExample(
         left_context=left,
         mention=name,

@@ -40,7 +40,7 @@ def main() -> None:
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
 
     print("=== the positive training set ===")
-    instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
+    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
     print(f"{len(train_ex)} mentions -> {len(instances)} (input, synonym) instances")
     sample = instances[0]
     print(f"example target: mention {train_ex[0].mention!r} -> generate {sample.target_name!r}")
@@ -51,7 +51,7 @@ def main() -> None:
         )
         return acc_at_k(preds, [ex.gold_ids for ex in test_ex], 1)
 
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
+    ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     print(f"\nuntrained Acc@1 on {len(test_ex)} test mentions: {acc(ckpt):.3f}")
     # With zero training the expected cross-entropy is ln(vocab size):
     print(f"(an untrained loss should sit near ln {len(vocab)} = {math.log(len(vocab)):.3f})")

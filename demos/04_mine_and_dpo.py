@@ -43,8 +43,8 @@ def main() -> None:
     gold = [ex.gold_ids for ex in test_ex]
 
     print("=== stage 1 (positive-only) ===")
-    instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
-    base = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
+    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
+    base = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     stage1 = train(base, instances, cfg).checkpoint
 
     def link(ckpt):
@@ -57,7 +57,7 @@ def main() -> None:
     print(f"stage-1 Acc@1 on {len(test_ex)} test mentions: {acc1:.3f}")
 
     print("\n=== mining preference pairs ===")
-    triplets = mine_pairs(stage1, train_ex, kb, trie, idx, topk=cfg.topk)
+    triplets = mine_pairs(stage1, train_ex, kb, trie, idx, cfg)
     print(f"{len(train_ex)} mentions -> {len(triplets)} deduplicated pairs")
     with_rank = next(t for t in triplets if t.rank_w is not None)
     print(f"from the decoder's own list: prefer {with_rank.preferred!r} (rank {with_rank.rank_w})"

@@ -45,8 +45,8 @@ def main() -> None:
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
     gold = [ex.gold_ids for ex in test_ex]
 
-    untrained = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
-    instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
+    untrained = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
+    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
     trained = train(untrained, instances, cfg).checkpoint
 
     def link(ckpt):

@@ -27,9 +27,9 @@ from pathlib import Path
 
 from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
-from .config import LOSS_KINDS, PRESETS, RunConfig, build_config
+from .config import PRESETS, RunConfig, build_config
 from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
-from .errors import ConfigError, FormatError, NeglinkError, NumericError
+from .errors import ConfigError, FormatError, NeglinkError, NumericError, TrieFormatError
 from .evaluate import (
     bootstrap_paired_test,
     binned_error_report,
@@ -42,7 +42,7 @@ from .kb import KnowledgeBase, load_kb, normalize_name
 from .tfidf import build_index
 from .train_negative import PreferenceTriplet, mine_pairs, train_preference
 from .train_positive import build_positive_set, train
-from .trie import build_trie, load_trie, save_trie
+from .trie import TokenTrie, build_trie, load_trie, save_trie
 from .vocab import Vocab
 
 log = logging.getLogger("neglink")
@@ -59,10 +59,6 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    for key in ("seed", "beam", "topk", "loss", "negatives", "pairs_mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides["pairs" if key == "pairs_mode" else key] = str(value)
     return build_config(preset=getattr(args, "preset", None), config_file=getattr(args, "config", None), overrides=overrides)
 
 
@@ -87,6 +83,14 @@ def _load_vocab(cache_dir) -> Vocab:
         raise FormatError(f"{path}: expected one JSON object, found {len(records)}")
     (tokens,) = records[0]
     return Vocab(tokens)
+
+
+def _load_trie(cache_dir, vocab: Vocab) -> TokenTrie:
+    path = Path(cache_dir) / "trie.bin"
+    trie = load_trie(path)
+    if trie.max_token >= len(vocab):
+        raise TrieFormatError(f"{path}: token id {trie.max_token} outside the cache vocabulary of size {len(vocab)}")
+    return trie
 
 
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
@@ -209,11 +213,11 @@ def _load_training_inputs(args):
 def cmd_train_positive(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     idx = build_index(kb.names())
-    instances = build_positive_set(examples, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
+    instances = build_positive_set(examples, kb, idx, vocab, cfg)
     if args.init:
         ckpt = _load_checkpoint(args.init, vocab)
     else:
-        ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=cfg.hidden_dim, seed=cfg.seed))
+        ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     result = train(ckpt, instances, cfg)
     model.save(result.checkpoint, args.out)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions})
@@ -225,13 +229,10 @@ def cmd_train_positive(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    trie = load_trie(Path(args.cache) / "trie.bin")
+    trie = _load_trie(args.cache, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
-    triplets = mine_pairs(
-        ckpt, examples, kb, trie, idx,
-        topk=cfg.topk, negatives=cfg.negatives, pairs=cfg.pairs, max_ctx=cfg.max_ctx,
-    )
+    triplets = mine_pairs(ckpt, examples, kb, trie, idx, cfg)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
     artifacts.write_jsonl(args.out, header, (_pair_record(t) for t in triplets))
     log.info("mined %d preference pairs from %d examples", len(triplets), len(examples))
@@ -268,7 +269,7 @@ def cmd_train_negative(args) -> int:
 
 def cmd_link(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    trie = load_trie(Path(args.cache) / "trie.bin")
+    trie = _load_trie(args.cache, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     prediction_lists = _link_all(ckpt, examples, trie, kb, cfg)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
@@ -358,7 +359,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named hyperparameter preset")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_inputs(p: argparse.ArgumentParser) -> None:
@@ -404,25 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine preference pairs from a checkpoint")
     _add_inputs(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--negatives", choices=("pred", "tfidf"), default=None)
-    p.add_argument("--pairs", dest="pairs_mode", choices=("filtered", "all"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train-negative", help="stage-2 preference training")
     _add_inputs(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--pairs", dest="pairs", required=True, help="mined pairs file")
-    p.add_argument("--loss", choices=LOSS_KINDS, default=None)
+    p.add_argument("--pairs", required=True, help="mined pairs file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_negative)
 
     p = sub.add_parser("link", help="constrained predictions for mentions")
     _add_inputs(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--topk", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_link)
 

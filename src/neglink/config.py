@@ -7,7 +7,7 @@ value raises `ConfigError`, whether or not the command uses that setting.
 
 Configuration files are plain text, one `key = value` per line, with `#`
 comments. Precedence, lowest to highest: built-in defaults, named preset,
-config file, command-line flags. The named presets carry the published
+config file, `--set key=value` overrides. The named presets carry the published
 per-dataset hyperparameter rows verbatim; they describe the original
 BART-scale recipes and are documentation-grade defaults, not tuned values
 for this package's compact model. The `toy` preset is tuned for the
@@ -66,6 +66,12 @@ class RunConfig:
             for f in dataclasses.fields(self) if f.type in ("float", float)
         ]
         rules += [
+            ("seed", self.seed >= 0, "be >= 0"),
+            ("hidden_dim", self.hidden_dim >= 2, "be >= 2"),
+            ("max_ctx", self.max_ctx >= 0, "be >= 0"),
+            ("syn_topk", self.syn_topk >= 1, "be >= 1"),
+            ("beam", self.beam >= 1, "be >= 1"),
+            ("topk", self.topk >= 1, "be >= 1"),
             ("pos_lr", self.pos_lr >= 0, "be >= 0"),
             ("pos_steps", self.pos_steps >= 1, "be >= 1"),
             ("pos_batch", self.pos_batch >= 1, "be >= 1"),
@@ -79,6 +85,8 @@ class RunConfig:
             ("beta", self.beta > 0, "be > 0"),
             ("cpo_lambda", self.cpo_lambda >= 0, "be >= 0"),
             ("simpo_gamma", self.simpo_gamma >= 0, "be >= 0"),
+            ("negatives", self.negatives in ("pred", "tfidf"), "be 'pred' or 'tfidf'"),
+            ("pairs", self.pairs in ("filtered", "all"), "be 'filtered' or 'all'"),
             ("weight_decay", self.weight_decay >= 0, "be >= 0"),
             ("grad_clip", self.grad_clip > 0, "be > 0"),
             ("adam_beta1", 0 < self.adam_beta1 < 1, "lie in (0, 1)"),
@@ -144,7 +152,7 @@ def build_config(
     config_file: str | Path | None = None,
     overrides: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Merge defaults, preset, file, and flag overrides into a RunConfig."""
+    """Merge defaults, preset, file, and `--set` overrides into a RunConfig."""
     values: dict = {}
     if preset is not None:
         if preset not in PRESETS:

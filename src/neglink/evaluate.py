@@ -26,6 +26,7 @@ from .tfidf import TfIdfIndex, rank_synonyms, similarity
 from .train_positive import gold_synonyms
 
 FIVE_BINS = ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0))
+GAP_BINS = 10  # equal-width mention-negative similarity bins of the log-prob gap report
 
 
 @dataclass
@@ -212,7 +213,6 @@ def logprob_gap_report(
     prediction_lists: list[list[Prediction]],
     kb: KnowledgeBase,
     idx: TfIdfIndex,
-    n_bins: int = 10,
     max_ctx: int = 128,
 ) -> GapReport:
     """Mean (positive score - negative score) binned by mention-negative similarity.
@@ -225,8 +225,8 @@ def logprob_gap_report(
     """
     if len(examples) != len(prediction_lists):
         raise ValueError("examples and predictions differ in length")
-    sums = [0.0] * n_bins
-    counts = [0] * n_bins
+    sums = [0.0] * GAP_BINS
+    counts = [0] * GAP_BINS
     for ex, preds in zip(examples, prediction_lists):
         negatives = [p for p in preds if not (p.ids & ex.gold_ids)]
         if not negatives:
@@ -243,12 +243,12 @@ def logprob_gap_report(
             pos_score = sequence_score(ckpt, enc, entity)
         for neg in negatives:
             s = similarity(ex.mention, neg.name, idx)
-            b = min(int(s * n_bins), n_bins - 1)
+            b = min(int(s * GAP_BINS), GAP_BINS - 1)
             sums[b] += pos_score - neg.score
             counts[b] += 1
     bins = [
         GapBin(
-            lo=i / n_bins, hi=(i + 1) / n_bins, count=c,
+            lo=i / GAP_BINS, hi=(i + 1) / GAP_BINS, count=c,
             mean_gap=None if c == 0 else sums[i] / c,
         )
         for i, c in enumerate(counts)

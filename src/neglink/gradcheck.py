@@ -48,8 +48,8 @@ class GradcheckReport:
 def _fixture(seed: int):
     texts = ["abac", "abad", "bacab", "dabac", "x y z", "abacs is"]
     vocab = Vocab.from_texts(texts)
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=seed))
-    ref = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=seed + 1009))
+    ckpt = model.init_checkpoint(vocab, 8, seed)
+    ref = model.init_checkpoint(vocab, 8, seed + 1009)
     ex1 = MentionExample(left_context="x y", mention="abacs", right_context="z", gold_ids=frozenset({"C1"}))
     ex2 = MentionExample(left_context="", mention="bacab", right_context="x", gold_ids=frozenset({"C2"}))
     enc1, enc2 = render(ex1, vocab), render(ex2, vocab)

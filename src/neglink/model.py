@@ -31,15 +31,18 @@ exactly; after the loop every row's hidden state is frozen at its last
 real token. The gradient entering padded steps must be zero, and then
 the gradients from them are identically zero.
 
-Checkpoint file layout: magic "ACKP", format version u32 LE, u32 header
-length, UTF-8 JSON header (vocabulary, config, stage, array directory with
-name/shape/byte offset), then each parameter array's raw little-endian
-float64 data, C order, concatenated in directory order. Arrays are
-directory-ordered by name, so save -> load -> save is byte-identical.
+Checkpoint file layout (format 4): magic "ACKP", format version u32 LE,
+u32 header length, UTF-8 JSON header (vocabulary, stage, array directory
+with name/shape/byte offset, sha256 of the array data), then each
+parameter array's raw little-endian float64 data, C order, concatenated in
+directory order. The hidden size is the embedding array's width. Arrays
+are directory-ordered by name, so save -> load -> save is byte-identical.
+Loading checks the digest before it parses any array.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -48,23 +51,13 @@ import numpy as np
 
 from .artifacts import atomic_write
 from .corpus import EncodedInput
-from .errors import CheckpointFormatError, ConfigError, DivergenceError, NumericError, VocabError
+from .errors import CheckpointFormatError, DivergenceError, NumericError, VocabError
 from .vocab import Vocab
 
 MAGIC = b"ACKP"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 INIT_SCALE = 0.08
 STAGES = ("init", "positive", "negative")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    hidden_dim: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.hidden_dim, int) or self.hidden_dim < 2:
-            raise ConfigError(f"hidden_dim must be an integer >= 2, got {self.hidden_dim}")
 
 
 def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
@@ -96,39 +89,37 @@ def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
 @dataclass
 class Checkpoint:
     vocab: Vocab
-    config: ModelConfig
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # the hidden size is params["emb"].shape[1]
     stage: str = "init"
 
 
-def init_checkpoint(vocab: Vocab, config: ModelConfig) -> Checkpoint:
+def init_checkpoint(vocab: Vocab, hidden_dim: int, seed: int) -> Checkpoint:
     """All parameters uniform in [-INIT_SCALE, INIT_SCALE], seeded draw order fixed."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in param_shapes(len(vocab), config.hidden_dim).items():
+    for name, shape in param_shapes(len(vocab), hidden_dim).items():
         # A fused gate array draws its update half, then its reset half: the draw order of separate per-gate arrays.
         halves = 2 if name.endswith("g") else 1
         part = shape[:-1] + (shape[-1] // halves,)
         params[name] = np.concatenate([rng.uniform(-INIT_SCALE, INIT_SCALE, size=part) for _ in range(halves)], axis=-1)
-    return Checkpoint(vocab=vocab, config=config, params=params, stage="init")
+    return Checkpoint(vocab=vocab, params=params, stage="init")
 
 
 def copy_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     """Deep copy of the parameter arrays."""
-    return Checkpoint(
-        vocab=ckpt.vocab,
-        config=ckpt.config,
-        params={k: a.copy() for k, a in ckpt.params.items()},
-        stage=ckpt.stage,
-    )
+    return Checkpoint(vocab=ckpt.vocab, params={k: a.copy() for k, a in ckpt.params.items()}, stage=ckpt.stage)
 
 
 def validate_checkpoint(ckpt: Checkpoint) -> None:
-    expected = param_shapes(len(ckpt.vocab), ckpt.config.hidden_dim)
+    emb = ckpt.params.get("emb")
+    d = emb.shape[-1] if emb is not None and emb.ndim else 0
+    expected = param_shapes(len(ckpt.vocab), d)
     if set(ckpt.params) != set(expected):
         missing = sorted(set(expected) - set(ckpt.params))
         extra = sorted(set(ckpt.params) - set(expected))
         raise CheckpointFormatError(f"parameter set mismatch: missing {missing}, extra {extra}")
+    if d < 2:
+        raise CheckpointFormatError(f"hidden size {d}, expected at least 2")
     for name, shape in expected.items():
         arr = ckpt.params[name]
         if arr.shape != shape:
@@ -406,7 +397,7 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     Returns a gradient array for every parameter in the checkpoint.
     """
     p = ckpt.params
-    d = ckpt.config.hidden_dim
+    d = p["emb"].shape[1]
     B, T, V = dlogits.shape
     dlogits_tm = _flat(dlogits.transpose(1, 0, 2))  # (T*B, V), time-major like cache.dec.H
     grads = {"out_W": _flat(cache.dec.H).T @ dlogits_tm, "out_b": dlogits_tm.sum(axis=0)}
@@ -502,30 +493,21 @@ def check_finite_loss(loss: float, step_index: int | None = None) -> float:
 # serialization
 
 
-def _header_dict(ckpt: Checkpoint) -> dict:
-    directory = []
-    offset = 0
-    for name in sorted(ckpt.params):
-        arr = ckpt.params[name]
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
-    return {
-        "arrays": directory,
-        "config": {"hidden_dim": ckpt.config.hidden_dim, "seed": ckpt.config.seed},
+def save(ckpt: Checkpoint, path) -> None:
+    validate_checkpoint(ckpt)
+    names = sorted(ckpt.params)
+    data = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes() for name in names)
+    offsets = np.cumsum([0] + [ckpt.params[name].size * 8 for name in names]).tolist()
+    header = {
+        "arrays": [{"name": n, "shape": list(ckpt.params[n].shape), "offset": o} for n, o in zip(names, offsets)],
+        "data_sha256": hashlib.sha256(data).hexdigest(),
         "stage": ckpt.stage,
         "vocab": list(ckpt.vocab.tokens),
     }
-
-
-def save(ckpt: Checkpoint, path) -> None:
-    validate_checkpoint(ckpt)
-    header = json.dumps(_header_dict(ckpt), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-        fh.write(header)
-        for name in sorted(ckpt.params):
-            fh.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
+        fh.write(data)
 
 
 def load(path) -> Checkpoint:
@@ -544,17 +526,14 @@ def load(path) -> Checkpoint:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"bad checkpoint header: {e}") from e
-    for key in ("arrays", "config", "stage", "vocab"):
+    for key in ("arrays", "data_sha256", "stage", "vocab"):
         if key not in header:
             raise CheckpointFormatError(f"checkpoint header missing {key!r}")
 
     vocab = Vocab(list(header["vocab"]))
-    cfg = header["config"]
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("hidden_dim"), int) or not isinstance(cfg.get("seed"), int):
-        raise CheckpointFormatError("bad config block in checkpoint header")
-    config = ModelConfig(hidden_dim=cfg["hidden_dim"], seed=cfg["seed"])
-
     data = blob[12 + header_len :]
+    if hashlib.sha256(data).hexdigest() != header["data_sha256"]:
+        raise CheckpointFormatError("array data does not match the header's sha256 digest")
     arrays: dict[str, np.ndarray] = {}
     consumed = 0
     try:
@@ -573,6 +552,6 @@ def load(path) -> Checkpoint:
     if consumed != len(data):
         raise CheckpointFormatError(f"{len(data) - consumed} trailing bytes after arrays")
 
-    ckpt = Checkpoint(vocab=vocab, config=config, params=arrays, stage=header["stage"])
+    ckpt = Checkpoint(vocab=vocab, params=arrays, stage=header["stage"])
     validate_checkpoint(ckpt)
     return ckpt

@@ -108,35 +108,30 @@ def mine_pairs(
     kb: KnowledgeBase,
     trie,
     idx: TfIdfIndex,
-    topk: int = 5,
-    negatives: str = "pred",
-    pairs: str = "filtered",
-    max_ctx: int = 128,
+    cfg: RunConfig,
 ) -> list[PreferenceTriplet]:
     """Mine the preference dataset from the model's constrained predictions.
 
-    negatives="tfidf" skips decoding and pairs the nearest gold synonym
-    against the three most mention-similar wrong-concept names instead.
+    Each mention's top `cfg.topk` list (searched at beam width `cfg.topk`)
+    is paired by the `cfg.pairs` rule. `cfg.negatives` "tfidf" skips
+    decoding and pairs the nearest gold synonym against the three most
+    mention-similar wrong-concept names instead.
     """
-    if topk < 2:
-        raise ConfigError("topk must be >= 2")
-    if negatives not in ("pred", "tfidf"):
-        raise ConfigError(f"negatives must be 'pred' or 'tfidf', got {negatives!r}")
-    if pairs not in ("filtered", "all"):
-        raise ConfigError(f"pairs must be 'filtered' or 'all', got {pairs!r}")
+    if cfg.topk < 2:
+        raise ConfigError(f"mining needs topk >= 2, got {cfg.topk}")
     out: list[PreferenceTriplet] = []
     for i, ex in enumerate(examples):
-        enc = render(ex, ckpt.vocab, max_ctx=max_ctx)
+        enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
         names = gold_synonyms(ex, kb)
-        if negatives == "tfidf":
+        if cfg.negatives == "tfidf":
             e_w = rank_synonyms(ex.mention, names, 1, idx)[0]
             mined = [
                 PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i)
                 for e_l in hard_negatives(ex.mention, kb, ex.gold_ids, 3, idx)
             ]
         else:
-            preds = constrained_beam_search(ckpt, enc, trie, kb, beam=topk, k=topk)
-            mined = triplets_from_predictions(enc, preds, ex.gold_ids, ex.mention, names, idx, pairs, i)
+            preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
+            mined = triplets_from_predictions(enc, preds, ex.gold_ids, ex.mention, names, idx, cfg.pairs, i)
         for t in mined:
             ok = (
                 kb.align(t.preferred) & ex.gold_ids

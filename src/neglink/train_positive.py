@@ -18,7 +18,6 @@ from . import model, optim
 from .beam import name_tokens
 from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
-from .errors import ConfigError
 from .kb import KnowledgeBase
 from .model import Checkpoint, ForwardCache
 from .tfidf import TfIdfIndex, rank_synonyms
@@ -45,23 +44,21 @@ def build_positive_set(
     kb: KnowledgeBase,
     idx: TfIdfIndex,
     vocab: Vocab,
-    k: int = 3,
-    max_ctx: int = 128,
+    cfg: RunConfig,
 ) -> list[PositiveInstance]:
     """One instance per (example, selected synonym), in rank order.
 
-    Examples carrying explicit targets (synthetic pre-training data) use
-    those verbatim instead of similarity-ranked gold synonyms.
+    Each example's `cfg.syn_topk` most mention-similar gold synonyms are
+    selected; examples carrying explicit targets (synthetic pre-training
+    data) use their first `cfg.syn_topk` verbatim instead.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
     instances: list[PositiveInstance] = []
     for ex in examples:
-        enc = render(ex, vocab, max_ctx=max_ctx)
+        enc = render(ex, vocab, max_ctx=cfg.max_ctx)
         if ex.targets is not None:
-            targets = list(ex.targets)[:k]
+            targets = list(ex.targets)[: cfg.syn_topk]
         else:
-            targets = rank_synonyms(ex.mention, gold_synonyms(ex, kb), k, idx)
+            targets = rank_synonyms(ex.mention, gold_synonyms(ex, kb), cfg.syn_topk, idx)
         for name in targets:
             tokens = tuple(name_tokens(name, vocab))
             instances.append(PositiveInstance(input=enc, target=tokens, target_name=name))

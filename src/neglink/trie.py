@@ -7,10 +7,11 @@ name and every KB name remains reachable.
 
 `insert` is the only way a trie is built, whether from KB names or from a
 file. It records the depth (the token count of its longest name), so
-`max_depth()`, called once per beam search, costs nothing, and it rejects
-names longer than MAX_DEPTH tokens. It keeps every node's children in
-ascending token order, whatever order the names come in, so readers
-iterate `children` directly instead of sorting it.
+`max_depth()`, called once per beam search, costs nothing. It also records
+the largest token id, which the CLI checks against the cache vocabulary,
+and it rejects names longer than MAX_DEPTH tokens. It keeps every node's
+children in ascending token order, whatever order the names come in, so
+readers iterate `children` directly instead of sorting it.
 
 Serialization (format 3), all integers u32 little-endian: magic b"ATRI",
 the format version, the name count, then each name as its token count
@@ -46,13 +47,14 @@ class TokenTrie:
     root: TrieNode = field(default_factory=TrieNode, init=False)
     size: int = field(default=0, init=False)  # number of names inserted
     depth: int = field(default=0, init=False)  # token count of the longest name
+    max_token: int = field(default=-1, init=False)  # largest token id inserted, -1 for none
 
     def insert(self, token_ids) -> None:
-        token_ids = list(token_ids)
+        token_ids = [int(t) for t in token_ids]
         if len(token_ids) > MAX_DEPTH:
             raise TrieFormatError(f"{len(token_ids)} tokens, over the trie depth limit of {MAX_DEPTH}")
         node = self.root
-        for t in map(int, token_ids):
+        for t in token_ids:
             children = node.children
             child = children.get(t)
             if child is None:
@@ -65,6 +67,7 @@ class TokenTrie:
             node.terminal = True
             self.size += 1
         self.depth = max(self.depth, len(token_ids))
+        self.max_token = max(self.max_token, max(token_ids, default=-1))
 
     def node_at(self, prefix) -> TrieNode:
         node = self.root

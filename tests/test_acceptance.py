@@ -37,7 +37,7 @@ from neglink.corpus import MentionExample, prepare_mentions, render
 from neglink.evaluate import acc_at_k, bootstrap_paired_test, logprob_gap_report
 from neglink.gradcheck import run_gradcheck
 from neglink.kb import Concept, build_kb, load_kb
-from neglink.model import ModelConfig, copy_checkpoint, init_checkpoint, input_tables, softmax, step_batch
+from neglink.model import copy_checkpoint, init_checkpoint, input_tables, softmax, step_batch
 from neglink.tfidf import build_index, rank_synonyms, similarity, trigrams
 from neglink.train_negative import (
     PreferenceTriplet,
@@ -101,7 +101,7 @@ def test_a1_constrained_decoding_sound_and_complete(verdict):
         assert eos in allowed_next(trie, toks, eos), f"trie never terminates {name!r}"
         walked += 1
 
-    ckpt = init_checkpoint(vocab, ModelConfig(hidden_dim=32, seed=5))
+    ckpt = init_checkpoint(vocab, 32, 5)
     alphabet = "".join(sorted({ch for n in names for ch in n}))
     rng = np.random.default_rng(11)
     name_set = set(names)
@@ -147,7 +147,7 @@ def test_a3_dpo_loss_is_ln2_at_the_reference(verdict):
     alphabet = "abcdelmnorst"
     pool = list(dict.fromkeys(_random_name(rng, alphabet) for _ in range(60)))
     vocab = Vocab.from_texts([" is"] + pool)
-    ckpt = init_checkpoint(vocab, ModelConfig(hidden_dim=16, seed=11))
+    ckpt = init_checkpoint(vocab, 16, 11)
     ref = copy_checkpoint(ckpt)
     cfg = RunConfig(loss="dpo", neg_lr=0.0, neg_batch=1)
     worst = 0.0
@@ -276,7 +276,7 @@ def benchmark_runs():
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
     gold = [ex.gold_ids for ex in test_ex]
-    instances = build_positive_set(train_ex, kb, idx, vocab, k=cfg.syn_topk, max_ctx=cfg.max_ctx)
+    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
 
     def link(ckpt):
         inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
@@ -284,13 +284,10 @@ def benchmark_runs():
 
     runs = []
     for seed in range(5):
-        base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=seed))
+        base = init_checkpoint(vocab, cfg.hidden_dim, seed)
         run = dataclasses.replace(cfg, seed=seed)
         stage1 = train(base, instances, run).checkpoint
-        triplets = mine_pairs(
-            stage1, train_ex, kb, trie, idx,
-            topk=cfg.topk, negatives=cfg.negatives, pairs=cfg.pairs, max_ctx=cfg.max_ctx,
-        )
+        triplets = mine_pairs(stage1, train_ex, kb, trie, idx, cfg)
         result2 = train_preference(stage1, triplets, run)
         stage2 = result2.checkpoint
         preds1, preds2 = link(stage1), link(stage2)
@@ -340,7 +337,7 @@ def test_a7_top_similarity_bin_gap_grows(benchmark_runs, verdict):
 def test_a8_next_token_distributions_are_normalized(verdict):
     vocab = Vocab.from_texts(["abcdefgh xyz"])
     d = 24
-    ckpt = init_checkpoint(vocab, ModelConfig(hidden_dim=d, seed=3))
+    ckpt = init_checkpoint(vocab, d, 3)
     rng = np.random.default_rng(13)
     scale = np.concatenate([np.ones(50), np.full(50, 1e3)])[:, None]  # half the states are huge
     states = rng.normal(size=(100, d)) * scale
@@ -361,7 +358,7 @@ def test_a9_full_width_beam_equals_exhaustive_ranking(verdict):
     alphabet = "abcdels"
     pool = list(dict.fromkeys(_random_name(rng, alphabet) for _ in range(400)))
     vocab = Vocab.from_texts([" is"] + pool)
-    ckpt = init_checkpoint(vocab, ModelConfig(hidden_dim=16, seed=7))
+    ckpt = init_checkpoint(vocab, 16, 7)
 
     worst = 0.0
     for trial in range(50):

@@ -27,7 +27,7 @@ def setup(names_by_id: dict[str, list[str]], seed=0, d=8):
     kb = build_kb([Concept(cid, tuple(ns), None) for cid, ns in names_by_id.items()])
     vocab = Vocab.from_texts(kb.names() + ["query text is"])
     trie = build_trie(kb.names(), vocab)
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=d, seed=seed))
+    ckpt = model.init_checkpoint(vocab, d, seed)
     ex = MentionExample(left_context="text", mention="query", right_context="text",
                         gold_ids=frozenset(names_by_id))
     return kb, vocab, trie, ckpt, render(ex, vocab)
@@ -129,7 +129,7 @@ def test_narrow_beam_prunes_the_best_name():
     vocab = Vocab.from_texts(kb.names() + ["query text is"])
     trie = build_trie(kb.names(), vocab)
     n = len(vocab)
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=n, seed=0))
+    ckpt = model.init_checkpoint(vocab, n, 0)
     p = ckpt.params
     for arr in p.values():
         arr[...] = 0.0

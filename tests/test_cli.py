@@ -242,8 +242,8 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("link", ["--beam", "2", "--topk", "5"]),
-    ("mine", ["--topk", "1"]),
+    ("link", ["--set", "beam=2", "--set", "topk=5"]),
+    ("mine", ["--set", "topk=1"]),
     ("mine", ["--set", "negatives=none"]),
     ("train-positive", ["--set", "syn_topk=0"]),
     ("eval-b", ["--resamples", "1"]),
@@ -253,8 +253,15 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("train-positive", ["--set", "grad_clip=nan"]),
     ("gradcheck", ["--coords", "0"]),
     ("gradcheck", ["--tol", "nan"]),
+    ("link", ["--set", "max_ctx=-3"]),
+    ("link", ["--set", "syn_topk=0"]),
+    ("link", ["--set", "hidden_dim=1"]),
+    ("link", ["--set", "negatives=bogus"]),
+    ("link", ["--set", "pairs=bogus"]),
+    ("train-positive", ["--set", "seed=-1"]),
 ], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0",
-        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan"])
+        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "link-max_ctx-negative",
+        "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus", "seed-negative"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     root, kb, train, test, cache = pipeline
     inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
@@ -274,6 +281,8 @@ def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     assert main(argv + extra) == 2
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0].getMessage() and errors[0].exc_info is None
+    if extra[0] == "--set" and len(extra) == 2:
+        assert extra[1].partition("=")[0] in errors[0].getMessage()
     assert list(tmp_path.iterdir()) == []
 
 
@@ -360,31 +369,42 @@ def test_version_1_artifacts_exit_2(pipeline, tmp_path, caplog, artifact):
     assert errors == [f"unsupported {artifact} format version 1"]
 
 
-def _v2_checkpoint(src: Path, dst: Path) -> None:
-    """`src` rewritten in the version-2 layout: each fused gate array `*g` stored as its halves `*z` and `*r`."""
+def _old_checkpoint(src: Path, dst: Path, version: int) -> None:
+    """`src` rewritten in the layout of format 2 or 3: a `config` block in the header and no digest.
+
+    Format 2 also stores each fused gate array `*g` as its halves `*z` and `*r`.
+    """
     ckpt = model.load(src)
     params = {}
     for name, arr in ckpt.params.items():
-        if name.endswith("g"):
+        if version == 2 and name.endswith("g"):
             params[name[:-1] + "z"], params[name[:-1] + "r"] = np.hsplit(arr, 2)
         else:
             params[name] = arr
-    header = model._header_dict(model.Checkpoint(ckpt.vocab, ckpt.config, params, ckpt.stage))
+    names = sorted(params)
+    offsets = np.cumsum([0] + [params[name].size * 8 for name in names]).tolist()
+    header = {
+        "arrays": [{"name": n, "shape": list(params[n].shape), "offset": o} for n, o in zip(names, offsets)],
+        "config": {"hidden_dim": params["emb"].shape[1], "seed": 0},
+        "stage": ckpt.stage,
+        "vocab": list(ckpt.vocab.tokens),
+    }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    data = b"".join(np.ascontiguousarray(params[name], dtype="<f8").tobytes() for name in sorted(params))
-    dst.write_bytes(model.MAGIC + struct.pack("<II", 2, len(raw)) + raw + data)
+    data = b"".join(np.ascontiguousarray(params[name], dtype="<f8").tobytes() for name in names)
+    dst.write_bytes(model.MAGIC + struct.pack("<II", version, len(raw)) + raw + data)
 
 
-def test_version_2_checkpoint_exit_2(pipeline, tmp_path, caplog):
+@pytest.mark.parametrize("version", [2, 3])
+def test_format_2_and_3_checkpoints_exit_2(pipeline, tmp_path, caplog, version):
     root, kb, train, test, cache = pipeline
-    ckpt = tmp_path / "v2.ckpt"
-    _v2_checkpoint(root / "s1.ckpt", ckpt)
+    ckpt = tmp_path / f"v{version}.ckpt"
+    _old_checkpoint(root / "s1.ckpt", ckpt, version)
     caplog.clear()
     rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", cache,
                "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == ["unsupported checkpoint format version 2"]
+    assert errors == [f"unsupported checkpoint format version {version}"]
 
 
 def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
@@ -398,6 +418,26 @@ def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["unsupported trie format version 2"]
+
+
+def test_trie_token_id_outside_the_vocabulary_exit_2(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    bad_cache = tmp_path / "cache"
+    shutil.copytree(cache, bad_cache)
+    n_vocab = len(json.loads((bad_cache / "vocab.json").read_text(encoding="utf-8"))["tokens"])
+    bad = trie.TokenTrie()
+    bad.insert([5, 999])
+    assert n_vocab < 999
+    trie.save_trie(bad, bad_cache / "trie.bin")
+    caplog.clear()
+    rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(bad_cache),
+               "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "999" in message and str(bad_cache / "trie.bin") in message and "\n" not in message
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, record", [

@@ -32,7 +32,7 @@ from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.kb import load_kb
-from neglink.model import ModelConfig, init_checkpoint, log_softmax
+from neglink.model import init_checkpoint, log_softmax
 from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
@@ -62,7 +62,7 @@ def reference_prompt_log_prob(ckpt, enc_input):
     toks, mask = model.pad_batch([list(enc_input.encoder_tokens)], ckpt.vocab.pad_id)
     summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     tables = model.input_tables(ckpt, "dec", summary)
-    state = np.zeros((1, ckpt.config.hidden_dim))
+    state = np.zeros((1, ckpt.params["emb"].shape[1]))
     score = 0.0
     logp = None
     for j, tok in enumerate(prompt):
@@ -88,9 +88,8 @@ def toy():
     trie = build_trie(kb.names(), vocab)
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
-    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab,
-                                   k=cfg.syn_topk, max_ctx=cfg.max_ctx)
-    base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=0))
+    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab, cfg)
+    base = init_checkpoint(vocab, cfg.hidden_dim, 0)
     ckpt = train(base, instances, dataclasses.replace(cfg, pos_steps=40, seed=0)).checkpoint
     inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
     return kb, trie, ckpt, inputs, cfg

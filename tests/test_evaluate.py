@@ -168,7 +168,7 @@ def test_gap_report_uses_top_correct_and_bins_negatives():
                    Concept("C3", ("zzz",), None)])
     idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + ["m is"])
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=4, seed=0))
+    ckpt = model.init_checkpoint(vocab, 4, 0)
     examples = [MentionExample("", "aaa", "", frozenset({"C1"}))]
     preds = [[
         pred("aab", {"C2"}, score=-1.0),   # negative, sim(aaa, aab) high
@@ -189,7 +189,7 @@ def test_gap_report_scores_fallback_positive_when_gold_missing():
     kb = build_kb([Concept("C1", ("aaa",), None), Concept("C2", ("bbb",), None)])
     idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + ["m is"])
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=4, seed=1))
+    ckpt = model.init_checkpoint(vocab, 4, 1)
     examples = [MentionExample("", "aaa", "", frozenset({"C1"}))]
     preds = [[pred("bbb", {"C2"}, score=-1.5)]]
     report = logprob_gap_report(ckpt, examples, preds, kb, idx)
@@ -207,7 +207,7 @@ def test_gap_report_similarity_one_folds_into_top_bin():
     kb2 = build_kb([Concept("C1", ("mmm",), None), Concept("C2", ("qqq",), None)])
     idx = build_index(kb2.names())
     vocab = Vocab.from_texts(kb2.names() + ["m is"])
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=4, seed=2))
+    ckpt = model.init_checkpoint(vocab, 4, 2)
     examples = [MentionExample("", "qqq", "", frozenset({"C1"}))]
     preds = [[pred("mmm", {"C1"}, -1.0), pred("qqq", {"C2"}, -2.0)]]
     report = logprob_gap_report(ckpt, examples, preds, kb2, idx)

@@ -29,7 +29,7 @@ from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.kb import load_kb
-from neglink.model import ModelConfig, init_checkpoint
+from neglink.model import init_checkpoint
 from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
@@ -131,7 +131,7 @@ def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask):
 def reference_backward(ckpt, cache, dlogits):
     """The former `model.backward_from_dlogits`."""
     p = ckpt.params
-    d = ckpt.config.hidden_dim
+    d = ckpt.params["emb"].shape[1]
     V = dlogits.shape[2]
     flat_states = cache.dec.H.reshape(-1, d)
     flat_dlogits = dlogits.reshape(-1, V)
@@ -163,9 +163,8 @@ def toy():
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
-    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab,
-                                   k=cfg.syn_topk, max_ctx=cfg.max_ctx)
-    base = init_checkpoint(vocab, ModelConfig(hidden_dim=cfg.hidden_dim, seed=0))
+    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab, cfg)
+    base = init_checkpoint(vocab, cfg.hidden_dim, 0)
     ckpt = train(base, instances, dataclasses.replace(cfg, pos_steps=40, seed=0)).checkpoint
     inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
     return kb, build_trie(kb.names(), vocab), ckpt, inputs, cfg

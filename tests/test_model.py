@@ -6,6 +6,7 @@ finite-difference sweep lives in the acceptance suite.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -20,7 +21,7 @@ from neglink.vocab import Vocab
 
 def make_ckpt(seed=0, d=8, text="abcdefg is"):
     vocab = Vocab.from_texts([text])
-    return model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=d, seed=seed))
+    return model.init_checkpoint(vocab, d, seed)
 
 
 def enc_input(ckpt, mention="abc", left="fed", right="gab"):
@@ -153,7 +154,7 @@ def test_incremental_step_matches_teacher_forcing():
     summary, _, _ = model.encoder_forward(ckpt, toks, mask)
     seq = list(inp.prompt_tokens) + v.encode_chars("ba") + [v.eos_id]
     tables = model.input_tables(ckpt, "dec", summary)
-    state = np.zeros((1, ckpt.config.hidden_dim))
+    state = np.zeros((1, ckpt.params["emb"].shape[1]))
     total = 0.0
     for t in range(len(seq) - 1):
         state, logits = model.step_batch(state, np.array([seq[t]]), np.array([0]), tables, ckpt)
@@ -175,7 +176,7 @@ def test_step_batch_reproduces_decoder_forward_bit_for_bit():
     seq = list(inp.prompt_tokens) + v.encode_chars("bag") + [v.eos_id]
     dec_tokens, dec_mask = model.pad_batch([seq], v.pad_id)
     states, cache = model.decoder_forward(ckpt, dec_tokens, dec_mask, summary)
-    state = np.zeros((1, ckpt.config.hidden_dim))
+    state = np.zeros((1, ckpt.params["emb"].shape[1]))
     for t, tok in enumerate(seq):
         state, logits = model.step_batch(state, np.array([tok]), np.array([0]), cache.tables, ckpt)
         assert np.array_equal(state[0], states[0, t]), t
@@ -184,8 +185,8 @@ def test_step_batch_reproduces_decoder_forward_bit_for_bit():
 
 def test_step_batch_rejects_out_of_range_tokens():
     ckpt = make_ckpt()
-    tables = model.input_tables(ckpt, "dec", np.zeros((1, ckpt.config.hidden_dim)))
-    state = np.zeros((1, ckpt.config.hidden_dim))
+    tables = model.input_tables(ckpt, "dec", np.zeros((1, ckpt.params["emb"].shape[1])))
+    state = np.zeros((1, ckpt.params["emb"].shape[1]))
     for bad in (-1, len(ckpt.vocab)):
         with pytest.raises(VocabError, match=f"token id {bad} outside"):
             model.step_batch(state, np.array([bad]), np.array([0]), tables, ckpt)
@@ -279,6 +280,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(CheckpointFormatError):
         model.load(truncated)
+    # one flipped bit in the last array's data still parses as finite floats; the digest catches it
+    flipped = bytearray(path.read_bytes())
+    flipped[-3] ^= 0x01
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(CheckpointFormatError, match="sha256"):
+        model.load(path)
 
 
 def test_checkpoint_rejects_a_repeated_array_name(tmp_path):
@@ -290,9 +297,10 @@ def test_checkpoint_rejects_a_repeated_array_name(tmp_path):
     header = json.loads(blob[12 : 12 + header_len])
     data = blob[12 + header_len :]
     header["arrays"].append({"name": "out_b", "shape": list(ckpt.params["out_b"].shape), "offset": len(data)})
+    data += np.zeros(ckpt.params["out_b"].size).tobytes()
+    header["data_sha256"] = hashlib.sha256(data).hexdigest()
     raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(raw)) + raw + data
-                     + np.zeros(ckpt.params["out_b"].size).tobytes())
+    path.write_bytes(model.MAGIC + struct.pack("<II", model.FORMAT_VERSION, len(raw)) + raw + data)
     with pytest.raises(CheckpointFormatError, match="out_b listed twice"):
         model.load(path)
 

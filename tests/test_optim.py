@@ -104,7 +104,7 @@ def test_config_validation():
 
 def test_train_loop_schedule():
     # 10 items in batches of 4 give epochs of 3 steps (4, 4, 2); 7 steps stop one batch into epoch 3
-    ckpt = model.init_checkpoint(Vocab.from_texts(["ab"]), model.ModelConfig(hidden_dim=4, seed=0))
+    ckpt = model.init_checkpoint(Vocab.from_texts(["ab"]), 4, 0)
     batches = []
 
     def record(c, batch):

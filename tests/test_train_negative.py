@@ -195,7 +195,7 @@ def linking_setup(seed=0):
     vocab = Vocab.from_texts(kb.names() + ["m is"])
     trie = build_trie(kb.names(), vocab)
     idx = build_index(kb.names())
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=seed))
+    ckpt = model.init_checkpoint(vocab, 8, seed)
     examples = [
         MentionExample(left_context="a", mention="abc", right_context="b", gold_ids=frozenset({"C1"})),
         MentionExample(left_context="c", mention="bcd", right_context="d", gold_ids=frozenset({"C2"})),
@@ -230,7 +230,7 @@ def test_dpo_requires_reference():
 
 def test_preference_gradients_match_finite_differences():
     kb, vocab, trie, idx, ckpt, examples = linking_setup(seed=5)
-    ref = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=99))
+    ref = model.init_checkpoint(vocab, 8, 99)
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
         make_triplet(vocab, examples[1], "bcd", "abd"),
@@ -257,7 +257,7 @@ def test_preference_gradients_match_finite_differences():
 
 def test_mine_pairs_respects_invariants_and_dedup():
     kb, vocab, trie, idx, ckpt, examples = linking_setup()
-    triplets = mine_pairs(ckpt, examples, kb, trie, idx, topk=3)
+    triplets = mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(topk=3))
     assert triplets
     assert len(dedup_triplets(triplets)) == len(triplets)
     for t in triplets:
@@ -268,7 +268,7 @@ def test_mine_pairs_respects_invariants_and_dedup():
 
 def test_mine_pairs_tfidf_mode_skips_decoding():
     kb, vocab, trie, idx, ckpt, examples = linking_setup()
-    triplets = mine_pairs(ckpt, examples, kb, trie, idx, negatives="tfidf")
+    triplets = mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(negatives="tfidf"))
     # nearest gold synonym against three hard negatives per example
     assert len(triplets) == len(examples) * 2  # only two non-gold names exist per example
     for t in triplets:

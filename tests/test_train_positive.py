@@ -50,7 +50,7 @@ def test_build_positive_set_selects_nearest_synonyms():
     kb = toy_kb()
     idx = build_index(kb.names())
     vocab = toy_vocab()
-    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, k=2)
+    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, RunConfig(syn_topk=2))
     names = [i.target_name for i in inst]
     assert names == ["abc", "abd"]
     want = tuple(vocab.encode_chars("abc") + [vocab.eos_id])
@@ -61,7 +61,7 @@ def test_build_positive_set_honors_explicit_targets():
     kb = toy_kb()
     idx = build_index(kb.names())
     vocab = toy_vocab()
-    inst = build_positive_set([mention("abc", {"C1"}, targets=("xyz",))], kb, idx, vocab, k=3)
+    inst = build_positive_set([mention("abc", {"C1"}, targets=("xyz",))], kb, idx, vocab, RunConfig(syn_topk=3))
     assert [i.target_name for i in inst] == ["xyz"]
 
 
@@ -69,10 +69,10 @@ def test_uniform_model_ce_is_log_vocab_size():
     kb = toy_kb()
     idx = build_index(kb.names())
     vocab = toy_vocab()
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=0))
+    ckpt = model.init_checkpoint(vocab, 8, 0)
     for p in ckpt.params.values():
         p[...] = 0.0
-    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, k=1)[0]
+    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, RunConfig(syn_topk=1))[0]
     # a uniform predictive distribution scores -ln V per position for any
     # smoothing, because the smoothed target distribution sums to one
     for smoothing in (0.0, 0.1, 0.5):
@@ -83,10 +83,10 @@ def test_ce_gradients_match_finite_differences():
     kb = toy_kb()
     idx = build_index(kb.names())
     vocab = toy_vocab()
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=6, seed=3))
+    ckpt = model.init_checkpoint(vocab, 6, 3)
     instances = build_positive_set(
         [mention("abc", {"C1"}), mention("bcd", {"C2"}, left="", right="xy")],
-        kb, idx, vocab, k=2,
+        kb, idx, vocab, RunConfig(syn_topk=2),
     )
     _, grads = ce_loss_and_grads(ckpt, instances, smoothing=0.1)
     rng = np.random.default_rng(1)
@@ -115,8 +115,8 @@ def training_setup(seed=0):
         mention("abd", {"C1"}, left="x", right="y"),
         mention("bcd", {"C2"}, left="", right="ab"),
     ]
-    instances = build_positive_set(examples, kb, idx, vocab, k=2)
-    ckpt = model.init_checkpoint(vocab, model.ModelConfig(hidden_dim=8, seed=seed))
+    instances = build_positive_set(examples, kb, idx, vocab, RunConfig(syn_topk=2))
+    ckpt = model.init_checkpoint(vocab, 8, seed)
     return ckpt, instances
 
 
