@@ -29,7 +29,7 @@ from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
 from .config import PRESETS, RunConfig, build_config
 from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
-from .errors import ConfigError, FormatError, NeglinkError, NumericError, TrieFormatError
+from .errors import CheckpointFormatError, ConfigError, FormatError, NeglinkError, NumericError, TrieFormatError
 from .evaluate import (
     bootstrap_paired_test,
     binned_error_report,
@@ -87,16 +87,22 @@ def _load_vocab(cache_dir) -> Vocab:
 
 def _load_trie(cache_dir, vocab: Vocab) -> TokenTrie:
     path = Path(cache_dir) / "trie.bin"
-    trie = load_trie(path)
+    try:
+        trie = load_trie(path)
+    except TrieFormatError as e:
+        raise TrieFormatError(f"{path}: {e}") from None
     if trie.max_token >= len(vocab):
         raise TrieFormatError(f"{path}: token id {trie.max_token} outside the cache vocabulary of size {len(vocab)}")
     return trie
 
 
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
-    ckpt = model.load(path)
+    try:
+        ckpt = model.load(path)
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
     if ckpt.vocab != vocab:
-        raise ConfigError("checkpoint vocabulary does not match the cache vocabulary")
+        raise ConfigError(f"{path}: checkpoint vocabulary does not match the cache vocabulary")
     return ckpt
 
 
@@ -216,6 +222,9 @@ def cmd_train_positive(args) -> int:
     instances = build_positive_set(examples, kb, idx, vocab, cfg)
     if args.init:
         ckpt = _load_checkpoint(args.init, vocab)
+        width = ckpt.params["emb"].shape[1]
+        if width != cfg.hidden_dim:
+            raise ConfigError(f"{args.init}: checkpoint hidden size {width} differs from hidden_dim {cfg.hidden_dim}")
     else:
         ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     result = train(ckpt, instances, cfg)
@@ -397,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-positive", help="stage-1 synonym generation training")
     _add_inputs(p)
-    p.add_argument("--init", help="checkpoint to start from instead of a fresh init")
+    p.add_argument("--init", help="checkpoint to start from instead of a fresh init; "
+                   "its hidden size must equal hidden_dim")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_positive)
 

@@ -5,7 +5,9 @@ suite samples random parameter coordinates, perturbs them by ±h, and
 compares the central difference quotient against the analytic gradient at
 relative error |analytic - fd| / max(1, |analytic|). The fixture is a tiny
 model over a fixed micro-corpus; seeds vary the parameter draw and the
-sampled coordinates.
+sampled coordinates. A preference batch stacks each pair's input under
+both of its entities, so the checks cover an encoder row that two decoder
+rows read.
 """
 
 from __future__ import annotations

@@ -31,6 +31,11 @@ exactly; after the loop every row's hidden state is frozen at its last
 real token. The gradient entering padded steps must be zero, and then
 the gradients from them are identically zero.
 
+A teacher-forced pass encodes each distinct input once. Decoder rows that
+share an input (a mention's several targets, a preference pair's two
+sides) read its one summary, and their summary gradients are summed into
+its row before the encoder's backward pass.
+
 Checkpoint file layout (format 4): magic "ACKP", format version u32 LE,
 u32 header length, UTF-8 JSON header (vocabulary, stage, array directory
 with name/shape/byte offset, sha256 of the array data), then each
@@ -369,9 +374,17 @@ def step_batch(states: np.ndarray, tokens: np.ndarray, rows: np.ndarray, tables:
 
 @dataclass
 class ForwardCache:
+    """A teacher-forced pass over U encoder rows and B decoder rows.
+
+    Decoder row b reads the summary of encoder row rows[b], so an input
+    that several decoder rows share is encoded once. rows is None when
+    decoder row b reads encoder row b (U == B).
+    """
+
     enc: GruCache
-    counts: np.ndarray  # (B,) real encoder lengths
-    summary: np.ndarray  # (B, d)
+    counts: np.ndarray  # (U,) real encoder lengths
+    summary: np.ndarray  # (U, d)
+    rows: np.ndarray | None  # (B,) each decoder row's index into summary
     dec: GruCache
     logits: np.ndarray  # (B, T, V)
 
@@ -382,12 +395,17 @@ def forward_teacher(
     enc_mask: np.ndarray,
     dec_tokens: np.ndarray,
     dec_mask: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> ForwardCache:
-    """Full forward pass producing logits at every decoder position."""
+    """Full forward pass producing logits at every decoder position.
+
+    Decoder row b reads the summary of encoder row rows[b]; without `rows`,
+    decoder row b reads encoder row b.
+    """
     summary, enc_cache, counts = encoder_forward(ckpt, enc_tokens, enc_mask)
-    states, dec_cache = decoder_forward(ckpt, dec_tokens, dec_mask, summary)
+    states, dec_cache = decoder_forward(ckpt, dec_tokens, dec_mask, summary if rows is None else summary[rows])
     logits = states @ ckpt.params["out_W"] + ckpt.params["out_b"]
-    return ForwardCache(enc=enc_cache, counts=counts, summary=summary, dec=dec_cache, logits=logits)
+    return ForwardCache(enc=enc_cache, counts=counts, summary=summary, rows=rows, dec=dec_cache, logits=logits)
 
 
 def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -406,6 +424,10 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     demb_dec, dsummary, g = _gru_backward(cache.dec, dH_dec, p, "dec")
     grads.update(g)
 
+    if cache.rows is not None:  # each decoder row's summary gradient goes to the input it read
+        dsummary_in = np.zeros_like(cache.summary)
+        np.add.at(dsummary_in, cache.rows, dsummary)
+        dsummary = dsummary_in
     dH_enc = (dsummary / cache.counts[:, None])[None] * cache.enc.mask.T[:, :, None]
     demb_enc, _, g = _gru_backward(cache.enc, dH_enc, p, "enc")
     grads.update(g)
@@ -455,6 +477,11 @@ def forward_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list):
     The decoder reads prompt-then-entity: position j consumes token j and
     predicts token j+1. Each entity must be non-empty and end in EOS.
 
+    Inputs are keyed on their encoder tokens, and each distinct one is
+    encoded once, in first-occurrence order: cache.rows maps each pair to
+    its input's summary. A batch of distinct inputs takes no rows and
+    computes exactly what one encoder row per pair computes.
+
     Returns (cache, targets, target_mask), the last two (B, T). target_mask
     selects exactly the entity-token predictions, so masked sums of
     per-position log-probs are the entity log-probabilities with the prompt
@@ -470,15 +497,18 @@ def forward_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list):
             raise ValueError("empty prompt")
         seqs.append(prompt + _validate_entity(entity, ckpt.vocab.eos_id))
         offsets.append(len(prompt) - 1)
+    index: dict[tuple[int, ...], int] = {}
+    rows = [index.setdefault(x.encoder_tokens, len(index)) for x in inputs]
     pad = ckpt.vocab.pad_id
-    enc_tokens, enc_mask = pad_batch([list(x.encoder_tokens) for x in inputs], pad)
+    enc_tokens, enc_mask = pad_batch(list(index), pad)
     dec_tokens, dec_mask = pad_batch([s[:-1] for s in seqs], pad)
     targets = np.full_like(dec_tokens, pad)
     target_mask = np.zeros_like(dec_mask)
     for i, (seq, off) in enumerate(zip(seqs, offsets)):
         targets[i, : len(seq) - 1] = seq[1:]
         target_mask[i, off : len(seq) - 1] = 1.0
-    return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask), targets, target_mask
+    repeats = np.array(rows) if len(index) < len(rows) else None
+    return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, repeats), targets, target_mask
 
 
 def check_finite_loss(loss: float, step_index: int | None = None) -> float:

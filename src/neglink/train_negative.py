@@ -14,7 +14,8 @@ Triplets are deduplicated on (input, preferred, dispreferred), keeping
 the first occurrence. Four losses share one margin form; dpo measures
 log-probs relative to the starting checkpoint, which training leaves
 unmodified and re-scores on every batch so that an untrained model sits at
-exactly ln 2 per pair.
+exactly ln 2 per pair. Each batch scores the reference before the policy,
+so the reference's activations are freed before the policy's are built.
 """
 
 from __future__ import annotations
@@ -203,10 +204,12 @@ def preference_loss_and_grads(
     """Mean per-pair loss over the batch, plus exact parameter gradients.
 
     Preferred and dispreferred sequences share one forward pass (the batch
-    is stacked [w..., l...]); for dpo the frozen reference is re-scored
-    through `model.forward_pairs` on the same input and entity lists, which
-    lays them out in identical arrays, so both sides see the same padding
-    and reduction order.
+    is stacked [w..., l...], and `model.forward_pairs` encodes each pair's
+    input once); for dpo the frozen reference is scored first, through
+    `model.forward_pairs` on the same input and entity lists, which lays
+    them out in identical arrays, so both sides see the same padding and
+    reduction order. Its forward cache is dropped before the policy's is
+    built.
     """
     if cfg.loss == "dpo" and ref is None:
         raise ValueError("dpo requires a frozen reference checkpoint")
@@ -214,12 +217,12 @@ def preference_loss_and_grads(
     inputs = [t.input for t in triplets] * 2
     entities = [name_tokens(t.preferred, ckpt.vocab) for t in triplets]
     entities += [name_tokens(t.dispreferred, ckpt.vocab) for t in triplets]
-    cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
-    lp = model.sequence_log_probs(cache, tg, tm)
     if cfg.loss == "dpo":
         ref_lp = model.sequence_log_probs(*model.forward_pairs(ref, inputs, entities))
     else:
-        ref_lp = np.zeros_like(lp)
+        ref_lp = np.zeros(2 * B)
+    cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
+    lp = model.sequence_log_probs(cache, tg, tm)
     len_w = np.array([len(e) for e in entities[:B]], dtype=np.float64)
     len_l = np.array([len(e) for e in entities[B:]], dtype=np.float64)
     losses, dlp_w, dlp_l = preference_loss_values(

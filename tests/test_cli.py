@@ -366,7 +366,8 @@ def test_version_1_artifacts_exit_2(pipeline, tmp_path, caplog, artifact):
                "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"unsupported {artifact} format version 1"]
+    path = ckpt if artifact == "checkpoint" else old_cache / "trie.bin"
+    assert errors == [f"{path}: unsupported {artifact} format version 1"]
 
 
 def _old_checkpoint(src: Path, dst: Path, version: int) -> None:
@@ -404,7 +405,7 @@ def test_format_2_and_3_checkpoints_exit_2(pipeline, tmp_path, caplog, version):
                "--ckpt", str(ckpt), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"unsupported checkpoint format version {version}"]
+    assert errors == [f"{ckpt}: unsupported checkpoint format version {version}"]
 
 
 def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
@@ -417,7 +418,30 @@ def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
                "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == ["unsupported trie format version 2"]
+    assert errors == [f"{old_cache / 'trie.bin'}: unsupported trie format version 2"]
+
+
+def _train_from_init(pipeline, out: Path, *settings: str) -> int:
+    root, kb, train, test, cache = pipeline
+    return main(["train-positive", *FAST, "--set", "pos_steps=1", *settings, "--kb", kb, "--mentions", train,
+                 "--cache", cache, "--init", str(root / "s1.ckpt"), "--out", str(out)])
+
+
+def test_init_checkpoint_of_another_width_exit_2(pipeline, tmp_path, caplog):
+    caplog.clear()
+    assert _train_from_init(pipeline, tmp_path / "s1b.ckpt", "--set", "hidden_dim=16") == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{pipeline[0] / 's1.ckpt'}: checkpoint hidden size 32 differs from hidden_dim 16"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_init_checkpoint_of_the_same_width_trains_on_from_it(pipeline, tmp_path):
+    out = tmp_path / "s1b.ckpt"
+    assert _train_from_init(pipeline, out, "--set", "hidden_dim=32") == 0
+    start, trained = model.load(pipeline[0] / "s1.ckpt"), model.load(out)
+    assert trained.params["emb"].shape == start.params["emb"].shape
+    # one warmup step moves every parameter far less than a fresh draw would
+    assert 0 < max(float(np.abs(trained.params[k] - a).max()) for k, a in start.params.items()) < 1e-2
 
 
 def test_trie_token_id_outside_the_vocabulary_exit_2(pipeline, tmp_path, caplog):

@@ -11,6 +11,13 @@ shortest and longest encoder and decoder rows, the summaries, decoder
 states, logits and every parameter gradient must agree within 1e-12
 relative to the largest magnitude of each array, and beam search must
 return the same rankings with scores within 1e-12.
+
+`row_per_pair_forward` is the former `model.forward_teacher` input layout:
+one encoder row per decoder row, so an input that several pairs share is
+encoded once per pair. The current `model.forward_pairs` encodes each
+distinct input once. On batches that repeat inputs, sequence log-probs and
+every gradient must agree within 1e-12 relative; on all-distinct batches
+they must be bit-identical.
 """
 
 from __future__ import annotations
@@ -121,11 +128,13 @@ def reference_decoder_forward(ckpt, tokens, mask, summary):
     return H, SimpleNamespace(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H)
 
 
-def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask):
+def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows=None):
+    if rows is not None:  # one encoder row per decoder row
+        enc_tokens, enc_mask = enc_tokens[rows], enc_mask[rows]
     summary, enc_cache, counts = reference_encoder_forward(ckpt, enc_tokens, enc_mask)
     states, dec_cache = reference_decoder_forward(ckpt, dec_tokens, dec_mask, summary)
     logits = states @ ckpt.params["out_W"] + ckpt.params["out_b"]
-    return model.ForwardCache(enc=enc_cache, counts=counts, summary=summary, dec=dec_cache, logits=logits)
+    return model.ForwardCache(enc=enc_cache, counts=counts, summary=summary, rows=None, dec=dec_cache, logits=logits)
 
 
 def reference_backward(ckpt, cache, dlogits):
@@ -229,3 +238,79 @@ def test_beam_rankings_match_the_batch_major_loops(toy, monkeypatch):
         assert [(p.name, p.ids) for p in g] == [(p.name, p.ids) for p in w]
         worst = max([worst] + [abs(p.score - q.score) for p, q in zip(g, w)])
     assert worst <= TOL, worst
+
+
+# ---------------------------------------------------------------------------
+# each distinct input encoded once against one encoder row per pair
+
+
+def row_per_pair_forward(forward_teacher):
+    """`forward_teacher` run with one encoder row per decoder row, as before inputs were encoded once."""
+
+    def forward(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows=None):
+        if rows is not None:
+            enc_tokens, enc_mask = enc_tokens[rows], enc_mask[rows]
+        return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask)
+
+    return forward
+
+
+def three_targets_of_one_mention(toy):
+    """A stage-1 batch where one mention's input stands under three different names, between two others."""
+    kb, _, ckpt, inputs, _ = toy
+    vocab = ckpt.vocab
+    names = sorted(kb.names(), key=len)
+    batch = [inputs[0], inputs[1], inputs[0], inputs[2], inputs[0]]
+    entities = [vocab.encode_chars(n) + [vocab.eos_id] for n in (names[0], names[3], names[-1], names[5], names[9])]
+    return batch, entities
+
+
+def preference_stack(toy):
+    """A stage-2 batch: every input twice, under its preferred and then its dispreferred name."""
+    kb, _, ckpt, _, _ = toy
+    vocab = ckpt.vocab
+    inputs, entities = mixed_batch(toy)
+    names = sorted(kb.names())
+    losers = [vocab.encode_chars(n) + [vocab.eos_id] for n in names[: len(inputs)]]
+    return inputs * 2, entities + losers
+
+
+def forward_and_gradients(ckpt, inputs, entities):
+    cache, targets, target_mask = model.forward_pairs(ckpt, inputs, entities)
+    weights = target_mask * np.linspace(-1.0, 1.0, len(inputs))[:, None]
+    grads = model.backward_from_dlogits(ckpt, cache, model.target_dlogits(cache, targets, weights))
+    return cache, model.sequence_log_probs(cache, targets, target_mask), grads
+
+
+@pytest.mark.parametrize("batch", [three_targets_of_one_mention, preference_stack])
+def test_repeated_inputs_are_encoded_once_and_match_one_row_per_pair(toy, monkeypatch, batch):
+    ckpt = toy[2]
+    inputs, entities = batch(toy)
+    distinct = len({x.encoder_tokens for x in inputs})
+    assert distinct < len(inputs)
+    cache, lp, grads = forward_and_gradients(ckpt, inputs, entities)
+    assert cache.summary.shape[0] == cache.enc.tokens.shape[0] == distinct
+    read = [tuple(cache.enc.tokens[r][cache.enc.mask[r] > 0].tolist()) for r in cache.rows]
+    assert read == [x.encoder_tokens for x in inputs]
+    assert len({row.tobytes() for row in cache.enc.tokens}) == distinct
+
+    monkeypatch.setattr(model, "forward_teacher", row_per_pair_forward(model.forward_teacher))
+    ref, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
+    assert ref.summary.shape[0] == len(inputs)
+    assert_close(lp, ref_lp, "sequence log-probs")
+    assert set(grads) == set(ref_grads) == set(ckpt.params)
+    for name in sorted(ref_grads):
+        assert_close(grads[name], ref_grads[name], name)
+
+
+def test_distinct_inputs_match_one_row_per_pair_bit_for_bit(toy, monkeypatch):
+    ckpt = toy[2]
+    inputs, entities = mixed_batch(toy)
+    assert len({x.encoder_tokens for x in inputs}) == len(inputs)
+    cache, lp, grads = forward_and_gradients(ckpt, inputs, entities)
+    assert cache.rows is None
+    monkeypatch.setattr(model, "forward_teacher", row_per_pair_forward(model.forward_teacher))
+    ref, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
+    assert np.array_equal(cache.logits, ref.logits) and np.array_equal(lp, ref_lp)
+    for name in sorted(ref_grads):
+        assert np.array_equal(grads[name], ref_grads[name]), name

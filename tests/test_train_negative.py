@@ -302,6 +302,37 @@ def test_train_preference_runs_and_freezes_reference():
         assert np.array_equal(ckpt.params[name], before[name])
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_each_step_scores_the_reference_first_and_encodes_each_input_once(monkeypatch, kind, epochs):
+    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    triplets = [
+        make_triplet(vocab, examples[0], "abc", "bcd"),
+        make_triplet(vocab, examples[1], "bcd", "abc"),
+        make_triplet(vocab, examples[0], "abd", "bce"),
+        make_triplet(vocab, examples[1], "bce", "abd"),
+        make_triplet(vocab, examples[0], "abc", "bce"),
+        make_triplet(vocab, examples[1], "bcd", "abd"),
+    ]
+    # (scores the frozen checkpoint, distinct inputs, encoder rows) per forward_pairs call
+    calls: list[tuple[bool, int, int]] = []
+    forward_pairs = model.forward_pairs
+
+    def spy_forward(c, inputs, entities):
+        out = forward_pairs(c, inputs, entities)
+        calls.append((c is ckpt, len({x.encoder_tokens for x in inputs}), out[0].enc.tokens.shape[0]))
+        return out
+
+    monkeypatch.setattr(model, "forward_pairs", spy_forward)
+    cfg = pconfig(kind, epochs=epochs)
+    steps = len(train_preference(ckpt, triplets, cfg).loss_log)
+    assert steps == epochs * math.ceil(len(triplets) / cfg.neg_batch)
+    per_step = [True, False] if kind == "dpo" else [False]
+    assert [frozen for frozen, _, _ in calls] == per_step * steps
+    # a stacked batch holds every input twice, and its encoder holds each distinct one once
+    assert all(distinct == rows < 4 for _, distinct, rows in calls)
+
+
 def test_train_preference_zero_rate_is_identity():
     kb, vocab, trie, idx, ckpt, examples = linking_setup()
     triplets = [make_triplet(vocab, examples[0], "abc", "bcd")]
