@@ -11,7 +11,10 @@ name, so results are fully deterministic.
 Mentions are searched in chunks: one encoder pass and one prompt pass per
 chunk, then one decoder step per depth over every live hypothesis of every
 mention in it. Each mention keeps its own beam, so batching changes no
-ranking; scores may differ from a batch of one in their last bits.
+ranking; scores may differ from a batch of one in their last bits. The
+chunks are independent, so `workers.map_split` searches contiguous runs of
+them in forked processes, one per usable CPU, each with one BLAS thread;
+the results are identical to searching every chunk in one process.
 
 A decoder step reads the input tables that the chunk's prompt pass built
 (`model.InputTables`): its input projections are gathered by token and by
@@ -31,6 +34,7 @@ from .errors import ConfigError
 from .kb import KnowledgeBase
 from .model import Checkpoint, log_softmax
 from .trie import TokenTrie
+from .workers import map_split
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,9 @@ def constrained_beam_search_batch(
 ) -> list[list[Prediction]]:
     """`constrained_beam_search` for every input, searched CHUNK mentions at a time."""
     _check_widths(beam, k)
-    out: list[list[Prediction]] = []
-    for start in range(0, len(inputs), CHUNK):
-        out.extend(_search(ckpt, inputs[start : start + CHUNK], trie, kb, beam, k))
-    return out
+    chunks = [inputs[start : start + CHUNK] for start in range(0, len(inputs), CHUNK)]
+    return [preds for done in map_split(lambda chunk: _search(ckpt, chunk, trie, kb, beam, k), chunks)
+            for preds in done]
 
 
 def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:

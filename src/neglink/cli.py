@@ -13,7 +13,11 @@ One subcommand per pipeline stage, file handoff between stages:
     gradcheck       finite-difference verification of all losses
 
 Exit codes: 0 success, 1 usage, 2 malformed/missing input, 3 numeric
-failure, 4 gradient check failure. Logs go to stderr; data to files.
+failure or a worker process that died, 4 gradient check failure. Logs go
+to stderr; data to files.
+
+`link` and `mine` search on every usable CPU (`taskset` limits them), one
+BLAS thread per process; their output does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
 from .config import PRESETS, RunConfig, build_config
 from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
-from .errors import CheckpointFormatError, ConfigError, FormatError, NeglinkError, NumericError, TrieFormatError
+from .errors import (
+    CheckpointFormatError,
+    ConfigError,
+    FormatError,
+    NeglinkError,
+    NumericError,
+    TrieFormatError,
+    WorkerError,
+)
 from .evaluate import (
     bootstrap_paired_test,
     binned_error_report,
@@ -493,6 +505,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as e:
         log.error("numeric failure: %s", e)
+        return 3
+    except WorkerError as e:
+        log.error("%s", e)
         return 3
     except (FormatError, NeglinkError) as e:
         log.error("%s", e)

@@ -2,7 +2,8 @@
 
 Two families matter to callers: input/format problems (bad files, bad
 records, out-of-vocabulary text) and numeric failures during training.
-The CLI maps them to distinct exit codes.
+The CLI maps them to distinct exit codes; a worker process that died
+shares the numeric failures' code.
 """
 
 
@@ -51,3 +52,7 @@ class DivergenceError(NumericError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
+
+
+class WorkerError(NeglinkError):
+    """A worker process ended without returning its results: killed by a signal, out of memory."""

@@ -10,12 +10,18 @@ its top-k lists into (input, preferred, dispreferred) triplets:
   (c) when no prediction is correct, the TF-IDF-nearest gold synonym is
       paired with each of the top-3 incorrect predictions.
 
-Triplets are deduplicated on (input, preferred, dispreferred), keeping
-the first occurrence. Four losses share one margin form; dpo measures
-log-probs relative to the starting checkpoint, which training leaves
-unmodified and re-scores on every batch so that an untrained model sits at
-exactly ln 2 per pair. Each batch scores the reference before the policy,
-so the reference's activations are freed before the policy's are built.
+Each mention is mined on its own (render, decode, pairing rules,
+invariant check), so `workers.map_split` mines contiguous runs of the
+mentions in forked processes, one per usable CPU, each with one BLAS
+thread. Triplets are then deduplicated on (input, preferred,
+dispreferred), keeping the first occurrence in mention order, so the
+output does not depend on the CPU count.
+
+Four losses share one margin form; dpo measures log-probs relative to
+the starting checkpoint, which training leaves unmodified and re-scores
+on every batch so that an untrained model sits at exactly ln 2 per pair.
+Each batch scores the reference before the policy, so the reference's
+activations are freed before the policy's are built.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from . import model, optim
 from .beam import Prediction, constrained_beam_search, name_tokens
 from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .kb import KnowledgeBase
 from .tfidf import TfIdfIndex, hard_negatives, rank_synonyms
 from .train_positive import gold_synonyms
+from .workers import map_split
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,9 @@ def mine_pairs(
     """
     if cfg.topk < 2:
         raise ConfigError(f"mining needs topk >= 2, got {cfg.topk}")
-    out: list[PreferenceTriplet] = []
-    for i, ex in enumerate(examples):
+
+    def mine_one(item: tuple[int, MentionExample]) -> list[PreferenceTriplet]:
+        i, ex = item
         enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
         names = gold_synonyms(ex, kb)
         if cfg.negatives == "tfidf":
@@ -140,11 +148,12 @@ def mine_pairs(
                 and t.preferred != t.dispreferred
             )
             if not ok:
-                raise AssertionError(
-                    f"mined triplet violates invariants: {t.preferred!r} vs {t.dispreferred!r}"
+                raise FormatError(
+                    f"mention {i}: mined triplet violates invariants: {t.preferred!r} vs {t.dispreferred!r}"
                 )
-        out.extend(mined)
-    return dedup_triplets(out)
+        return mined
+
+    return dedup_triplets([t for mined in map_split(mine_one, enumerate(examples)) for t in mined])
 
 
 # ---------------------------------------------------------------------------

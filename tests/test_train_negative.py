@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -12,7 +13,7 @@ from neglink import model
 from neglink.beam import Prediction
 from neglink.config import LOSS_KINDS, RunConfig
 from neglink.corpus import EncodedInput, MentionExample, render
-from neglink.errors import ConfigError
+from neglink.errors import ConfigError, FormatError
 from neglink.kb import Concept, build_kb
 from neglink.tfidf import build_index
 from neglink.train_negative import (
@@ -264,6 +265,18 @@ def test_mine_pairs_respects_invariants_and_dedup():
         ex = examples[t.mention_index]
         assert kb.align(t.preferred) & ex.gold_ids
         assert not (kb.align(t.dispreferred) & ex.gold_ids)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mine_pairs_invariant_violation_is_a_format_error(monkeypatch, cpus):
+    """A KB whose alignment disowns the second mention's gold names breaks the invariant
+    there; with two CPUs that mention is mined in a child process."""
+    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    real = kb.align
+    monkeypatch.setattr(kb, "align", lambda name: frozenset() if name.startswith("b") else real(name))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(FormatError, match=r"^mention 1: mined triplet violates invariants: 'bc[de]' vs '\w+'$"):
+        mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(topk=3))
 
 
 def test_mine_pairs_tfidf_mode_skips_decoding():
