@@ -32,7 +32,7 @@ from pathlib import Path
 from . import __version__, artifacts, model, synth
 from .beam import Prediction, constrained_beam_search_batch
 from .config import PRESETS, RunConfig, build_config
-from .corpus import PROMPT_SUFFIX, MentionExample, prepare_mentions, render
+from .corpus import PROMPT_SUFFIX, EncodedInput, MentionExample, prepare_mentions, render
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -53,7 +53,7 @@ from .gradcheck import run_gradcheck
 from .kb import KnowledgeBase, load_kb, normalize_name
 from .tfidf import build_index
 from .train_negative import PreferenceTriplet, mine_pairs, train_preference
-from .train_positive import build_positive_set, train
+from .train_positive import PositiveInstance, build_positive_set, train
 from .trie import TokenTrie, build_trie, load_trie, save_trie
 from .vocab import Vocab
 
@@ -228,10 +228,14 @@ def _load_training_inputs(args):
     return cfg, kb, vocab, examples
 
 
-def cmd_train_positive(args) -> int:
+def _positive_instances(args) -> tuple[RunConfig, Vocab, list[PositiveInstance]]:
+    """The stage-1 instances; the KB, its TF-IDF index and the examples are freed on return."""
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    idx = build_index(kb.names())
-    instances = build_positive_set(examples, kb, idx, vocab, cfg)
+    return cfg, vocab, build_positive_set(examples, kb, build_index(kb.names()), vocab, cfg)
+
+
+def cmd_train_positive(args) -> int:
+    cfg, vocab, instances = _positive_instances(args)
     if args.init:
         ckpt = _load_checkpoint(args.init, vocab)
         width = ckpt.params["emb"].shape[1]
@@ -265,18 +269,26 @@ def _pair_record(t: PreferenceTriplet) -> dict:
             "rank_w": t.rank_w, "rank_l": t.rank_l}
 
 
-def cmd_train_negative(args) -> int:
-    cfg, kb, vocab, examples = _load_training_inputs(args)
-    ckpt = _load_checkpoint(args.ckpt, vocab)
+def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet]]:
+    """The pairs file's triplets, each mention rendered once; the KB and the examples are freed on return."""
+    cfg, _, vocab, examples = _load_training_inputs(args)
     _, records = artifacts.read_jsonl(args.pairs, {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"})
+    inputs: dict[int, EncodedInput] = {}
     triplets = []
     for i, e_w, e_l in records:
         if not 0 <= i < len(examples):
             raise FormatError(f"{args.pairs}: mention_index {i} out of range")
-        enc = render(examples[i], vocab, max_ctx=cfg.max_ctx)
-        triplets.append(PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i))
+        if i not in inputs:
+            inputs[i] = render(examples[i], vocab, max_ctx=cfg.max_ctx)
+        triplets.append(PreferenceTriplet(input=inputs[i], preferred=e_w, dispreferred=e_l, mention_index=i))
     if not triplets:
         raise FormatError(f"{args.pairs}: no preference pairs")
+    return cfg, vocab, triplets
+
+
+def cmd_train_negative(args) -> int:
+    cfg, vocab, triplets = _preference_triplets(args)
+    ckpt = _load_checkpoint(args.ckpt, vocab)
     result = train_preference(ckpt, triplets, cfg)
     model.save(result.checkpoint, args.out)
     header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions,
@@ -473,23 +485,45 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+def _libc_function(name: str):
+    """glibc's function `name` through ctypes, or None where libc or the function is missing."""
+    try:
+        return getattr(ctypes.CDLL("libc.so.6"), name)
+    except (OSError, AttributeError):
+        return None
+
+
 def _keep_freed_memory() -> None:
-    """Let this process reuse the memory it frees instead of handing it back to the kernel.
+    """Let a command reuse the memory it frees instead of handing it back to the kernel.
 
     A training step allocates and frees several arrays of 0.5-1 MiB. By
     default glibc serves those with mmap and unmaps them on free, so the next
     step page-faults the same amount in again. Serving blocks up to 32 MiB
     from the heap and trimming the heap only above 512 MiB of free top keeps
-    them for reuse. Both are set because setting either one switches off
-    glibc's dynamic thresholds. A no-op where glibc's mallopt is missing.
+    them for reuse while the command runs; `_release_freed_memory` hands them
+    back when it returns. Both are set because setting either one switches
+    off glibc's dynamic thresholds. A no-op where glibc's mallopt is missing.
     """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
+    mallopt = _libc_function("mallopt")
+    if mallopt is None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
+def _release_freed_memory() -> None:
+    """Hand the heap a command kept (`_keep_freed_memory`) back to the kernel once it has returned.
+
+    Python objects allocated later, by a caller of `main` that runs on,
+    cannot reuse that heap: CPython's small-object allocator maps its own
+    arenas. A no-op where glibc's malloc_trim is missing.
+    """
+    malloc_trim = _libc_function("malloc_trim")
+    if malloc_trim is None:
+        return
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    malloc_trim(0)
 
 
 def main(argv=None) -> int:
@@ -515,6 +549,8 @@ def main(argv=None) -> int:
     except OSError as e:
         log.error("%s", e)
         return 2
+    finally:
+        _release_freed_memory()
 
 
 if __name__ == "__main__":

@@ -53,6 +53,10 @@ class DivergenceError(NumericError):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
 
+    def __reduce__(self):
+        # Unpickling calls the class with these; the default would pass the message as `step`.
+        return type(self), (self.step, str(self))
+
 
 class WorkerError(NeglinkError):
     """A worker process ended without returning its results: killed by a signal, out of memory."""

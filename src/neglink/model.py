@@ -13,15 +13,21 @@ in [d:], so one matmul gives both pre-activations. The cell halves them and
 takes 0.5*tanh(.)+0.5, their sigmoid (halving is exact in binary floating
 point).
 
-Recurrent loops run time-major: a GRU's cached gates, candidates and
-states are (T, B, .) arrays, so step t reads and writes contiguous (B, .)
-blocks in place. A GRU's input projections come from precomputed tables
-(InputTables): both GRUs read token embeddings, so the embedding share,
-E@W[:d], is computed once per vocabulary entry and gathered per token, and
-its gradients are summed per vocabulary entry with one one-hot product.
+Recurrent loops run time-major: a GRU's cached gates and candidates are
+(T, B, .) arrays and its states one (T + 1, B, d) array, the zero initial
+state in row 0, so step t reads and writes contiguous (B, .) blocks in
+place and the backward pass reads the previous states as a view. A GRU's
+input projections come from precomputed tables (InputTables): both GRUs
+read token embeddings, so the embedding share, E@W[:d], is computed once
+per vocabulary entry and gathered per token, and its gradients are summed
+per vocabulary entry with one one-hot product.
 The decoder also reads the summary, a per-row input S (B, d) at every step;
 its share, S@W[d:] + b, is computed once per row. The encoder has no
-per-row input, so its bias is folded into the per-entry tables.
+per-row input, so its bias is folded into the per-entry tables. The
+projections are gathered straight into the gate and candidate arrays, and
+each step adds its recurrent products into them in place from (B, .)
+scratch buffers, so a forward pass allocates nothing of shape (T, B, .)
+beyond what it caches.
 Teacher forcing and decoding (`step_batch`) gather from the same tables, so
 a decode step computes what the teacher-forced loop computes at that step.
 
@@ -30,6 +36,11 @@ which no real step reads, so batched results equal one-at-a-time results
 exactly; after the loop every row's hidden state is frozen at its last
 real token. The gradient entering padded steps must be zero, and then
 the gradients from them are identically zero.
+
+The backward pass consumes what it is handed: each GRU's backward
+overwrites its incoming state gradients, and `backward_from_dlogits` drops
+the decoder's cache once its backward has run (PyTorch's
+retain_graph=False), so a second backward needs a new forward pass.
 
 A teacher-forced pass encodes each distinct input once. Decoder rows that
 share an input (a mention's several targets, a preference pair's two
@@ -50,7 +61,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,31 +226,36 @@ class GruCache:
     tables: InputTables  # the input projections; tables.S is the per-row input, None for the encoder
     G: np.ndarray  # (T, B, 2d) fused gates: update z in [:d], reset r in [d:]
     Hh: np.ndarray  # (T, B, d) tanh candidates
-    H: np.ndarray  # (T, B, d) hidden states (frozen after each row's last real token)
+    states: np.ndarray  # (T + 1, B, d): the zero initial state, then H
+    H: np.ndarray = field(init=False)  # (T, B, d) hidden states (frozen after each row's last real token)
+
+    def __post_init__(self):
+        self.H = self.states[1:]
 
 
-def _gru_cell(xg, xh, h, Ug, Uh, out=(None, None, None)):
-    """One step from input projections and state `h`: (gates [z|r], candidate hh, next h).
+def _gru_cell(g, hh, h, Ug, Uh, h_next=None, scratch=(None, None, None)):
+    """One step from state `h`; returns the next state, written into `h_next` when given.
 
-    `xg = x@Wg + bg` and `xh = x@Wh + bh`. Both gates' sigmoids are taken as
-    0.5*tanh(0.5*a) + 0.5 of the fused pre-activation `a`. `out` holds three
-    arrays to write the results into, or Nones for new ones.
+    `g` and `hh` enter holding the input projections x@Wg + bg and x@Wh + bh
+    and leave holding the gates [z|r] and the candidate: h@Ug and (r*h)@Uh
+    are added into them. Both gates' sigmoids are taken as
+    0.5*tanh(0.5*a) + 0.5 of the fused pre-activation `a`. `scratch` holds
+    (B, 2d), (B, d) and (B, d) buffers for h@Ug, r*h and (r*h)@Uh, or Nones
+    for new ones.
     """
-    g, hh, h_next = out
-    g = np.matmul(h, Ug, out=g)
-    g += xg
+    sg, rh, sh = scratch
+    g += np.matmul(h, Ug, out=sg)
     g *= 0.5
     np.tanh(g, out=g)
     g *= 0.5
     g += 0.5
     d = h.shape[1]
-    hh = np.matmul(g[:, d:] * h, Uh, out=hh)
-    hh += xh
+    hh += np.matmul(np.multiply(g[:, d:], h, out=rh), Uh, out=sh)
     np.tanh(hh, out=hh)
     h_next = np.subtract(hh, h, out=h_next)
     h_next *= g[:, :d]
     h_next += h
-    return g, hh, h_next
+    return h_next
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -247,51 +263,50 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 
 def _gru_forward(tokens, mask, tables: InputTables, p: dict, side: str):
-    """The `side` GRU over right-padded (B, T) tokens: time-major (H, G, Hh) as in GruCache.
+    """The `side` GRU over right-padded (B, T) tokens: time-major (G, Hh, states) as in GruCache.
 
     Step t's input projections are the tables' rows for tokens[:, t], plus
-    each row's per-row share when the tables have one.
+    each row's per-row share when the tables have one; they are gathered
+    straight into G and Hh, which the cell turns into gates and candidates.
     """
     Ug, Uh = p[f"{side}_Ug"], p[f"{side}_Uh"]
     B, T = tokens.shape
     d = Uh.shape[0]
-    XG, XH = tables.EG[tokens.T], tables.EH[tokens.T]
+    G, Hh = tables.EG[tokens.T], tables.EH[tokens.T]
     if tables.SG is not None:
-        XG += tables.SG
-        XH += tables.SH
-    G = np.empty((T, B, 2 * d))
-    Hh = np.empty((T, B, d))
-    H = np.empty((T, B, d))
-    h = np.zeros((B, d))
+        G += tables.SG
+        Hh += tables.SH
+    states = np.empty((T + 1, B, d))
+    states[0] = 0.0
+    buf = np.empty((2, B, d))  # h@Ug, then r*h and (r*h)@Uh: the first is dead before the others are written
+    scratch = (buf.reshape(B, 2 * d), buf[0], buf[1])
     for t in range(T):
-        _gru_cell(XG[t], XH[t], h, Ug, Uh, out=(G[t], Hh[t], H[t]))
-        h = H[t]
-    del XG, XH
+        _gru_cell(G[t], Hh[t], states[t], Ug, Uh, states[t + 1], scratch)
     # Rows run on through their padding; give every padded step the row's last real state.
     lengths = mask.sum(axis=1).astype(np.int64)
     for b in np.flatnonzero(lengths < T):
-        H[lengths[b] :, b] = H[lengths[b] - 1, b]
-    return H, G, Hh
+        states[lengths[b] + 1 :, b] = states[lengths[b], b]
+    return G, Hh, states
 
 
 def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
     """Backprop through the `side` GRU. Returns (d emb, dS, weight grads by parameter name).
 
     dH_ext (T, B, d) must be zero at padded steps; the gradient then stays
-    zero there. dS is None when the GRU has no per-row input S.
+    zero there. It is consumed: it holds r*h_prev on return. dS is None
+    when the GRU has no per-row input S.
     """
-    S, G, Hh, H = cache.tables.S, cache.G, cache.Hh, cache.H
-    T, B, d = H.shape
+    S, G, Hh, Hprev = cache.tables.S, cache.G, cache.Hh, cache.states[:-1]
+    T, B, d = Hprev.shape
     emb = p["emb"]
     Wg, UgT = p[f"{side}_Wg"], p[f"{side}_Ug"].T
     Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
     DAg = np.empty((T, B, 2 * d))
     DAh = np.empty((T, B, d))
     dh = np.zeros((B, d))
-    h0 = np.zeros((B, d))
     for t in range(T - 1, -1, -1):
         dh += dH_ext[t]
-        h_prev = H[t - 1] if t > 0 else h0
+        h_prev = Hprev[t]
         g, hh = G[t], Hh[t]
         z, r = g[:, :d], g[:, d:]
         da_h = np.multiply(dh, z, out=DAh[t])
@@ -315,10 +330,10 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
         dS = sum_g @ Wg[d:].T + sum_h @ Wh[d:].T
         dWg = np.concatenate([dWg, S.T @ sum_g])
         dWh = np.concatenate([dWh, S.T @ sum_h])
-    Hprev = np.concatenate([h0[None], H[:-1]])
+    rHprev = np.multiply(G[:, :, d:], Hprev, out=dH_ext)
     grads = {
         "Wg": dWg, "Wh": dWh,
-        "Ug": _flat(Hprev).T @ _flat(DAg), "Uh": _flat(G[:, :, d:] * Hprev).T @ _flat(DAh),
+        "Ug": _flat(Hprev).T @ _flat(DAg), "Uh": _flat(rHprev).T @ _flat(DAh),
         "bg": DAg.sum(axis=(0, 1)), "bh": DAh.sum(axis=(0, 1)),
     }
     return demb, dS, {f"{side}_{role}": a for role, a in grads.items()}
@@ -335,9 +350,9 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
     if np.any(counts == 0):
         raise ValueError("encoder sequence with no real tokens")
     tables = input_tables(ckpt, "enc")
-    H, G, Hh = _gru_forward(tokens, mask, tables, ckpt.params, "enc")
-    summary = (H * mask.T[:, :, None]).sum(axis=0) / counts[:, None]
-    return summary, GruCache(tokens=tokens, mask=mask, tables=tables, G=G, Hh=Hh, H=H), counts
+    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables, ckpt.params, "enc"))
+    summary = np.sum(cache.H, axis=0, where=mask.T[:, :, None] > 0) / counts[:, None]
+    return summary, cache, counts
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +363,8 @@ def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summ
     """Hidden states (B, T, d), a view of the time-major cache.H, over [embedding ++ summary] inputs."""
     _check_tokens(tokens, len(ckpt.vocab))
     tables = input_tables(ckpt, "dec", summary)
-    H, G, Hh = _gru_forward(tokens, mask, tables, ckpt.params, "dec")
-    return H.transpose(1, 0, 2), GruCache(tokens=tokens, mask=mask, tables=tables, G=G, Hh=Hh, H=H)
+    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables, ckpt.params, "dec"))
+    return cache.H.transpose(1, 0, 2), cache
 
 
 def step_batch(states: np.ndarray, tokens: np.ndarray, rows: np.ndarray, tables: InputTables, ckpt: Checkpoint):
@@ -360,10 +375,10 @@ def step_batch(states: np.ndarray, tokens: np.ndarray, rows: np.ndarray, tables:
     """
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
-    xg, xh = tables.EG[tokens], tables.EH[tokens]
-    xg += tables.SG[rows]
-    xh += tables.SH[rows]
-    *_, new_states = _gru_cell(xg, xh, states, p["dec_Ug"], p["dec_Uh"])
+    g, hh = tables.EG[tokens], tables.EH[tokens]
+    g += tables.SG[rows]
+    hh += tables.SH[rows]
+    new_states = _gru_cell(g, hh, states, p["dec_Ug"], p["dec_Uh"])
     logits = new_states @ p["out_W"] + p["out_b"]
     return new_states, logits
 
@@ -378,14 +393,15 @@ class ForwardCache:
 
     Decoder row b reads the summary of encoder row rows[b], so an input
     that several decoder rows share is encoded once. rows is None when
-    decoder row b reads encoder row b (U == B).
+    decoder row b reads encoder row b (U == B). `backward_from_dlogits`
+    consumes the decoder's cache and sets dec to None.
     """
 
     enc: GruCache
     counts: np.ndarray  # (U,) real encoder lengths
     summary: np.ndarray  # (U, d)
     rows: np.ndarray | None  # (B,) each decoder row's index into summary
-    dec: GruCache
+    dec: GruCache | None
     logits: np.ndarray  # (B, T, V)
 
 
@@ -413,7 +429,12 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
 
     dlogits must already be zero at padded or otherwise unscored positions.
     Returns a gradient array for every parameter in the checkpoint.
+    The pass consumes `cache`: the decoder's activations are dropped once
+    its backward has run (cache.dec becomes None; cache.logits stays), so a
+    second backward needs a new forward pass.
     """
+    if cache.dec is None:
+        raise ValueError("backward already ran on this forward cache; run a new forward pass")
     p = ckpt.params
     d = p["emb"].shape[1]
     B, T, V = dlogits.shape
@@ -421,7 +442,10 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     grads = {"out_W": _flat(cache.dec.H).T @ dlogits_tm, "out_b": dlogits_tm.sum(axis=0)}
 
     dH_dec = (dlogits_tm @ p["out_W"].T).reshape(T, B, d)
+    del dlogits_tm
     demb_dec, dsummary, g = _gru_backward(cache.dec, dH_dec, p, "dec")
+    cache.dec = None
+    del dH_dec
     grads.update(g)
 
     if cache.rows is not None:  # each decoder row's summary gradient goes to the input it read

@@ -36,7 +36,7 @@ FORMAT_VERSION = 3
 MAX_DEPTH = 4096  # longest name, in tokens, that a trie may hold
 
 
-@dataclass
+@dataclass(slots=True)
 class TrieNode:
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     terminal: bool = False

@@ -583,12 +583,31 @@ def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case
     assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
 
 
+class FakeLibc:
+    """A libc whose mallopt does nothing and whose malloc_trim, when it has one, records its calls."""
+
+    def __init__(self, trim: bool):
+        self.trims: list[int] = []
+        self.mallopt = lambda param, value: 1
+        if trim:
+            self.malloc_trim = lambda pad: self.trims.append(pad) or 1
+
+
 def test_runs_where_libc_cannot_be_loaded(tmp_path, monkeypatch):
     def no_libc(*args, **kwargs):
         raise OSError("no libc here")
 
-    monkeypatch.setattr(ctypes, "CDLL", no_libc)
     kb = tmp_path / "kb.jsonl"
     kb.write_text(json.dumps({"id": "X1", "names": ["alpha", "beta"]}) + "\n", encoding="utf-8")
-    run("kb", "build", "--kb", str(kb), "--out", str(tmp_path / "cache"))
-    assert (tmp_path / "cache" / "trie.bin").exists()
+    for i, cdll in enumerate([no_libc, lambda *a, **kw: FakeLibc(trim=False)]):  # no libc, then no malloc_trim
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        run("kb", "build", "--kb", str(kb), "--out", str(tmp_path / f"cache{i}"))
+        assert (tmp_path / f"cache{i}" / "trie.bin").exists()
+
+    # With malloc_trim, the heap a command kept is released when it returns, whatever its exit code.
+    libc = FakeLibc(trim=True)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *a, **kw: libc)
+    run("kb", "build", "--kb", str(kb), "--out", str(tmp_path / "cache2"))
+    assert libc.trims == [0]
+    assert main(["kb", "build", "--kb", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "cache3")]) == 2
+    assert libc.trims == [0, 0]

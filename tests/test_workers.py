@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
 import signal
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main, vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
-from neglink.errors import VocabError
+from neglink.errors import DivergenceError, VocabError
 from neglink.kb import load_kb
 from neglink.model import init_checkpoint
 from neglink.tfidf import build_index
@@ -122,6 +123,27 @@ def test_an_error_raised_only_in_a_child_reaches_the_caller(toy, monkeypatch):
     use_cpus(monkeypatch, 2)
     with pytest.raises(VocabError, match=rf"^no token for {beam.CHUNK} inputs in a child$"):
         search(toy)
+
+
+def test_a_divergence_error_survives_pickling():
+    for sent in (DivergenceError(5), DivergenceError(7, "loss went to nan")):
+        got = pickle.loads(pickle.dumps(sent))
+        assert type(got) is DivergenceError
+        assert (str(got), got.step) == (str(sent), sent.step)
+
+
+def test_a_divergence_error_in_a_child_reaches_the_caller_unchanged(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def diverge(x):
+        if os.getpid() != parent:
+            raise DivergenceError(x)
+        return x
+
+    with pytest.raises(DivergenceError, match="^non-finite loss at step 1$") as caught:
+        workers.map_split(diverge, [0, 1])
+    assert caught.value.step == 1
 
 
 def test_the_first_failure_in_item_order_wins(monkeypatch):
