@@ -14,15 +14,26 @@ as UTF-8 as a whole (a bad byte fails naming its offset), split into lines
 as text-mode `open` splits them, one JSON object per JSON-lines record,
 whose values a reader takes with their JSON types checked. Failures raise
 the caller's `FormatError` subclass, naming the path and line.
+
+The binary artifacts (checkpoints, the trie) share one container: 4 magic
+bytes, the format version and the header length as u32 LE, a JSON header
+(sorted keys, compact, ASCII), then each array's raw data in one dtype, C
+order, in name order. The header holds the caller's fields, an "arrays"
+directory (name, shape, byte offset) and "data_sha256", the digest of the
+data, checked before any array is parsed. Its errors do not name the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import FormatError
@@ -92,32 +103,35 @@ def read_lines(path, error: type[FormatError] = FormatError):
             yield lineno, line
 
 
-# kind -> (accepted value types, whether a missing key or null is accepted as None, whether items must be strings)
-_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float), "a list of strings": (list,)}
-_KINDS = {**{kind: (t, False, t == (list,)) for kind, t in _TYPES.items()},
-          **{f"{kind} or null": (t, True, t == (list,)) for kind, t in _TYPES.items()}}
+# kind -> (accepted value types, whether a missing key or null is accepted as None, the type every item must have)
+_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float), "a list": (list,),
+          "a list of strings": (list,), "a list of integers": (list,)}
+_ITEMS = {"a list of strings": str, "a list of integers": int}
+_KINDS = {**{kind: (t, False, _ITEMS.get(kind)) for kind, t in _TYPES.items()},
+          **{f"{kind} or null": (t, True, _ITEMS.get(kind)) for kind, t in _TYPES.items()}}
 
 
-def _values(path, lineno: int, rec: dict, kinds: dict[str, str], error: type[FormatError]) -> list:
-    """The values of `kinds`' keys in one record, each checked against its kind."""
+def _values(rec: dict, kinds: dict[str, str], error: type[FormatError], where, lineno: int | None = None) -> list:
+    """The values of `kinds`' keys in one record, each checked against its kind; a failure names `where` and `lineno`."""
     values = []
     for key, kind in kinds.items():
         value = rec.get(key)
-        types, optional, strings = _KINDS[kind]
+        types, optional, item_type = _KINDS[kind]
         if value is None:
             ok = optional
         else:
             ok = type(value) in types
-            if ok and strings:
+            if ok and item_type is not None:
                 # A loop: all() over a generator costs more than the rest of the check.
                 for item in value:
-                    if type(item) is not str:
+                    if type(item) is not item_type:
                         ok = False
                         break
         if not ok:
+            at = where if lineno is None else f"{where}: line {lineno}"
             if key not in rec:
-                raise error(f"{path}: line {lineno}: record missing {key!r}")
-            raise error(f"{path}: line {lineno}: {key!r} must be {kind}, got {canonical_json(value):.60}")
+                raise error(f"{at}: record missing {key!r}")
+            raise error(f"{at}: {key!r} must be {kind}, got {canonical_json(value):.60}")
         values.append(value)
     return values
 
@@ -138,7 +152,7 @@ def read_records(path, kinds: dict[str, str] | None = None, error: type[FormatEr
             raise error(f"{path}: line {lineno}: invalid JSON ({e})") from e
         if type(rec) is not dict:
             raise error(f"{path}: line {lineno}: expected a JSON object, got {canonical_json(rec):.60}")
-        yield lineno, rec if kinds is None else _values(path, lineno, rec, kinds, error)
+        yield lineno, rec if kinds is None else _values(rec, kinds, error, path, lineno)
 
 
 def read_jsonl(path, kinds: dict[str, str] | None = None) -> tuple[dict, list]:
@@ -149,4 +163,64 @@ def read_jsonl(path, kinds: dict[str, str] | None = None) -> tuple[dict, list]:
         raise FormatError(f"{path}: missing header line")
     if kinds is None:
         return first["header"], [rec for _, rec in records]
-    return first["header"], [_values(path, n, rec, kinds, FormatError) for n, rec in records]
+    return first["header"], [_values(rec, kinds, FormatError, path, n) for n, rec in records]
+
+
+def write_arrays(path, magic: bytes, version: int, header: dict, arrays: dict[str, np.ndarray], dtype: str) -> None:
+    """Write `header`'s fields and `arrays`, each as `dtype`, in the container laid out above."""
+    names = sorted(arrays)
+    data = [np.ascontiguousarray(arrays[name], dtype=dtype).tobytes() for name in names]
+    offsets = np.cumsum([0] + [len(b) for b in data]).tolist()
+    directory = [{"name": n, "shape": list(np.shape(arrays[n])), "offset": o} for n, o in zip(names, offsets)]
+    data = b"".join(data)
+    header = {**header, "arrays": directory, "data_sha256": hashlib.sha256(data).hexdigest()}
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", version, len(raw)) + raw)
+        fh.write(data)
+
+
+def read_arrays(path, magic: bytes, version: int, dtype: str, kind: str, error: type[FormatError],
+                fields: dict[str, str] | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, arrays by name) of a container written by `write_arrays`.
+
+    `kind` names the artifact in messages ("checkpoint"). `fields` maps the
+    header's own keys to their kinds, as in `read_records`.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 12:
+        raise error(f"truncated {kind} file")
+    if blob[:4] != magic:
+        raise error(f"bad magic bytes, not a {kind} file")
+    got, header_len = struct.unpack_from("<II", blob, 4)
+    if got != version:
+        raise error(f"unsupported {kind} format version {got}")
+    if len(blob) < 12 + header_len:
+        raise error(f"truncated {kind} header")
+    try:
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"bad {kind} header: {e}") from e
+    kinds = {"arrays": "a list", "data_sha256": "a string", **(fields or {})}
+    directory, digest = _values(header if type(header) is dict else {}, kinds, error, f"{kind} header")[:2]
+    data = memoryview(blob)[12 + header_len :]
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise error("array data does not match the header's sha256 digest")
+    entry_kinds = {"name": "a string", "shape": "a list of integers", "offset": "an integer"}
+    itemsize, arrays, end = np.dtype(dtype).itemsize, {}, 0
+    for entry in directory:
+        name, shape, offset = _values(entry if type(entry) is dict else {}, entry_kinds, error, f"{kind} array entry")
+        if name in arrays:
+            raise error(f"array {name} listed twice")
+        size = math.prod(shape)
+        if offset != end or min(shape, default=0) < 0 or offset + size * itemsize > len(data):
+            raise error(f"array {name}: bad shape or offset, or truncated data")
+        try:
+            arrays[name] = np.frombuffer(data, dtype=dtype, count=size, offset=offset).reshape(shape).copy()
+        except ValueError as e:  # a shape numpy cannot hold: over 64 dimensions, or one too large with a zero
+            raise error(f"array {name}: bad shape: {e}") from None
+        end = offset + size * itemsize
+    if end != len(data):
+        raise error(f"{len(data) - end} trailing bytes after arrays")
+    return header, arrays

@@ -40,6 +40,7 @@ from .errors import (
     NeglinkError,
     NumericError,
     TrieFormatError,
+    VocabError,
     WorkerError,
 )
 from .evaluate import (
@@ -111,7 +112,7 @@ def _load_trie(cache_dir, vocab: Vocab) -> TokenTrie:
 def _load_checkpoint(path, vocab: Vocab) -> model.Checkpoint:
     try:
         ckpt = model.load(path)
-    except CheckpointFormatError as e:
+    except (CheckpointFormatError, VocabError) as e:  # VocabError: the header's vocabulary
         raise CheckpointFormatError(f"{path}: {e}") from None
     if ckpt.vocab != vocab:
         raise ConfigError(f"{path}: checkpoint vocabulary does not match the cache vocabulary")

@@ -47,25 +47,19 @@ share an input (a mention's several targets, a preference pair's two
 sides) read its one summary, and their summary gradients are summed into
 its row before the encoder's backward pass.
 
-Checkpoint file layout (format 4): magic "ACKP", format version u32 LE,
-u32 header length, UTF-8 JSON header (vocabulary, stage, array directory
-with name/shape/byte offset, sha256 of the array data), then each
-parameter array's raw little-endian float64 data, C order, concatenated in
-directory order. The hidden size is the embedding array's width. Arrays
-are directory-ordered by name, so save -> load -> save is byte-identical.
-Loading checks the digest before it parses any array.
+Checkpoint file (format 4): the `artifacts` array container, magic
+"ACKP". Its header holds the vocabulary tokens and the stage tag; its
+float64 arrays are the parameters by name. The hidden size is the embedding
+array's width. save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import read_arrays, write_arrays
 from .corpus import EncodedInput
 from .errors import CheckpointFormatError, DivergenceError, NumericError, VocabError
 from .vocab import Vocab
@@ -549,63 +543,12 @@ def check_finite_loss(loss: float, step_index: int | None = None) -> float:
 
 def save(ckpt: Checkpoint, path) -> None:
     validate_checkpoint(ckpt)
-    names = sorted(ckpt.params)
-    data = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes() for name in names)
-    offsets = np.cumsum([0] + [ckpt.params[name].size * 8 for name in names]).tolist()
-    header = {
-        "arrays": [{"name": n, "shape": list(ckpt.params[n].shape), "offset": o} for n, o in zip(names, offsets)],
-        "data_sha256": hashlib.sha256(data).hexdigest(),
-        "stage": ckpt.stage,
-        "vocab": list(ckpt.vocab.tokens),
-    }
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
-        fh.write(data)
+    write_arrays(path, MAGIC, FORMAT_VERSION, {"stage": ckpt.stage, "vocab": list(ckpt.vocab.tokens)}, ckpt.params, "<f8")
 
 
 def load(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise CheckpointFormatError("truncated checkpoint file")
-    if blob[:4] != MAGIC:
-        raise CheckpointFormatError("bad magic bytes, not a checkpoint file")
-    version, header_len = struct.unpack_from("<II", blob, 4)
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint format version {version}")
-    if len(blob) < 12 + header_len:
-        raise CheckpointFormatError("truncated checkpoint header")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointFormatError(f"bad checkpoint header: {e}") from e
-    for key in ("arrays", "data_sha256", "stage", "vocab"):
-        if key not in header:
-            raise CheckpointFormatError(f"checkpoint header missing {key!r}")
-
-    vocab = Vocab(list(header["vocab"]))
-    data = blob[12 + header_len :]
-    if hashlib.sha256(data).hexdigest() != header["data_sha256"]:
-        raise CheckpointFormatError("array data does not match the header's sha256 digest")
-    arrays: dict[str, np.ndarray] = {}
-    consumed = 0
-    try:
-        for entry in header["arrays"]:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-            if name in arrays:
-                raise CheckpointFormatError(f"array {name} listed twice")
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            end = offset + size * 8
-            if offset != consumed or end > len(data):
-                raise CheckpointFormatError(f"array {name}: bad offset or truncated data")
-            arrays[name] = np.frombuffer(data, dtype="<f8", count=size, offset=offset).reshape(shape).copy()
-            consumed = end
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointFormatError(f"bad array directory: {e}") from e
-    if consumed != len(data):
-        raise CheckpointFormatError(f"{len(data) - consumed} trailing bytes after arrays")
-
-    ckpt = Checkpoint(vocab=vocab, params=arrays, stage=header["stage"])
+    header, params = read_arrays(path, MAGIC, FORMAT_VERSION, "<f8", "checkpoint", CheckpointFormatError,
+                                 {"stage": "a string", "vocab": "a list of strings"})
+    ckpt = Checkpoint(vocab=Vocab(header["vocab"]), params=params, stage=header["stage"])
     validate_checkpoint(ckpt)
     return ckpt

@@ -13,26 +13,25 @@ and it rejects names longer than MAX_DEPTH tokens. It keeps every node's
 children in ascending token order, whatever order the names come in, so
 readers iterate `children` directly instead of sorting it.
 
-Serialization (format 3), all integers u32 little-endian: magic b"ATRI",
-the format version, the name count, then each name as its token count
-followed by its token ids. Names are written in ascending token order, the
+File format 4: the `artifacts` array container, magic "ATRI", holding two
+u32 arrays: `lengths`, each name's token count, and `tokens`, the names'
+token ids concatenated. Names are written in ascending token order, the
 tree's preorder, so save -> load -> save is byte-identical. The reader
-inserts every record, so a loaded trie is exactly one `insert` could build.
+inserts every name, so a loaded trie is exactly one `insert` could build.
 The writer walks the tree with an explicit stack, so a name's length is
 bounded by MAX_DEPTH, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-from .artifacts import atomic_write
+from .artifacts import read_arrays, write_arrays
 from .errors import TrieFormatError, VocabError
 from .vocab import Vocab
 
 MAGIC = b"ATRI"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MAX_DEPTH = 4096  # longest name, in tokens, that a trie may hold
 
 
@@ -112,8 +111,8 @@ def allowed_next(trie: TokenTrie, prefix, eos_id: int) -> list[int]:
     return out
 
 
-def serialize(trie: TokenTrie) -> bytes:
-    count, words = 0, []  # words: each name's token count, then its token ids
+def save_trie(trie: TokenTrie, path) -> None:
+    lengths, tokens = [], []  # each name's token count; the names' token ids, concatenated
     prefix: list[int] = []  # token ids on the path to the node just popped
     stack: list[tuple[int, int, TrieNode]] = [(0, 0, trie.root)]  # (depth, token id, node)
     while stack:
@@ -121,41 +120,22 @@ def serialize(trie: TokenTrie) -> bytes:
         if depth:
             prefix[depth - 1 :] = [token_id]
         if node.terminal:
-            count += 1
-            words.append(depth)
-            words.extend(prefix)
+            lengths.append(depth)
+            tokens.extend(prefix)
         # Pushed in descending order so children pop in ascending order.
         stack.extend((depth + 1, t, child) for t, child in reversed(node.children.items()))
-    return MAGIC + struct.pack(f"<{len(words) + 2}I", FORMAT_VERSION, count, *words)
-
-
-def deserialize(data: bytes) -> TokenTrie:
-    if data[:4] != MAGIC:
-        raise TrieFormatError("bad magic bytes, not a trie file")
-    if len(data) < 8:
-        raise TrieFormatError("truncated trie file")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise TrieFormatError(f"unsupported trie format version {version}")
-    if len(data) < 12 or len(data) % 4:
-        raise TrieFormatError("truncated trie file")
-    words = struct.unpack_from(f"<{len(data) // 4 - 2}I", data, 8)
-    trie, pos = TokenTrie(), 1
-    for i in range(words[0]):
-        if pos >= len(words) or pos + 1 + words[pos] > len(words):
-            raise TrieFormatError(f"truncated trie file: {words[0]} names declared, {i} found")
-        trie.insert(words[pos + 1 : pos + 1 + words[pos]])
-        pos += 1 + words[pos]
-    if pos != len(words):
-        raise TrieFormatError(f"{4 * (len(words) - pos)} trailing bytes after {words[0]} names")
-    return trie
-
-
-def save_trie(trie: TokenTrie, path) -> None:
-    with atomic_write(path, "wb") as fh:
-        fh.write(serialize(trie))
+    write_arrays(path, MAGIC, FORMAT_VERSION, {}, {"lengths": lengths, "tokens": tokens}, "<u4")
 
 
 def load_trie(path) -> TokenTrie:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    _, arrays = read_arrays(path, MAGIC, FORMAT_VERSION, "<u4", "trie", TrieFormatError)
+    if sorted(arrays) != ["lengths", "tokens"] or any(a.ndim != 1 for a in arrays.values()):
+        raise TrieFormatError(f"arrays {sorted(arrays)}, expected the 1-D arrays lengths and tokens")
+    lengths, tokens = arrays["lengths"].tolist(), arrays["tokens"].tolist()
+    if sum(lengths) != len(tokens):
+        raise TrieFormatError(f"{len(lengths)} names of {sum(lengths)} tokens declared, {len(tokens)} tokens found")
+    trie, pos = TokenTrie(), 0
+    for n in lengths:
+        trie.insert(tokens[pos : pos + n])
+        pos += n
+    return trie

@@ -1,10 +1,12 @@
-"""Artifact headers, digests, canonical JSON lines, and the text readers."""
+"""Artifact headers, digests, canonical JSON lines, the text readers and the binary array container."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from neglink import __version__
@@ -14,8 +16,10 @@ from neglink.artifacts import (
     make_header,
     read_jsonl,
     read_lines,
+    read_arrays,
     read_records,
     sha256_file,
+    write_arrays,
     write_jsonl,
 )
 from neglink.errors import FormatError, KBFormatError
@@ -168,3 +172,51 @@ def test_field_mismatches_name_the_line_key_and_kind(tmp_path, rec, message):
     with pytest.raises(FormatError) as err:
         read_jsonl(headed, kinds)
     assert str(err.value) == f"{headed}: {message}"
+
+
+def test_array_container_round_trips_and_types_the_header_fields(tmp_path):
+    path = tmp_path / "a.bin"
+    arrays = {"b": np.arange(6.0).reshape(2, 3), "a": np.array([], dtype=np.float64), "c": np.array(2.5)}
+    write_arrays(path, b"TEST", 7, {"tag": "x\u00e9"}, arrays, "<f8")
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    assert blob[:8] == b"TEST" + struct.pack("<I", 7) and blob[12 : 12 + header_len].isascii()
+    header, got = read_arrays(path, b"TEST", 7, "<f8", "test", KBFormatError, {"tag": "a string"})
+    assert header["tag"] == "x\u00e9" and [e["name"] for e in header["arrays"]] == ["a", "b", "c"]
+    assert header["data_sha256"] == hashlib.sha256(blob[12 + header_len :]).hexdigest()
+    assert all(np.array_equal(got[name], a) and got[name].shape == a.shape for name, a in arrays.items())
+    with pytest.raises(KBFormatError, match="^test header: 'tag' must be an integer, got \"x\u00e9\"$"):
+        read_arrays(path, b"TEST", 7, "<f8", "test", KBFormatError, {"tag": "an integer"})
+    with pytest.raises(KBFormatError, match="^test header: record missing 'name'$"):
+        read_arrays(path, b"TEST", 7, "<f8", "test", KBFormatError, {"name": "a string"})
+    with pytest.raises(KBFormatError, match="^unsupported test format version 7$"):
+        read_arrays(path, b"TEST", 8, "<f8", "test", KBFormatError)
+
+
+def _rewrite_directory(path, edit) -> None:
+    """Apply `edit` to the array directory of the container at `path`, keeping its data digest valid."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header["arrays"])
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d[1].update(offset=16), "array y: bad shape or offset, or truncated data"),
+    (lambda d: d[1].update(shape=[-2]), "array y: bad shape or offset, or truncated data"),
+    (lambda d: d[1].update(shape=[-2, -1]), "array y: bad shape or offset, or truncated data"),
+    (lambda d: d[1].update(shape=[0, 2**70]), "array y: bad shape: Maximum allowed dimension exceeded"),
+    (lambda d: d[1].update(shape=[0] * 70), "array y: bad shape: maximum supported dimension"),
+    (lambda d: d[1].update(shape=[True]), "'shape' must be a list of integers"),
+    (lambda d: d.__setitem__(1, "y"), "test array entry: record missing 'name'"),
+    (lambda d: d[1].update(name="x"), "array x listed twice"),
+    (lambda d: d[1].update(shape=[1]), "4 trailing bytes after arrays"),
+])
+def test_array_container_checks_its_directory(tmp_path, edit, message):
+    path = tmp_path / "a.bin"
+    write_arrays(path, b"TEST", 1, {}, {"x": [1, 2], "y": [3, 4]}, "<u4")
+    _rewrite_directory(path, edit)
+    with pytest.raises(FormatError, match=message):
+        read_arrays(path, b"TEST", 1, "<u4", "test", FormatError)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import neglink
-from neglink import model, trie
+from neglink import artifacts, model, trie
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main
@@ -408,17 +408,36 @@ def test_format_2_and_3_checkpoints_exit_2(pipeline, tmp_path, caplog, version):
     assert errors == [f"{ckpt}: unsupported checkpoint format version {version}"]
 
 
-def test_version_2_trie_exit_2(pipeline, tmp_path, caplog):
+@pytest.mark.parametrize("version", [2, 3])
+def test_format_2_and_3_tries_exit_2(pipeline, tmp_path, caplog, version):
     root, kb, train, test, cache = pipeline
     old_cache = tmp_path / "cache"
     shutil.copytree(cache, old_cache)
-    _node_stream_trie(2, old_cache / "trie.bin")
+    if version == 2:
+        _node_stream_trie(2, old_cache / "trie.bin")
+    else:  # the name count, then each name as its token count and token ids: here the one name [5, 6]
+        (old_cache / "trie.bin").write_bytes(trie.MAGIC + struct.pack("<5I", 3, 1, 2, 5, 6))
     caplog.clear()
     rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", str(old_cache),
                "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"{old_cache / 'trie.bin'}: unsupported trie format version 2"]
+    assert errors == [f"{old_cache / 'trie.bin'}: unsupported trie format version {version}"]
+
+
+@pytest.mark.parametrize("field, value", [("vocab", 5), ("vocab", None), ("stage", ["x"])])
+def test_mistyped_checkpoint_header_field_exit_2(pipeline, tmp_path, caplog, field, value):
+    root, kb, train, test, cache = pipeline
+    ckpt = model.load(root / "s1.ckpt")
+    header = {"stage": ckpt.stage, "vocab": list(ckpt.vocab.tokens), field: value}
+    bad = tmp_path / "bad.ckpt"
+    artifacts.write_arrays(bad, model.MAGIC, model.FORMAT_VERSION, header, ckpt.params, "<f8")
+    caplog.clear()
+    rc = main(["link", *FAST, "--kb", kb, "--mentions", test, "--cache", cache,
+               "--ckpt", str(bad), "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"{bad}: ") and field in errors[0], errors
 
 
 def _train_from_init(pipeline, out: Path, *settings: str) -> int:
