@@ -65,6 +65,7 @@ def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` for writing; move it onto `path` when the block completes.
 
     If the block raises, the temporary file is removed and `path` is left as it was.
+    An OSError on the temporary file is raised naming `path` instead.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -72,8 +73,10 @@ def atomic_write(path, mode: str = "w"):
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):
+            raise type(e)(e.errno, e.strerror, str(path)) from None
         raise
 
 

@@ -8,7 +8,7 @@ only emit EOS where a name ends. Scores are raw summed log-probs with no
 length normalization. All ties break lexicographically on the decoded
 name, so results are fully deterministic.
 
-Mentions are searched in chunks: one encoder pass and one prompt pass per
+Mentions are searched in chunks: one `model.forward_pairs` prompt pass per
 chunk, then one decoder step per depth over every live hypothesis of every
 mention in it. Each mention keeps its own beam, so batching changes no
 ranking; scores may differ from a batch of one in their last bits. The
@@ -56,21 +56,15 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
     Returns (states after each prompt (B, d), next-token log-distributions
     (B, V), the decoder's input tables over the encoder summaries, prompt
     log-probs list). A prompt's log-prob sums, in order, the log-probs of
-    its tokens 2..n; the first token is given, not predicted.
+    its tokens 2..n; the first token is given, not predicted. With the
+    entity [EOS], the decoder reads just the prompt and the target mask
+    marks only its last position.
     """
-    prompts = [list(x.prompt_tokens) for x in inputs]
-    if not all(prompts):
-        raise ValueError("empty prompt")
-    pad = ckpt.vocab.pad_id
-    enc_tokens, enc_mask = model.pad_batch([list(x.encoder_tokens) for x in inputs], pad)
-    tokens, mask = model.pad_batch(prompts, pad)
-    cache = model.forward_teacher(ckpt, enc_tokens, enc_mask, tokens, mask)
-    # Position j predicts token j + 1, scored while that token is in the prompt.
-    targets, scored = np.full_like(tokens, pad), np.zeros_like(mask)
-    targets[:, :-1], scored[:, :-1] = tokens[:, 1:], mask[:, 1:]
+    eos = ckpt.vocab.eos_id
+    cache, targets, last_mask = model.forward_pairs(ckpt, inputs, [[eos]] * len(inputs))
     logp, picked = model.target_log_probs(cache.logits, targets)
-    scores = np.cumsum(picked * scored, axis=1)[:, -1]  # in position order; .sum(axis=1) adds pairwise
-    last, rows = mask.sum(axis=1).astype(np.int64) - 1, np.arange(len(prompts))
+    scores = np.cumsum(picked * (cache.dec.mask - last_mask), axis=1)[:, -1]  # in order; .sum(axis=1) adds pairwise
+    last, rows = last_mask.argmax(axis=1), np.arange(len(inputs))
     return cache.dec.H[last, rows], logp[rows, last], cache.dec.tables, scores.tolist()
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import artifacts
-from .errors import MentionFormatError
+from .errors import MentionFormatError, VocabError
 from .kb import KnowledgeBase, normalize_name
 from .vocab import Vocab
 
@@ -124,16 +124,20 @@ def render(ex: MentionExample, vocab: Vocab, max_ctx: int = 128) -> EncodedInput
     """
     left = ex.left_context[-max_ctx:] if max_ctx > 0 else ""
     right = ex.right_context[:max_ctx] if max_ctx > 0 else ""
-    encoder = (
-        [vocab.bos_id]
-        + vocab.encode_chars(left)
-        + [vocab.st_id]
-        + vocab.encode_chars(ex.mention)
-        + [vocab.et_id]
-        + vocab.encode_chars(right)
-        + [vocab.eos_id]
-    )
-    prompt = [vocab.bos_id] + vocab.encode_chars(ex.mention + PROMPT_SUFFIX)
+    try:
+        encoder = (
+            [vocab.bos_id]
+            + vocab.encode_chars(left)
+            + [vocab.st_id]
+            + vocab.encode_chars(ex.mention)
+            + [vocab.et_id]
+            + vocab.encode_chars(right)
+            + [vocab.eos_id]
+        )
+        prompt = [vocab.bos_id] + vocab.encode_chars(ex.mention + PROMPT_SUFFIX)
+    except VocabError as e:
+        raise VocabError(f"mention {ex.mention!r}: {e}; the cache vocabulary was not built from this text "
+                         "(list its file in `kb build --mentions`)") from None
     return EncodedInput(encoder_tokens=tuple(encoder), prompt_tokens=tuple(prompt))
 
 

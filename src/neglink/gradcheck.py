@@ -74,6 +74,8 @@ def _loss_fn(kind: str, ckpt, ref, instances, triplets):
 
 
 def check_loss(kind: str, seed: int, n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> LossCheck:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_coords < 1:
         raise ConfigError(f"n_coords must be >= 1, got {n_coords}")
     if not (math.isfinite(tol) and tol > 0):

@@ -42,10 +42,10 @@ overwrites its incoming state gradients, and `backward_from_dlogits` drops
 the decoder's cache once its backward has run (PyTorch's
 retain_graph=False), so a second backward needs a new forward pass.
 
-A teacher-forced pass encodes each distinct input once. Decoder rows that
-share an input (a mention's several targets, a preference pair's two
-sides) read its one summary, and their summary gradients are summed into
-its row before the encoder's backward pass.
+`forward_pairs` builds every teacher-forced pass and encodes each distinct
+input once. Decoder rows that share an input (a mention's several targets,
+a preference pair's two sides, a search chunk's repeat) read its one
+summary, and their summary gradients are summed into its row.
 
 Checkpoint file (format 4): the `artifacts` array container, magic
 "ACKP". Its header holds the vocabulary tokens and the stage tag; its
@@ -386,15 +386,14 @@ class ForwardCache:
     """A teacher-forced pass over U encoder rows and B decoder rows.
 
     Decoder row b reads the summary of encoder row rows[b], so an input
-    that several decoder rows share is encoded once. rows is None when
-    decoder row b reads encoder row b (U == B). `backward_from_dlogits`
+    that several decoder rows share is encoded once. `backward_from_dlogits`
     consumes the decoder's cache and sets dec to None.
     """
 
     enc: GruCache
     counts: np.ndarray  # (U,) real encoder lengths
     summary: np.ndarray  # (U, d)
-    rows: np.ndarray | None  # (B,) each decoder row's index into summary
+    rows: np.ndarray  # (B,) each decoder row's index into summary
     dec: GruCache | None
     logits: np.ndarray  # (B, T, V)
 
@@ -405,15 +404,14 @@ def forward_teacher(
     enc_mask: np.ndarray,
     dec_tokens: np.ndarray,
     dec_mask: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> ForwardCache:
     """Full forward pass producing logits at every decoder position.
 
-    Decoder row b reads the summary of encoder row rows[b]; without `rows`,
-    decoder row b reads encoder row b.
+    Decoder row b reads the summary of encoder row rows[b].
     """
     summary, enc_cache, counts = encoder_forward(ckpt, enc_tokens, enc_mask)
-    states, dec_cache = decoder_forward(ckpt, dec_tokens, dec_mask, summary if rows is None else summary[rows])
+    states, dec_cache = decoder_forward(ckpt, dec_tokens, dec_mask, summary[rows])
     logits = states @ ckpt.params["out_W"] + ckpt.params["out_b"]
     return ForwardCache(enc=enc_cache, counts=counts, summary=summary, rows=rows, dec=dec_cache, logits=logits)
 
@@ -437,15 +435,13 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
 
     dH_dec = (dlogits_tm @ p["out_W"].T).reshape(T, B, d)
     del dlogits_tm
-    demb_dec, dsummary, g = _gru_backward(cache.dec, dH_dec, p, "dec")
+    demb_dec, drows, g = _gru_backward(cache.dec, dH_dec, p, "dec")
     cache.dec = None
     del dH_dec
     grads.update(g)
 
-    if cache.rows is not None:  # each decoder row's summary gradient goes to the input it read
-        dsummary_in = np.zeros_like(cache.summary)
-        np.add.at(dsummary_in, cache.rows, dsummary)
-        dsummary = dsummary_in
+    dsummary = np.zeros_like(cache.summary)  # each decoder row's summary gradient goes to the input it read
+    np.add.at(dsummary, cache.rows, drows)
     dH_enc = (dsummary / cache.counts[:, None])[None] * cache.enc.mask.T[:, :, None]
     demb_enc, _, g = _gru_backward(cache.enc, dH_enc, p, "enc")
     grads.update(g)
@@ -497,8 +493,9 @@ def forward_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list):
 
     Inputs are keyed on their encoder tokens, and each distinct one is
     encoded once, in first-occurrence order: cache.rows maps each pair to
-    its input's summary. A batch of distinct inputs takes no rows and
-    computes exactly what one encoder row per pair computes.
+    its input's summary. This is the one teacher-forced batch: training,
+    `beam.sequence_score`, `analyze` and the search's prompt pass (entity
+    [EOS]) all build it here.
 
     Returns (cache, targets, target_mask), the last two (B, T). target_mask
     selects exactly the entity-token predictions, so masked sums of
@@ -525,8 +522,7 @@ def forward_pairs(ckpt: Checkpoint, inputs: list[EncodedInput], entities: list):
     for i, (seq, off) in enumerate(zip(seqs, offsets)):
         targets[i, : len(seq) - 1] = seq[1:]
         target_mask[i, off : len(seq) - 1] = 1.0
-    repeats = np.array(rows) if len(index) < len(rows) else None
-    return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, repeats), targets, target_mask
+    return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, np.array(rows)), targets, target_mask
 
 
 def check_finite_loss(loss: float, step_index: int | None = None) -> float:

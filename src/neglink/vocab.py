@@ -47,12 +47,6 @@ class Vocab:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocab) and self.tokens == other.tokens
 
-    def id(self, token: str) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise VocabError(f"token {token!r} not in vocabulary") from None
-
     def token(self, idx: int) -> str:
         return self.tokens[idx]
 

@@ -111,6 +111,19 @@ def test_atomic_write_replaces_on_success(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "onto-a-directory"])
+def test_a_failed_write_names_the_path_asked_for(tmp_path, where):
+    path = tmp_path / "nodir" / "s.ckpt" if where == "missing-directory" else tmp_path / "adir"
+    if where == "onto-a-directory":
+        path.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(OSError) as err:
+        write_jsonl(path, {"seed": 1}, [{"a": 1}])
+    assert err.value.filename == str(path) and ".tmp" not in str(err.value)
+    assert str(err.value).endswith(f": {str(path)!r}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_invalid_utf8_raises_the_callers_error_naming_the_byte_offset(tmp_path):
     p = tmp_path / "latin1.jsonl"
     data = b'{"header":{}}\n{"name":"caf\xe9"}\n'

@@ -253,6 +253,7 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("train-positive", ["--set", "grad_clip=nan"]),
     ("gradcheck", ["--coords", "0"]),
     ("gradcheck", ["--tol", "nan"]),
+    ("gradcheck", ["--seeds", "-1"]),
     ("link", ["--set", "max_ctx=-3"]),
     ("link", ["--set", "syn_topk=0"]),
     ("link", ["--set", "hidden_dim=1"]),
@@ -260,8 +261,9 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("link", ["--set", "pairs=bogus"]),
     ("train-positive", ["--set", "seed=-1"]),
 ], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0",
-        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "link-max_ctx-negative",
-        "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus", "seed-negative"])
+        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
+        "link-max_ctx-negative", "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus",
+        "seed-negative"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     root, kb, train, test, cache = pipeline
     inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
@@ -315,6 +317,21 @@ def test_vocab_mismatch_exit_2(pipeline, tmp_path):
     rc = main(["mine", "--kb", str(kb2), "--mentions", str(mentions2), "--cache", str(cache2),
                "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
+
+
+def test_mention_outside_the_cache_vocabulary_exit_2_naming_it(pipeline, tmp_path, caplog):
+    root, kb, _, test, cache = pipeline
+    record = json.loads(Path(test).read_text(encoding="utf-8").splitlines()[0])
+    record["mention"] += " ж"
+    mentions = tmp_path / "m.jsonl"
+    mentions.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert main(["link", *FAST, "--kb", kb, "--mentions", str(mentions), "--cache", cache,
+                 "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")]) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert repr(record["mention"]) in error and "'ж' not in vocabulary" in error
+    assert "not built from this text" in error and "kb build --mentions" in error
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
 
 
 def test_malformed_cache_vocab_exit_2(pipeline, tmp_path):

@@ -13,7 +13,8 @@ current `step_batch` against the former one.
 
 `constrained_beam_search_batch` searches many mentions with shared model
 calls. Its rankings must equal the per-mention search's, with scores within
-1e-12; a batch of one must reproduce it exactly.
+1e-12; a batch of one must reproduce it exactly. A chunk that holds one
+input twice encodes it once and gives both copies the same predictions.
 """
 
 from __future__ import annotations
@@ -171,6 +172,25 @@ def test_mixed_lengths_in_one_chunk(toy):
                     float(np.abs(summaries[i] - ref_summary).max()), abs(scores[i] - ref_score))
         assert worst <= TOL, (i, worst)
     got = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
+    assert_same_rankings(got, per_mention(toy, chunk))
+
+
+def test_a_chunk_that_repeats_an_input_encodes_it_once(toy, monkeypatch):
+    kb, trie, ckpt, inputs, cfg = toy
+    chunk = inputs[: CHUNK - 1] + [inputs[5]]
+    assert len(chunk) == CHUNK and len({x.encoder_tokens for x in chunk}) == CHUNK - 1
+    encoded = []
+    encoder_forward = model.encoder_forward
+
+    def spy(ckpt, tokens, mask):
+        encoded.extend(tuple(row[m > 0].tolist()) for row, m in zip(tokens, mask))
+        return encoder_forward(ckpt, tokens, mask)
+
+    monkeypatch.setattr(model, "encoder_forward", spy)
+    got = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
+    assert encoded == [x.encoder_tokens for x in chunk[:-1]]
+    assert got[5] == got[-1]
+    monkeypatch.undo()
     assert_same_rankings(got, per_mention(toy, chunk))
 
 

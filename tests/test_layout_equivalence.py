@@ -128,13 +128,13 @@ def reference_decoder_forward(ckpt, tokens, mask, summary):
     return H, SimpleNamespace(tokens=tokens, mask=mask, X=X, G=G, Hh=Hh, H=H)
 
 
-def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows=None):
-    if rows is not None:  # one encoder row per decoder row
-        enc_tokens, enc_mask = enc_tokens[rows], enc_mask[rows]
+def reference_forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows):
+    enc_tokens, enc_mask = enc_tokens[rows], enc_mask[rows]  # one encoder row per decoder row
     summary, enc_cache, counts = reference_encoder_forward(ckpt, enc_tokens, enc_mask)
     states, dec_cache = reference_decoder_forward(ckpt, dec_tokens, dec_mask, summary)
     logits = states @ ckpt.params["out_W"] + ckpt.params["out_b"]
-    return model.ForwardCache(enc=enc_cache, counts=counts, summary=summary, rows=None, dec=dec_cache, logits=logits)
+    return model.ForwardCache(enc=enc_cache, counts=counts, summary=summary, rows=np.arange(len(rows)),
+                              dec=dec_cache, logits=logits)
 
 
 def reference_backward(ckpt, cache, dlogits):
@@ -247,10 +247,8 @@ def test_beam_rankings_match_the_batch_major_loops(toy, monkeypatch):
 def row_per_pair_forward(forward_teacher):
     """`forward_teacher` run with one encoder row per decoder row, as before inputs were encoded once."""
 
-    def forward(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows=None):
-        if rows is not None:
-            enc_tokens, enc_mask = enc_tokens[rows], enc_mask[rows]
-        return forward_teacher(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask)
+    def forward(ckpt, enc_tokens, enc_mask, dec_tokens, dec_mask, rows):
+        return forward_teacher(ckpt, enc_tokens[rows], enc_mask[rows], dec_tokens, dec_mask, np.arange(len(rows)))
 
     return forward
 
@@ -308,7 +306,7 @@ def test_distinct_inputs_match_one_row_per_pair_bit_for_bit(toy, monkeypatch):
     inputs, entities = mixed_batch(toy)
     assert len({x.encoder_tokens for x in inputs}) == len(inputs)
     cache, lp, grads = forward_and_gradients(ckpt, inputs, entities)
-    assert cache.rows is None
+    assert np.array_equal(cache.rows, np.arange(len(inputs)))  # row b reads encoder row b
     monkeypatch.setattr(model, "forward_teacher", row_per_pair_forward(model.forward_teacher))
     ref, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
     assert np.array_equal(cache.logits, ref.logits) and np.array_equal(lp, ref_lp)

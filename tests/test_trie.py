@@ -82,10 +82,10 @@ def test_allowed_next_children_sorted_and_eos_on_terminal():
     vocab = make_vocab()
     trie = build_trie(["ab", "ac", "a"], vocab)
     first = allowed_next(trie, [], vocab.eos_id)
-    assert first == [vocab.id("a")]
+    assert first == vocab.encode_chars("a")
     nxt = allowed_next(trie, vocab.encode_chars("a"), vocab.eos_id)
     # "a" is terminal, so EOS joins its two continuations; children sorted by id
-    want = sorted([vocab.id("b"), vocab.id("c")]) + [vocab.eos_id]
+    want = sorted(vocab.encode_chars("bc")) + [vocab.eos_id]
     assert nxt == want
 
 

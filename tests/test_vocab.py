@@ -67,5 +67,7 @@ def test_round_trip_random_texts():
 def test_token_and_id_are_inverse():
     v = Vocab.from_texts(["xyz"])
     for i, tok in enumerate(v.tokens):
-        assert v.id(tok) == i
         assert v.token(i) == tok
+    for i, tok in enumerate(v.tokens[len(SPECIALS):], start=len(SPECIALS)):
+        assert v.encode_chars(tok) == [i]
+    assert [v.pad_id, v.bos_id, v.eos_id, v.st_id, v.et_id] == [v.tokens.index(s) for s in SPECIALS]
