@@ -65,7 +65,8 @@ def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` for writing; move it onto `path` when the block completes.
 
     If the block raises, the temporary file is removed and `path` is left as it was.
-    An OSError on the temporary file is raised naming `path` instead.
+    An OSError on the temporary file, on opening it or on a write that
+    names no file (a full disk, a file size limit), is raised naming `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -75,7 +76,7 @@ def atomic_write(path, mode: str = "w"):
         os.replace(tmp, path)
     except BaseException as e:
         tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError) and e.filename == str(tmp):
+        if isinstance(e, OSError) and e.errno is not None and e.filename in (None, str(tmp)):
             raise type(e)(e.errno, e.strerror, str(path)) from None
         raise
 

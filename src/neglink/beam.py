@@ -144,7 +144,8 @@ def _search(ckpt, inputs, trie, kb, beam, k) -> list[list[Prediction]]:
             active[m] = kept
         if not parents:
             break
-        states, logits = model.step_batch(states[parents], np.array(tokens), np.array(owners), tables, ckpt)
+        rows, toks, mentions = np.array(parents + tokens + owners).reshape(3, -1)
+        states, logits = model.step_batch(states[rows], toks, mentions, tables, ckpt)
         lp_rows = log_softmax(logits, axis=1).tolist()
     else:
         if any(active):

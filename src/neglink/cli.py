@@ -13,8 +13,8 @@ One subcommand per pipeline stage, file handoff between stages:
     gradcheck       finite-difference verification of all losses
 
 Exit codes: 0 success, 1 usage, 2 malformed/missing input, 3 numeric
-failure or a worker process that died, 4 gradient check failure. Logs go
-to stderr; data to files.
+failure, a worker process that died or memory that ran out, 4 gradient
+check failure. Logs go to stderr; data to files.
 
 `link` and `mine` search on every usable CPU (`taskset` limits them), one
 BLAS thread per process; their output does not depend on the CPU count.
@@ -543,6 +543,9 @@ def main(argv=None) -> int:
         return 3
     except WorkerError as e:
         log.error("%s", e)
+        return 3
+    except MemoryError as e:  # also one raised in a `map_split` worker, which re-raises it here
+        log.error("ran out of memory%s", f": {e}" if str(e) else "")
         return 3
     except (FormatError, NeglinkError) as e:
         log.error("%s", e)

@@ -5,7 +5,7 @@ identifier set. Preprocessing lowercases, expands abbreviations through a
 user-supplied dictionary (whole-word, longest key first), and collapses
 whitespace. Rendering produces the encoder token sequence
 [BOS] left [ST] mention [ET] right [EOS] and the decoder prompt
-[BOS] mention " is".
+[BOS] mention " is", neither longer than MAX_INPUT_TOKENS.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .kb import KnowledgeBase, normalize_name
 from .vocab import Vocab
 
 PROMPT_SUFFIX = " is"
+# Longest rendered encoder input or prompt, in tokens. A batch pads every
+# row to its longest, so one long mention would cost each row its length.
+MAX_INPUT_TOKENS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,8 @@ def render(ex: MentionExample, vocab: Vocab, max_ctx: int = 128) -> EncodedInput
     """Token sequences for one preprocessed example.
 
     Context is clipped to the `max_ctx` characters adjacent to the mention:
-    the tail of the left context and the head of the right context.
+    the tail of the left context and the head of the right context. A
+    sequence over MAX_INPUT_TOKENS raises MentionFormatError.
     """
     left = ex.left_context[-max_ctx:] if max_ctx > 0 else ""
     right = ex.right_context[:max_ctx] if max_ctx > 0 else ""
@@ -136,9 +140,17 @@ def render(ex: MentionExample, vocab: Vocab, max_ctx: int = 128) -> EncodedInput
         )
         prompt = [vocab.bos_id] + vocab.encode_chars(ex.mention + PROMPT_SUFFIX)
     except VocabError as e:
-        raise VocabError(f"mention {ex.mention!r}: {e}; the cache vocabulary was not built from this text "
+        raise VocabError(f"mention {_shown(ex.mention)}: {e}; the cache vocabulary was not built from this text "
                          "(list its file in `kb build --mentions`)") from None
+    if len(encoder) > MAX_INPUT_TOKENS:  # never shorter than the prompt: both add 4 tokens to the mention
+        raise MentionFormatError(f"mention {_shown(ex.mention)}: rendered input of {len(encoder)} tokens, "
+                                 f"over the bound of {MAX_INPUT_TOKENS}")
     return EncodedInput(encoder_tokens=tuple(encoder), prompt_tokens=tuple(prompt))
+
+
+def _shown(mention: str) -> str:
+    """A mention as an error message names it: quoted, its first 60 characters and its length when longer."""
+    return repr(mention) if len(mention) <= 60 else f"{mention[:60]!r}... ({len(mention)} characters)"
 
 
 def prepare_mentions(

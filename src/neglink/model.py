@@ -9,9 +9,11 @@ error is a hard requirement, which single precision cannot meet.
 
 Each GRU stores its update and reset gates fused, as the cell computes
 them: Wg, Ug and bg hold the update gate in columns [:d] and the reset gate
-in [d:], so one matmul gives both pre-activations. The cell halves them and
-takes 0.5*tanh(.)+0.5, their sigmoid (halving is exact in binary floating
-point).
+in [d:], so one matmul gives both pre-activations. The sigmoid is
+0.5*tanh(0.5*a)+0.5; its inner halving is carried by the forward pass's
+input tables and recurrent gate weights, which hold the gate weights times
+0.5, so the cell's matmul yields 0.5*a directly. Halving is exact in binary
+floating point, so this computes the same bits as halving a.
 
 Recurrent loops run time-major: a GRU's cached gates and candidates are
 (T, B, .) arrays and its states one (T + 1, B, d) array, the zero initial
@@ -28,8 +30,9 @@ projections are gathered straight into the gate and candidate arrays, and
 each step adds its recurrent products into them in place from (B, .)
 scratch buffers, so a forward pass allocates nothing of shape (T, B, .)
 beyond what it caches.
-Teacher forcing and decoding (`step_batch`) gather from the same tables, so
-a decode step computes what the teacher-forced loop computes at that step.
+Teacher forcing and decoding (`step_batch`) read the same tables, recurrent
+weights included, so a decode step computes what the teacher-forced loop
+computes at that step.
 
 Batched sequences are right-padded. Each row runs on through its padding,
 which no real step reads, so batched results equal one-at-a-time results
@@ -37,9 +40,10 @@ exactly; after the loop every row's hidden state is frozen at its last
 real token. The gradient entering padded steps must be zero, and then
 the gradients from them are identically zero.
 
-The backward pass consumes what it is handed: each GRU's backward
-overwrites its incoming state gradients, and `backward_from_dlogits` drops
-the decoder's cache once its backward has run (PyTorch's
+The backward pass consumes what it is handed: each GRU's backward writes
+its gate and candidate gradients over the cached gates and candidates, and
+r*h_prev over its incoming state gradients, and `backward_from_dlogits`
+drops both GRUs' caches once their backward has run (PyTorch's
 retain_graph=False), so a second backward needs a new forward pass.
 
 `forward_pairs` builds every teacher-forced pass and encodes each distinct
@@ -187,12 +191,14 @@ def pad_batch(seqs: list, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class InputTables:
-    """A GRU's input projections, split by source: x@Wg + bg = EG[token] + SG[row].
+    """A GRU's forward weights: its input projections split by source, and its recurrent weights.
 
-    EG (V, 2d) and EH (V, d) hold every vocabulary entry's embedding share.
-    SG (B, 2d) and SH (B, d) hold each row's share of the per-row input
-    S (B, m) plus the bias. Without S (the encoder) the bias is folded into
-    EG and EH, and S, SG and SH are None.
+    x@Wh + bh = EH[token] + SH[row]. The gate tables and Ug are halved for
+    the sigmoid: 0.5*(x@Wg + bg) = EG[token] + SG[row], and Ug is 0.5 times
+    the GRU's Ug (Uh is its own). EG (V, 2d) and EH (V, d) hold every
+    vocabulary entry's embedding share; SG (B, 2d) and SH (B, d) hold each
+    row's share of the per-row input S (B, m) plus the bias. Without S (the
+    encoder) the bias is folded into EG and EH, and S, SG and SH are None.
     """
 
     S: np.ndarray | None
@@ -200,6 +206,8 @@ class InputTables:
     EH: np.ndarray
     SG: np.ndarray | None
     SH: np.ndarray | None
+    Ug: np.ndarray
+    Uh: np.ndarray
 
 
 def input_tables(ckpt: Checkpoint, side: str, S: np.ndarray | None = None) -> InputTables:
@@ -207,17 +215,23 @@ def input_tables(ckpt: Checkpoint, side: str, S: np.ndarray | None = None) -> In
     p = ckpt.params
     emb, Wg, Wh = p["emb"], p[f"{side}_Wg"], p[f"{side}_Wh"]
     bg, bh = p[f"{side}_bg"], p[f"{side}_bh"]
+    Ug, Uh = p[f"{side}_Ug"] * 0.5, p[f"{side}_Uh"]
     if S is None:
-        return InputTables(S=None, EG=emb @ Wg + bg, EH=emb @ Wh + bh, SG=None, SH=None)
+        EG = emb @ Wg + bg
+        EG *= 0.5
+        return InputTables(S=None, EG=EG, EH=emb @ Wh + bh, SG=None, SH=None, Ug=Ug, Uh=Uh)
     d = emb.shape[1]
-    return InputTables(S=S, EG=emb @ Wg[:d], EH=emb @ Wh[:d], SG=S @ Wg[d:] + bg, SH=S @ Wh[d:] + bh)
+    EG, SG = emb @ Wg[:d], S @ Wg[d:] + bg
+    EG *= 0.5
+    SG *= 0.5
+    return InputTables(S=S, EG=EG, EH=emb @ Wh[:d], SG=SG, SH=S @ Wh[d:] + bh, Ug=Ug, Uh=Uh)
 
 
 @dataclass
 class GruCache:
     tokens: np.ndarray  # (B, T) input ids; the GRU reads their embeddings
     mask: np.ndarray  # (B, T)
-    tables: InputTables  # the input projections; tables.S is the per-row input, None for the encoder
+    tables: InputTables  # the forward weights; tables.S is the per-row input, None for the encoder
     G: np.ndarray  # (T, B, 2d) fused gates: update z in [:d], reset r in [d:]
     Hh: np.ndarray  # (T, B, d) tanh candidates
     states: np.ndarray  # (T + 1, B, d): the zero initial state, then H
@@ -227,27 +241,26 @@ class GruCache:
         self.H = self.states[1:]
 
 
-def _gru_cell(g, hh, h, Ug, Uh, h_next=None, scratch=(None, None, None)):
+def _gru_cell(g, z, r, hh, h, Ug, Uh, h_next=None, scratch=(None, None, None)):
     """One step from state `h`; returns the next state, written into `h_next` when given.
 
-    `g` and `hh` enter holding the input projections x@Wg + bg and x@Wh + bh
-    and leave holding the gates [z|r] and the candidate: h@Ug and (r*h)@Uh
-    are added into them. Both gates' sigmoids are taken as
-    0.5*tanh(0.5*a) + 0.5 of the fused pre-activation `a`. `scratch` holds
-    (B, 2d), (B, d) and (B, d) buffers for h@Ug, r*h and (r*h)@Uh, or Nones
-    for new ones.
+    `g` (B, 2d) enters holding the halved gate projection 0.5*(x@Wg + bg),
+    `z` and `r` being its views [:, :d] and [:, d:], and `hh` the candidate
+    projection x@Wh + bh; they leave holding the gates [z|r] and the
+    candidate. `Ug` is the halved recurrent gate weight (InputTables), so
+    g + h@Ug is half the pre-activation a, and 0.5*tanh(.) + 0.5 of it is
+    sigmoid(a). `scratch` holds (B, 2d), (B, d) and (B, d) buffers for
+    h@Ug, r*h and (r*h)@Uh, or Nones for new ones.
     """
     sg, rh, sh = scratch
     g += np.matmul(h, Ug, out=sg)
-    g *= 0.5
     np.tanh(g, out=g)
     g *= 0.5
     g += 0.5
-    d = h.shape[1]
-    hh += np.matmul(np.multiply(g[:, d:], h, out=rh), Uh, out=sh)
+    hh += np.matmul(np.multiply(r, h, out=rh), Uh, out=sh)
     np.tanh(hh, out=hh)
     h_next = np.subtract(hh, h, out=h_next)
-    h_next *= g[:, :d]
+    h_next *= z
     h_next += h
     return h_next
 
@@ -256,16 +269,16 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _gru_forward(tokens, mask, tables: InputTables, p: dict, side: str):
-    """The `side` GRU over right-padded (B, T) tokens: time-major (G, Hh, states) as in GruCache.
+def _gru_forward(tokens, mask, tables: InputTables):
+    """A GRU over right-padded (B, T) tokens: time-major (G, Hh, states) as in GruCache.
 
     Step t's input projections are the tables' rows for tokens[:, t], plus
     each row's per-row share when the tables have one; they are gathered
     straight into G and Hh, which the cell turns into gates and candidates.
+    The loop walks per-step views of G, its two gates, Hh and the states.
     """
-    Ug, Uh = p[f"{side}_Ug"], p[f"{side}_Uh"]
     B, T = tokens.shape
-    d = Uh.shape[0]
+    d = tables.Uh.shape[0]
     G, Hh = tables.EG[tokens.T], tables.EH[tokens.T]
     if tables.SG is not None:
         G += tables.SG
@@ -274,8 +287,8 @@ def _gru_forward(tokens, mask, tables: InputTables, p: dict, side: str):
     states[0] = 0.0
     buf = np.empty((2, B, d))  # h@Ug, then r*h and (r*h)@Uh: the first is dead before the others are written
     scratch = (buf.reshape(B, 2 * d), buf[0], buf[1])
-    for t in range(T):
-        _gru_cell(G[t], Hh[t], states[t], Ug, Uh, states[t + 1], scratch)
+    for g, z, r, hh, h, h_next in zip(G, G[:, :, :d], G[:, :, d:], Hh, states, states[1:]):
+        _gru_cell(g, z, r, hh, h, tables.Ug, tables.Uh, h_next, scratch)
     # Rows run on through their padding; give every padded step the row's last real state.
     lengths = mask.sum(axis=1).astype(np.int64)
     for b in np.flatnonzero(lengths < T):
@@ -287,31 +300,37 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
     """Backprop through the `side` GRU. Returns (d emb, dS, weight grads by parameter name).
 
     dH_ext (T, B, d) must be zero at padded steps; the gradient then stays
-    zero there. It is consumed: it holds r*h_prev on return. dS is None
-    when the GRU has no per-row input S.
+    zero there. The pass consumes its inputs in place, step by step, once
+    each step has been read: the gate pre-activation gradients overwrite
+    cache.G, the candidate's overwrite cache.Hh, and r*h_prev (for the Uh
+    gradient) overwrites dH_ext. dS is None when the GRU has no per-row
+    input S.
     """
     S, G, Hh, Hprev = cache.tables.S, cache.G, cache.Hh, cache.states[:-1]
     T, B, d = Hprev.shape
     emb = p["emb"]
     Wg, UgT = p[f"{side}_Wg"], p[f"{side}_Ug"].T
     Wh, UhT = p[f"{side}_Wh"], p[f"{side}_Uh"].T
-    DAg = np.empty((T, B, 2 * d))
-    DAh = np.empty((T, B, d))
     dh = np.zeros((B, d))
-    for t in range(T - 1, -1, -1):
-        dh += dH_ext[t]
-        h_prev = Hprev[t]
-        g, hh = G[t], Hh[t]
-        z, r = g[:, :d], g[:, d:]
-        da_h = np.multiply(dh, z, out=DAh[t])
-        da_h *= 1.0 - hh * hh
+    # Step t reads its gates, candidate and incoming gradient before it
+    # writes over them: r*h_prev into dH_ext[t], the candidate's gradient
+    # into Hh[t] and the gates' into G[t].
+    steps = (a[::-1] for a in (dH_ext, Hprev, G, G[:, :, :d], G[:, :, d:], Hh))
+    for dh_t, h_prev, g, z, r, hh in zip(*steps):
+        dh += dh_t
+        np.multiply(r, h_prev, out=dh_t)
+        dz = np.subtract(hh, h_prev)
+        dtanh = 1.0 - hh * hh
+        da_h = np.multiply(dh, z, out=hh)
+        da_h *= dtanh
         dg = da_h @ UhT  # gradient w.r.t. r * h_prev
-        da = DAg[t]
-        np.subtract(hh, h_prev, out=da[:, :d])
-        da[:, :d] *= dh
-        np.multiply(dg, h_prev, out=da[:, d:])
-        da *= g * (1.0 - g)
-        dh = dh * (1.0 - z) + da @ UgT + dg * r
+        carry, dsig, dr_h = dh * (1.0 - z), g * (1.0 - g), dg * r  # the last reads of z and r
+        np.multiply(dz, dh, out=z)
+        np.multiply(dg, h_prev, out=r)
+        g *= dsig
+        dh = carry + g @ UgT
+        dh += dr_h
+    DAg, DAh, rHprev = G, Hh, dH_ext
     # Input gradients summed per vocabulary entry in one product; the
     # embedding and input-weight gradients follow from those (V, .) sums.
     onehot = (np.arange(emb.shape[0])[:, None] == cache.tokens.T.reshape(1, -1)).astype(np.float64)
@@ -324,7 +343,6 @@ def _gru_backward(cache: GruCache, dH_ext, p: dict, side: str):
         dS = sum_g @ Wg[d:].T + sum_h @ Wh[d:].T
         dWg = np.concatenate([dWg, S.T @ sum_g])
         dWh = np.concatenate([dWh, S.T @ sum_h])
-    rHprev = np.multiply(G[:, :, d:], Hprev, out=dH_ext)
     grads = {
         "Wg": dWg, "Wh": dWh,
         "Ug": _flat(Hprev).T @ _flat(DAg), "Uh": _flat(rHprev).T @ _flat(DAh),
@@ -344,7 +362,7 @@ def encoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray):
     if np.any(counts == 0):
         raise ValueError("encoder sequence with no real tokens")
     tables = input_tables(ckpt, "enc")
-    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables, ckpt.params, "enc"))
+    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables))
     summary = np.sum(cache.H, axis=0, where=mask.T[:, :, None] > 0) / counts[:, None]
     return summary, cache, counts
 
@@ -357,7 +375,7 @@ def decoder_forward(ckpt: Checkpoint, tokens: np.ndarray, mask: np.ndarray, summ
     """Hidden states (B, T, d), a view of the time-major cache.H, over [embedding ++ summary] inputs."""
     _check_tokens(tokens, len(ckpt.vocab))
     tables = input_tables(ckpt, "dec", summary)
-    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables, ckpt.params, "dec"))
+    cache = GruCache(tokens, mask, tables, *_gru_forward(tokens, mask, tables))
     return cache.H.transpose(1, 0, 2), cache
 
 
@@ -365,15 +383,18 @@ def step_batch(states: np.ndarray, tokens: np.ndarray, rows: np.ndarray, tables:
     """One decoder step over B hypotheses: (next_states (B, d), logits (B, V)).
 
     Hypothesis i reads tokens[i] and row rows[i] of the decoder's `tables`,
-    as the teacher-forced loop reads a token and its row's summary.
+    as the teacher-forced loop reads a token and its row's summary; the
+    recurrent weights come from the tables too.
     """
     p = ckpt.params
     _check_tokens(tokens, len(ckpt.vocab))
     g, hh = tables.EG[tokens], tables.EH[tokens]
     g += tables.SG[rows]
     hh += tables.SH[rows]
-    new_states = _gru_cell(g, hh, states, p["dec_Ug"], p["dec_Uh"])
-    logits = new_states @ p["out_W"] + p["out_b"]
+    d = hh.shape[1]
+    new_states = _gru_cell(g, g[:, :d], g[:, d:], hh, states, tables.Ug, tables.Uh)
+    logits = new_states @ p["out_W"]
+    logits += p["out_b"]
     return new_states, logits
 
 
@@ -387,10 +408,10 @@ class ForwardCache:
 
     Decoder row b reads the summary of encoder row rows[b], so an input
     that several decoder rows share is encoded once. `backward_from_dlogits`
-    consumes the decoder's cache and sets dec to None.
+    consumes both GRUs' caches and sets enc and dec to None.
     """
 
-    enc: GruCache
+    enc: GruCache | None
     counts: np.ndarray  # (U,) real encoder lengths
     summary: np.ndarray  # (U, d)
     rows: np.ndarray  # (B,) each decoder row's index into summary
@@ -421,9 +442,10 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
 
     dlogits must already be zero at padded or otherwise unscored positions.
     Returns a gradient array for every parameter in the checkpoint.
-    The pass consumes `cache`: the decoder's activations are dropped once
-    its backward has run (cache.dec becomes None; cache.logits stays), so a
-    second backward needs a new forward pass.
+    The pass consumes `cache`: each GRU's backward overwrites its cached
+    activations, and each cache is dropped once its backward has run
+    (cache.dec and cache.enc become None; cache.logits and cache.summary
+    stay), so a second backward needs a new forward pass.
     """
     if cache.dec is None:
         raise ValueError("backward already ran on this forward cache; run a new forward pass")
@@ -444,6 +466,7 @@ def backward_from_dlogits(ckpt: Checkpoint, cache: ForwardCache, dlogits: np.nda
     np.add.at(dsummary, cache.rows, drows)
     dH_enc = (dsummary / cache.counts[:, None])[None] * cache.enc.mask.T[:, :, None]
     demb_enc, _, g = _gru_backward(cache.enc, dH_enc, p, "enc")
+    cache.enc = None
     grads.update(g)
     grads["emb"] = demb_dec + demb_enc
     return grads

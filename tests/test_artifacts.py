@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from neglink import __version__
+from neglink import __version__, artifacts
 from neglink.artifacts import (
     atomic_write,
     canonical_json,
@@ -122,6 +124,40 @@ def test_a_failed_write_names_the_path_asked_for(tmp_path, where):
     assert err.value.filename == str(path) and ".tmp" not in str(err.value)
     assert str(err.value).endswith(f": {str(path)!r}")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class FailsPartway:
+    """A file whose second write fails as a write over the file size limit does: an OSError naming no file."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_jsonl(path, {"seed": 1}, [{"a": 1}]),
+    lambda path: write_arrays(path, b"TEST", 1, {}, {"x": np.zeros(3)}, "<f8"),
+], ids=["jsonl", "arrays"])
+def test_a_write_that_fails_partway_names_the_path(tmp_path, monkeypatch, write):
+    real_open = open
+    monkeypatch.setattr(artifacts, "open", lambda *a, **kw: FailsPartway(real_open(*a, **kw)), raising=False)
+    path = tmp_path / "out"
+    with pytest.raises(OSError) as err:
+        write(path)
+    assert err.value.errno == errno.EFBIG and err.value.filename == str(path)
+    assert str(err.value) == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(path)!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_utf8_raises_the_callers_error_naming_the_byte_offset(tmp_path):

@@ -23,6 +23,7 @@ from neglink import artifacts, model, trie
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main
+from neglink.corpus import MAX_INPUT_TOKENS
 
 FAST = [
     "--preset", "toy",
@@ -331,6 +332,23 @@ def test_mention_outside_the_cache_vocabulary_exit_2_naming_it(pipeline, tmp_pat
     (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert repr(record["mention"]) in error and "'ж' not in vocabulary" in error
     assert "not built from this text" in error and "kb build --mentions" in error
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
+
+def test_mention_just_over_the_input_bound_exit_2_naming_it(pipeline, tmp_path, caplog):
+    root, kb, _, test, cache = pipeline
+    record = json.loads(Path(test).read_text(encoding="utf-8").splitlines()[0])
+    char = record["mention"].lower()[0]
+    # No context: [BOS] [ST] mention [ET] [EOS] is one token over the bound.
+    record.update(left="", right="", mention=char * (MAX_INPUT_TOKENS - 3))
+    mentions = tmp_path / "m.jsonl"
+    mentions.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert main(["link", *FAST, "--kb", kb, "--mentions", str(mentions), "--cache", cache,
+                 "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "p.jsonl")]) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == (f"mention {char * 60!r}... ({MAX_INPUT_TOKENS - 3} characters): rendered input of "
+                     f"{MAX_INPUT_TOKENS + 1} tokens, over the bound of {MAX_INPUT_TOKENS}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from neglink.corpus import (
+    MAX_INPUT_TOKENS,
     MentionExample,
     filter_linkable,
     load_abbreviations,
@@ -148,6 +149,18 @@ def test_render_clips_context_adjacent_to_mention():
     # left keeps its tail, right keeps its head
     assert text(v, toks[1:st]) == "a" * 128
     assert text(v, toks[et + 1 : -1]) == "b" * 128
+
+
+def test_render_bounds_the_rendered_input():
+    v = Vocab.from_texts(["ab is m"])
+    # [BOS] left [ST] mention [ET] right [EOS]: the encoder input is 4 tokens longer than its text.
+    at_bound = example(left_context="a" * 128, mention="m" * (MAX_INPUT_TOKENS - 260), right_context="b" * 128)
+    assert len(render(at_bound, v).encoder_tokens) == MAX_INPUT_TOKENS
+    over = example(left_context="a" * 128, mention="m" * (MAX_INPUT_TOKENS - 259), right_context="b" * 128)
+    with pytest.raises(MentionFormatError) as err:
+        render(over, v)
+    assert f"rendered input of {MAX_INPUT_TOKENS + 1} tokens, over the bound of {MAX_INPUT_TOKENS}" in str(err.value)
+    assert f"mention {'m' * 60!r}... ({MAX_INPUT_TOKENS - 259} characters)" in str(err.value)
 
 
 def test_prepare_mentions_pipeline(tmp_path):

@@ -274,10 +274,12 @@ def preference_stack(toy):
 
 
 def forward_and_gradients(ckpt, inputs, entities):
+    """(cache, its encoder cache, sequence log-probs, gradients); the backward drops cache.enc."""
     cache, targets, target_mask = model.forward_pairs(ckpt, inputs, entities)
+    enc = cache.enc
     weights = target_mask * np.linspace(-1.0, 1.0, len(inputs))[:, None]
     grads = model.backward_from_dlogits(ckpt, cache, model.target_dlogits(cache, targets, weights))
-    return cache, model.sequence_log_probs(cache, targets, target_mask), grads
+    return cache, enc, model.sequence_log_probs(cache, targets, target_mask), grads
 
 
 @pytest.mark.parametrize("batch", [three_targets_of_one_mention, preference_stack])
@@ -286,14 +288,14 @@ def test_repeated_inputs_are_encoded_once_and_match_one_row_per_pair(toy, monkey
     inputs, entities = batch(toy)
     distinct = len({x.encoder_tokens for x in inputs})
     assert distinct < len(inputs)
-    cache, lp, grads = forward_and_gradients(ckpt, inputs, entities)
-    assert cache.summary.shape[0] == cache.enc.tokens.shape[0] == distinct
-    read = [tuple(cache.enc.tokens[r][cache.enc.mask[r] > 0].tolist()) for r in cache.rows]
+    cache, enc, lp, grads = forward_and_gradients(ckpt, inputs, entities)
+    assert cache.summary.shape[0] == enc.tokens.shape[0] == distinct
+    read = [tuple(enc.tokens[r][enc.mask[r] > 0].tolist()) for r in cache.rows]
     assert read == [x.encoder_tokens for x in inputs]
-    assert len({row.tobytes() for row in cache.enc.tokens}) == distinct
+    assert len({row.tobytes() for row in enc.tokens}) == distinct
 
     monkeypatch.setattr(model, "forward_teacher", row_per_pair_forward(model.forward_teacher))
-    ref, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
+    ref, _, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
     assert ref.summary.shape[0] == len(inputs)
     assert_close(lp, ref_lp, "sequence log-probs")
     assert set(grads) == set(ref_grads) == set(ckpt.params)
@@ -305,10 +307,10 @@ def test_distinct_inputs_match_one_row_per_pair_bit_for_bit(toy, monkeypatch):
     ckpt = toy[2]
     inputs, entities = mixed_batch(toy)
     assert len({x.encoder_tokens for x in inputs}) == len(inputs)
-    cache, lp, grads = forward_and_gradients(ckpt, inputs, entities)
+    cache, _, lp, grads = forward_and_gradients(ckpt, inputs, entities)
     assert np.array_equal(cache.rows, np.arange(len(inputs)))  # row b reads encoder row b
     monkeypatch.setattr(model, "forward_teacher", row_per_pair_forward(model.forward_teacher))
-    ref, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
+    ref, _, ref_lp, ref_grads = forward_and_gradients(ckpt, inputs, entities)
     assert np.array_equal(cache.logits, ref.logits) and np.array_equal(lp, ref_lp)
     for name in sorted(ref_grads):
         assert np.array_equal(grads[name], ref_grads[name]), name

@@ -4,9 +4,10 @@ The encoder's forward pass keeps its cache arrays and allocates nothing
 else of shape (T, B, .): the input projections are gathered straight into
 the gate and candidate arrays, and the states' mean is reduced without a
 masked copy. A dpo step on 16 toy pairs stays under a bound set from its
-measured peak (7.23 MiB on numpy 2.4; the former layout peaked at
-9.41 MiB). A backward pass consumes its forward cache, so a second one
-raises ValueError.
+measured peak of 7.23 MiB on numpy 2.4 (the former layout peaked at
+9.41 MiB); since the backward writes its gate gradients over the spent
+activations it peaks at 6.04 MiB. A backward pass consumes both GRUs'
+caches, so a second one raises ValueError.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def test_a_second_backward_on_a_consumed_cache_raises_value_error(toy):
     cache, targets, tmask = model.forward_pairs(ckpt, inputs[:2], entities)
     dlogits = model.target_dlogits(cache, targets, -tmask)
     model.backward_from_dlogits(ckpt, cache, dlogits)
-    assert cache.dec is None
+    assert cache.dec is None and cache.enc is None
     assert model.sequence_log_probs(cache, targets, tmask).shape == (2,)  # logits stay
     with pytest.raises(ValueError, match="new forward pass"):
         model.backward_from_dlogits(ckpt, cache, dlogits)

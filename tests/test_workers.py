@@ -3,9 +3,9 @@
 `workers.map_split` hands contiguous runs of items to children made with
 `os.fork`. The usable CPU count is patched to 1, 2 and 3, and the batched
 search and mining must return exactly what one process returns. Errors
-raised in a child reach the caller unchanged, a child that dies makes
-`neglink link` exit 3, and after every test no child is left and the BLAS
-thread count is what it was.
+raised in a child reach the caller unchanged, a child that dies or a
+`MemoryError` in the parent or a child makes `neglink link` exit 3, and
+after every test no child is left and the BLAS thread count is what it was.
 """
 
 from __future__ import annotations
@@ -191,12 +191,39 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
     assert time.monotonic() - start < 30
 
 
-def test_a_worker_killed_by_a_signal_makes_link_exit_3(a11_data, tmp_path, monkeypatch, caplog, capfd):
+FAST = ["--preset", "toy", "--set", "pos_steps=1", "--set", "hidden_dim=32"]
+
+
+@pytest.fixture(scope="module")
+def linkable(a11_data, tmp_path_factory):
+    """The `link` arguments, but --out, over A11's data with a cache and a one-step checkpoint."""
+    root = tmp_path_factory.mktemp("linkable")
     kb, train, test = (str(a11_data / f) for f in ("kb.jsonl", "train.jsonl", "test.jsonl"))
-    cache, ckpt = str(tmp_path / "cache"), str(tmp_path / "s1.ckpt")
-    fast = ["--preset", "toy", "--set", "pos_steps=1", "--set", "hidden_dim=32"]
+    cache, ckpt = str(root / "cache"), str(root / "s1.ckpt")
     assert main(["kb", "build", "--kb", kb, "--mentions", train, "--mentions", test, "--out", cache]) == 0
-    assert main(["train-positive", *fast, "--kb", kb, "--mentions", train, "--cache", cache, "--out", ckpt]) == 0
+    assert main(["train-positive", *FAST, "--kb", kb, "--mentions", train, "--cache", cache, "--out", ckpt]) == 0
+    return ["link", *FAST, "--kb", kb, "--mentions", test, "--cache", cache, "--ckpt", ckpt]
+
+
+def link_fails_with_one_error(linkable, search, tmp_path, monkeypatch, caplog, capfd) -> str:
+    """Run `link` with `search` as `beam._search`, on 4-mention chunks and two CPUs.
+
+    It must exit 3 with one error line, which is returned, no traceback and no output file.
+    """
+    monkeypatch.setattr(beam, "CHUNK", 4)
+    monkeypatch.setattr(beam, "_search", search)
+    use_cpus(monkeypatch, 2)
+    caplog.set_level(logging.ERROR, logger="neglink")
+    out = tmp_path / "preds.jsonl"
+    assert main([*linkable, "--out", str(out)]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1, errors
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+    return errors[0]
+
+
+def test_a_worker_killed_by_a_signal_makes_link_exit_3(linkable, tmp_path, monkeypatch, caplog, capfd):
     parent = os.getpid()
 
     def dies_in_child(*args):
@@ -204,14 +231,19 @@ def test_a_worker_killed_by_a_signal_makes_link_exit_3(a11_data, tmp_path, monke
             os.kill(os.getpid(), signal.SIGKILL)
         return []
 
-    monkeypatch.setattr(beam, "CHUNK", 4)
-    monkeypatch.setattr(beam, "_search", dies_in_child)
-    use_cpus(monkeypatch, 2)
-    caplog.set_level(logging.ERROR, logger="neglink")
-    out = tmp_path / "preds.jsonl"
-    rc = main(["link", *fast, "--kb", kb, "--mentions", test, "--cache", cache, "--ckpt", ckpt, "--out", str(out)])
-    assert rc == 3
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "killed by signal 9" in errors[0], errors
-    assert "Traceback" not in capfd.readouterr().err
-    assert not out.exists()
+    assert "killed by signal 9" in link_fails_with_one_error(linkable, dies_in_child, tmp_path, monkeypatch,
+                                                             caplog, capfd)
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_running_out_of_memory_makes_link_exit_3(linkable, tmp_path, monkeypatch, caplog, capfd, where):
+    parent = os.getpid()
+    message = "Unable to allocate 97.7 MiB for an array with shape (200004, 1, 64) and data type float64"
+
+    def out_of_memory(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise MemoryError(message)  # raised, never provoked: no test allocates for real
+        return []
+
+    error = link_fails_with_one_error(linkable, out_of_memory, tmp_path, monkeypatch, caplog, capfd)
+    assert error == f"ran out of memory: {message}"
