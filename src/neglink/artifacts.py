@@ -60,6 +60,14 @@ def make_header(seed: int, inputs: dict[str, str | Path]) -> dict:
     }
 
 
+def check_inputs(path, header, inputs: dict[str, str | Path]) -> None:
+    """Raise FormatError naming `path` unless `header`, from `make_header`, records each of `inputs` by its digest."""
+    recorded = header.get("inputs") if type(header) is dict else None
+    for name, src in sorted(inputs.items()):
+        if type(recorded) is not dict or recorded.get(name) != sha256_file(src):
+            raise FormatError(f"{path}: written for another {name} file: its header's digest differs from {src}'s")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` for writing; move it onto `path` when the block completes.
@@ -140,15 +148,8 @@ def _values(rec: dict, kinds: dict[str, str], error: type[FormatError], where, l
     return values
 
 
-def read_records(path, kinds: dict[str, str] | None = None, error: type[FormatError] = FormatError):
-    """(line number, record) for each non-blank line of a JSON-lines file; each record must be a JSON object.
-
-    With `kinds` (key -> kind), a record is given as the list of those keys'
-    values, each checked against its kind. A kind is one of `_TYPES`, or one
-    followed by " or null", which also accepts a missing key; both read as
-    None. JSON true and false are not integers or numbers, though Python's
-    bool is an int.
-    """
+def _objects(path, error: type[FormatError]):
+    """(line number, JSON object) for each non-blank line of a JSON-lines file."""
     for lineno, line in read_lines(path, error):
         try:
             rec = json.loads(line)
@@ -156,12 +157,29 @@ def read_records(path, kinds: dict[str, str] | None = None, error: type[FormatEr
             raise error(f"{path}: line {lineno}: invalid JSON ({e})") from e
         if type(rec) is not dict:
             raise error(f"{path}: line {lineno}: expected a JSON object, got {canonical_json(rec):.60}")
+        yield lineno, rec
+
+
+def read_records(path, kinds: dict[str, str] | None = None, error: type[FormatError] = FormatError):
+    """(line number, record) for each non-blank line of a JSON-lines file; each record must be a JSON object.
+
+    A first line that holds only a "header" key, as `write_jsonl` writes, is
+    the file's header and is skipped; any other first line is a record.
+    With `kinds` (key -> kind), a record is given as the list of those keys'
+    values, each checked against its kind. A kind is one of `_TYPES`, or one
+    followed by " or null", which also accepts a missing key; both read as
+    None. JSON true and false are not integers or numbers, though Python's
+    bool is an int.
+    """
+    for lineno, rec in _objects(path, error):
+        if lineno == 1 and rec.keys() == {"header"}:
+            continue
         yield lineno, rec if kinds is None else _values(rec, kinds, error, path, lineno)
 
 
 def read_jsonl(path, kinds: dict[str, str] | None = None) -> tuple[dict, list]:
     """The header and the records of a file written by `write_jsonl`; `kinds` as in `read_records`."""
-    records = read_records(path)
+    records = _objects(path, FormatError)
     lineno, first = next(records, (None, {}))
     if lineno != 1 or "header" not in first:
         raise FormatError(f"{path}: missing header line")

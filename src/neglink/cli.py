@@ -135,9 +135,11 @@ def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]
     return constrained_beam_search_batch(ckpt, inputs, trie, kb, beam=cfg.beam, k=cfg.topk)
 
 
-def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
+def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int, inputs: dict) -> list[list[Prediction]]:
+    """The prediction lists of a `link` output written for `inputs` (name -> path, as in its header)."""
     kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
-    _, records = artifacts.read_jsonl(path, kinds)
+    header, records = artifacts.read_jsonl(path, kinds)
+    artifacts.check_inputs(path, header, inputs)
     lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
     for i, rank, name, score in records:
         if not 0 <= i < n_examples:
@@ -196,22 +198,14 @@ def cmd_synth(args) -> int:
     idx = build_index(kb.names())
     examples = synth.gen_pretrain_examples(kb, idx, cap=args.cap)
     pairs = synth.gen_pretrain_pairs(kb, idx, vocab, k=args.k, examples=examples, max_ctx=cfg.max_ctx)
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb})
-    artifacts.write_jsonl(
-        args.out_mentions,
-        header,
-        (
-            {
-                "left": "",
-                "mention": ex.mention,
-                "right": ex.right_context,
-                "gold_ids": [ex.concept_id],
-                "targets": [ex.target],
-                "kind": ex.source_kind,
-            }
-            for ex in examples
-        ),
-    )
+    artifacts.write_jsonl(args.out_mentions, artifacts.make_header(cfg.seed, {"kb": args.kb}), (
+        {"left": ex.left_context, "mention": ex.mention, "right": ex.right_context, "gold_ids": sorted(ex.gold_ids),
+         "targets": list(ex.targets),
+         # each generator puts its template first, so the right context names the generator
+         "kind": "definition" if ex.right_context.startswith(synth.DEFINITION_TEMPLATE) else "synonym"}
+        for ex in examples
+    ))
+    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.out_mentions})
     artifacts.write_jsonl(args.out_pairs, header, (_pair_record(t) for t in pairs))
     log.info("synthesized %d examples and %d pairs", len(examples), len(pairs))
     return 0
@@ -271,14 +265,23 @@ def _pair_record(t: PreferenceTriplet) -> dict:
 
 
 def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet]]:
-    """The pairs file's triplets, each mention rendered once; the KB and the examples are freed on return."""
+    """The pairs file's triplets, each mention rendered once; the KB and the examples are freed on return.
+
+    The pairs must have been written for `--kb` and `--mentions`, and each name must be readable by the vocabulary.
+    """
     cfg, _, vocab, examples = _load_training_inputs(args)
-    _, records = artifacts.read_jsonl(args.pairs, {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"})
+    kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
+    header, records = artifacts.read_jsonl(args.pairs, kinds)
+    artifacts.check_inputs(args.pairs, header, {"kb": args.kb, "mentions": args.mentions})
     inputs: dict[int, EncodedInput] = {}
     triplets = []
     for i, e_w, e_l in records:
         if not 0 <= i < len(examples):
             raise FormatError(f"{args.pairs}: mention_index {i} out of range")
+        try:
+            vocab.encode_chars(e_w + e_l)
+        except VocabError as e:
+            raise FormatError(f"{args.pairs}: pair {e_w!r} vs {e_l!r} of mention_index {i}: {e}") from None
         if i not in inputs:
             inputs[i] = render(examples[i], vocab, max_ctx=cfg.max_ctx)
         triplets.append(PreferenceTriplet(input=inputs[i], preferred=e_w, dispreferred=e_l, mention_index=i))
@@ -334,12 +337,13 @@ def _fold_reports(examples: list[MentionExample], prediction_lists, whole, ks) -
 def cmd_eval(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     ks = (1, args.k) if args.k != 1 else (1,)
-    prediction_lists = _predictions_from_file(args.preds, kb, len(examples))
+    inputs = {"kb": args.kb, "mentions": args.mentions}
+    prediction_lists = _predictions_from_file(args.preds, kb, len(examples), inputs)
     gold_sets = [ex.gold_ids for ex in examples]
     report_a = evaluate(prediction_lists, gold_sets, ks=ks)
     doc = _fold_reports(examples, prediction_lists, report_a, ks)
     if args.preds_b:
-        lists_b = _predictions_from_file(args.preds_b, kb, len(examples))
+        lists_b = _predictions_from_file(args.preds_b, kb, len(examples), inputs)
         report_b = evaluate(lists_b, gold_sets, ks=ks)
         boot = bootstrap_paired_test(
             report_a.per_example, report_b.per_example, k=args.k,
@@ -365,7 +369,8 @@ def cmd_analyze(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
-    prediction_lists = _predictions_from_file(args.preds, kb, len(examples))
+    inputs = {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt}
+    prediction_lists = _predictions_from_file(args.preds, kb, len(examples), inputs)
     binned = binned_error_report(examples, prediction_lists, kb, idx)
     gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, idx, max_ctx=cfg.max_ctx)
     header = artifacts.make_header(cfg.seed, {"mentions": args.mentions, "preds": args.preds, "ckpt": args.ckpt})

@@ -10,6 +10,10 @@ its top-k lists into (input, preferred, dispreferred) triplets:
   (c) when no prediction is correct, the TF-IDF-nearest gold synonym is
       paired with each of the top-3 incorrect predictions.
 
+`negatives=tfidf` skips decoding: `tfidf_pairs` pairs the nearest gold
+synonym against the three most mention-similar names of no gold concept.
+`synth` pairs its targets by the same function.
+
 Each mention is mined on its own (render, decode, pairing rules,
 invariant check), so `workers.map_split` mines contiguous runs of the
 mentions in forked processes, one per usable CPU, each with one BLAS
@@ -99,6 +103,22 @@ def triplets_from_predictions(
     return out
 
 
+def tfidf_pairs(
+    enc_input: EncodedInput,
+    ex: MentionExample,
+    preferred: str,
+    kb: KnowledgeBase,
+    idx: TfIdfIndex,
+    k: int,
+    mention_index: int,
+) -> list[PreferenceTriplet]:
+    """`preferred` against each of the k KB names most similar to the mention that belong to no gold concept."""
+    return [
+        PreferenceTriplet(input=enc_input, preferred=preferred, dispreferred=e_l, mention_index=mention_index)
+        for e_l in hard_negatives(ex.mention, kb, ex.gold_ids, k, idx)
+    ]
+
+
 def dedup_triplets(triplets: list[PreferenceTriplet]) -> list[PreferenceTriplet]:
     seen: set[tuple] = set()
     out = []
@@ -133,11 +153,7 @@ def mine_pairs(
         enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
         names = gold_synonyms(ex, kb)
         if cfg.negatives == "tfidf":
-            e_w = rank_synonyms(ex.mention, names, 1, idx)[0]
-            mined = [
-                PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i)
-                for e_l in hard_negatives(ex.mention, kb, ex.gold_ids, 3, idx)
-            ]
+            mined = tfidf_pairs(enc, ex, rank_synonyms(ex.mention, names, 1, idx)[0], kb, idx, 3, i)
         else:
             preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
             mined = triplets_from_predictions(enc, preds, ex.gold_ids, ex.mention, names, idx, cfg.pairs, i)

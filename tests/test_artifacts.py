@@ -204,6 +204,14 @@ def test_optional_keys_may_be_missing_or_null(tmp_path):
     assert list(read_records(p, kinds)) == [(1, ["x", None, None]), (2, ["x", None, None]), (3, ["x", 2, ["y"]])]
 
 
+def test_read_records_skips_a_header_only_first_line(tmp_path):
+    p = tmp_path / "headed.jsonl"
+    write_jsonl(p, {"seed": 0}, [{"name": "x"}, {"header": {}}])
+    assert list(read_records(p)) == [(2, {"name": "x"}), (3, {"header": {}})]
+    p.write_text('{"header":{},"name":"y"}\n', encoding="utf-8")
+    assert list(read_records(p, {"name": "a string"})) == [(1, ["y"])]
+
+
 @pytest.mark.parametrize("rec, message", [
     ({}, "line 2: record missing 'name'"),
     ({"name": None}, "line 2: 'name' must be a string, got null"),

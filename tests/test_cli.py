@@ -23,7 +23,8 @@ from neglink import artifacts, model, trie
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main
-from neglink.corpus import MAX_INPUT_TOKENS
+from neglink.corpus import MAX_INPUT_TOKENS, prepare_mentions
+from neglink.kb import load_kb
 
 FAST = [
     "--preset", "toy",
@@ -89,6 +90,52 @@ def test_synth_outputs(pipeline):
     for rec in pairs:
         assert rec["e_w"] != rec["e_l"]
         assert 0 <= rec["mention_index"] < len(mentions)
+
+
+def test_synthetic_pretraining_runs_through_both_stages_and_its_pairs_align(pipeline, tmp_path):
+    """README's pre-training recipe: both stages on `synth`'s files, then stage 1 on the task mentions from there."""
+    root, kb, train, test, cache = pipeline
+    mentions, pairs = str(root / "synth.jsonl"), str(root / "synth_pairs.jsonl")
+    inputs = ["--kb", kb, "--cache", cache]
+    run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", mentions,
+        "--out", str(tmp_path / "p1.ckpt"))
+    run("train-negative", *FAST, *inputs, "--mentions", mentions, "--ckpt", str(tmp_path / "p1.ckpt"), "--pairs", pairs,
+        "--out", str(tmp_path / "p2.ckpt"))
+    run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train,
+        "--init", str(tmp_path / "p2.ckpt"), "--out", str(tmp_path / "s1.ckpt"))
+    assert model.load(tmp_path / "p2.ckpt").stage == "negative"
+    # every pair joins the mention the stages load at its index: the target is gold, the negative is not
+    knowledge = load_kb(kb)
+    examples, dropped = prepare_mentions(mentions, knowledge)
+    assert dropped == 0 and len(examples) == len(read_jsonl(mentions)[1])
+    header, records = read_jsonl(pairs)
+    assert header["inputs"] == {"kb": artifacts.sha256_file(kb), "mentions": artifacts.sha256_file(mentions)}
+    assert records
+    for rec in records:
+        gold = examples[rec["mention_index"]].gold_ids
+        assert knowledge.align(rec["e_w"]) & gold and not knowledge.align(rec["e_l"]) & gold
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["HEADER", "RECORD", "RECORD"], None),
+    (["RECORD", "HEADER"], "line 2: record missing 'mention'"),
+    (['{"header": {}, "mention": 5, "gold_ids": ["X"]}', "RECORD"], "line 1: 'mention' must be a string, got 5"),
+    (['{"mention": "x"}', "RECORD"], "line 1: record missing 'gold_ids'"),
+], ids=["header-first", "header-second", "header-and-record-first", "malformed-first"])
+def test_a_header_only_line_is_skipped_on_line_1_only(pipeline, tmp_path, caplog, lines, message):
+    root, kb, train, test, cache = pipeline
+    record = Path(test).read_text(encoding="utf-8").splitlines()[0]
+    path = tmp_path / "m.jsonl"
+    text = {"HEADER": json.dumps({"header": {"seed": 0}}), "RECORD": record}
+    path.write_text("".join(text.get(line, line) + "\n" for line in lines), encoding="utf-8")
+    caplog.clear()
+    rc = main(["train-positive", *FAST, "--set", "pos_steps=1", "--kb", kb, "--mentions", str(path), "--cache", cache,
+               "--out", str(tmp_path / "s1.ckpt")])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    if message is None:
+        assert rc == 0 and errors == []
+    else:
+        assert rc == 2 and errors == [f"{path}: {message}"]
 
 
 def test_checkpoint_stages_and_losses(pipeline):
@@ -538,6 +585,12 @@ def test_malformed_record_exit_2(pipeline, tmp_path, caplog, command, record):
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(bad) in errors[0].getMessage()
     assert "\n" not in errors[0].getMessage() and errors[0].exc_info is None
+    # the records' types are checked before the header's digests, which `{}` lacks
+    if isinstance(record, dict):
+        key = "mention_index" if command == "train-negative" else "score"
+        assert f"line 2: {key!r} must be a" in errors[0].getMessage()
+    else:
+        assert "line 2: expected a JSON object" in errors[0].getMessage()
 
 
 @pytest.mark.parametrize("target", ["kb", "mentions", "abbrev", "config", "vocab", "preds", "pairs"])
@@ -635,6 +688,64 @@ def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(bad) in errors[0].getMessage()
     assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def other_inputs(pipeline, tmp_path_factory):
+    """A KB with one more concept, and s1's predictions for the first 24 train mentions."""
+    root, kb, train, test, cache = pipeline
+    other = tmp_path_factory.mktemp("other")
+    kb2, mentions2, preds2 = other / "kb.jsonl", other / "mentions.jsonl", other / "preds.jsonl"
+    kb2.write_bytes(Path(kb).read_bytes() + b'{"id": "EXTRA", "names": ["xyz"]}\n')
+    mentions2.write_bytes(b"".join(Path(train).read_bytes().splitlines(keepends=True)[:24]))
+    run("link", *FAST, "--kb", kb, "--mentions", str(mentions2), "--cache", cache,
+        "--ckpt", str(root / "s1.ckpt"), "--out", str(preds2))
+    return {"kb": str(kb2), "preds": str(preds2)}
+
+
+@pytest.mark.parametrize("case", ["pairs-mentions", "pairs-kb", "preds", "preds-b", "analyze-ckpt"])
+def test_a_file_written_for_other_inputs_exit_2_naming_it(pipeline, other_inputs, tmp_path, caplog, case):
+    root, kb, train, test, cache = pipeline
+    longer = tmp_path / "longer.jsonl"  # train's 48 mentions and 24 more: every mention_index is in range
+    longer.write_bytes(Path(train).read_bytes() + Path(test).read_bytes())
+    pairs, preds = str(root / "pairs.jsonl"), str(root / "preds_s2.jsonl")
+    out = ["--out", str(tmp_path / "out")]
+    s1 = ["--ckpt", str(root / "s1.ckpt")]
+    train_negative = ["train-negative", *FAST, "--cache", cache, *s1, "--pairs", pairs, *out]
+    evaluate = ["eval", "--kb", kb, "--mentions", test, "--cache", cache, *out]
+    argv, named = {
+        "pairs-mentions": (train_negative + ["--kb", kb, "--mentions", str(longer)], pairs),
+        "pairs-kb": (train_negative + ["--kb", other_inputs["kb"], "--mentions", train], pairs),
+        # as many mentions as the predictions cover, but other ones
+        "preds": (evaluate + ["--preds", other_inputs["preds"]], other_inputs["preds"]),
+        "preds-b": (evaluate + ["--preds", preds, "--preds-b", other_inputs["preds"]], other_inputs["preds"]),
+        # the gap report would subtract s2's scores in the file from scores that s1 computes
+        "analyze-ckpt": (["analyze", "--kb", kb, "--mentions", test, "--cache", cache, *s1, "--preds", preds,
+                          "--out-bins", str(tmp_path / "bins"), "--out-gaps", str(tmp_path / "gaps")], preds),
+    }[case]
+    caplog.clear()
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert message.startswith(f"{named}: written for another ") and "digest differs" in message and "\n" not in message
+    assert [p.name for p in tmp_path.iterdir()] == ["longer.jsonl"]
+
+
+def test_a_pair_name_outside_the_vocabulary_exit_2_when_the_pairs_are_read(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    header, *records = (root / "pairs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(records[-1])
+    rec["e_l"] += "Q"
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_text(header + "".join(records[:-1]) + json.dumps(rec) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert main(["train-negative", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
+                 "--ckpt", str(root / "s1.ckpt"), "--pairs", str(bad), "--out", str(tmp_path / "s2.ckpt")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{bad}: pair {rec['e_w']!r} vs {rec['e_l']!r} of mention_index {rec['mention_index']}: "
+                      "character 'Q' not in vocabulary"]
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
 
 
 class FakeLibc:

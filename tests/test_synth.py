@@ -1,7 +1,13 @@
-"""KB-derived synthetic training data: templates, targets, pairs."""
+"""KB-derived synthetic training data: templates, targets, pairs.
+
+The generators return ordinary `corpus.MentionExample`s: the concept's id
+is the one gold id, the generation target the one target, and the right
+context starts with the template of the generator that made it.
+"""
 
 from __future__ import annotations
 
+from neglink.corpus import render
 from neglink.kb import Concept, build_kb
 from neglink.synth import (
     DEFINITION_TEMPLATE,
@@ -30,34 +36,34 @@ def test_definition_examples_use_template_and_sibling_target():
     kb = make_kb()
     idx = build_index(kb.names())
     got = gen_definition_examples(kb, idx)
-    by_mention = {(e.concept_id, e.mention): e for e in got}
-    assert all(e.source_kind == "definition" for e in got)
+    by_mention = {(cid, e.mention): e for e in got for cid in e.gold_ids}
+    assert all(len(e.gold_ids) == 1 and e.right_context.startswith(DEFINITION_TEMPLATE) for e in got)
     # every synonym of every defined concept appears
     assert set(by_mention) == {("C1", "abc"), ("C1", "abd"), ("C1", "azz"), ("C3", "solo")}
     e = by_mention[("C1", "abc")]
     assert e.right_context == f"{DEFINITION_TEMPLATE} some thing"
-    assert e.target == "abd"  # nearest sibling by trigram overlap
+    assert e.targets[0] == "abd"  # nearest sibling by trigram overlap
     # a single-name concept falls back to generating its own name
-    assert by_mention[("C3", "solo")].target == "solo"
+    assert by_mention[("C3", "solo")].targets[0] == "solo"
 
 
 def test_synonym_examples_only_for_undefined_multiname_concepts():
     kb = make_kb()
     idx = build_index(kb.names())
     got = gen_synonym_examples(kb, idx)
-    assert {e.concept_id for e in got} == {"C2", "C4"}
+    assert {cid for e in got for cid in e.gold_ids} == {"C2", "C4"}
     e = next(x for x in got if x.mention == "bcd")
     assert e.right_context == f"{SYNONYM_TEMPLATE} bce"
     # only two names exist, so the target falls back to the named sibling
-    assert e.target == "bce"
-    assert e.source_kind == "synonym"
+    assert e.targets[0] == "bce"
+    assert e.right_context.startswith(SYNONYM_TEMPLATE)
 
 
 def test_cap_limits_examples_per_concept():
     kb = make_kb()
     idx = build_index(kb.names())
     got = gen_definition_examples(kb, idx, cap=1)
-    assert sum(1 for e in got if e.concept_id == "C1") == 1
+    assert sum(1 for e in got if e.gold_ids == {"C1"}) == 1
 
 
 def test_examples_render_like_ordinary_mentions():
@@ -65,10 +71,10 @@ def test_examples_render_like_ordinary_mentions():
     idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + [DEFINITION_TEMPLATE, SYNONYM_TEMPLATE, "some thing alone. is"])
     for e in gen_pretrain_examples(kb, idx):
-        ex = e.to_mention_example()
-        assert ex.targets == (e.target,)
-        assert ex.gold_ids == frozenset({e.concept_id})
-        enc = e.encoded(vocab)
+        assert len(e.targets) == 1 and e.targets[0] in kb.names()
+        assert len(e.gold_ids) == 1 and e.gold_ids <= kb.align(e.targets[0])
+        assert e.left_context == "" and e.fold is None
+        enc = render(e, vocab)
         assert enc.encoder_tokens[0] == vocab.bos_id
         assert enc.encoder_tokens[-1] == vocab.eos_id
 
@@ -88,8 +94,9 @@ def test_pretrain_pairs_prefer_target_against_other_concept_names():
     assert pairs
     for t in pairs:
         ex = examples[t.mention_index]
-        assert t.preferred == ex.target
-        assert ex.concept_id not in kb.align(t.dispreferred)
+        assert t.preferred == ex.targets[0]
+        assert ex.gold_ids & kb.align(t.preferred)
+        assert not ex.gold_ids & kb.align(t.dispreferred)
     # every example contributes at most k pairs
     per_example = {}
     for t in pairs:
