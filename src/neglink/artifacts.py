@@ -1,9 +1,11 @@
 """Artifact file helpers: headers, digests, canonical JSON lines, and every text read.
 
-Every emitted data file starts with a header line recording the tool
-version, the run seed, and a sha256 digest of each input file, so a rerun
-with identical inputs and config can be byte-compared. JSON is serialized
-with sorted keys and fixed separators for the same reason.
+Every emitted data file starts with a header recording the tool version,
+the run settings and a sha256 digest of each input file (never its
+path), so a rerun with identical inputs and config can be byte-compared,
+and a reader can check that a file was written for the inputs it is
+given. JSON is serialized with sorted keys and fixed separators for the
+same reason.
 
 Files are written whole or not at all: each goes to a temporary file in
 the target's directory and is renamed over the target once complete, so a
@@ -51,19 +53,20 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def make_header(seed: int, inputs: dict[str, str | Path]) -> dict:
+def make_header(config: dict, inputs: dict[str, str | Path]) -> dict:
     return {
         "tool": "neglink",
         "version": __version__,
-        "seed": seed,
+        "config": config,
         "inputs": {name: sha256_file(path) for name, path in sorted(inputs.items())},
     }
 
 
-def check_inputs(path, header, inputs: dict[str, str | Path]) -> None:
-    """Raise FormatError naming `path` unless `header`, from `make_header`, records each of `inputs` by its digest."""
+def check_inputs(path, header, options, names) -> None:
+    """Raise FormatError naming `path` unless `header` records the file of each of `options`' attributes `names`."""
     recorded = header.get("inputs") if type(header) is dict else None
-    for name, src in sorted(inputs.items()):
+    for name in sorted(names):
+        src = getattr(options, name)
         if type(recorded) is not dict or recorded.get(name) != sha256_file(src):
             raise FormatError(f"{path}: written for another {name} file: its header's digest differs from {src}'s")
 
@@ -94,6 +97,12 @@ def write_jsonl(path, header: dict, records) -> None:
         fh.write(canonical_json({"header": header}) + "\n")
         for rec in records:
             fh.write(canonical_json(rec) + "\n")
+
+
+def write_json(path, header: dict, fields: dict) -> None:
+    """One JSON object on one line: `header` under "header", beside `fields`."""
+    with atomic_write(path) as fh:
+        fh.write(canonical_json({"header": header, **fields}) + "\n")
 
 
 def read_lines(path, error: type[FormatError] = FormatError):

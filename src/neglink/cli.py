@@ -89,8 +89,25 @@ def vocab_from_sources(kb: KnowledgeBase, mention_files: list[str], abbrev: str 
     return Vocab.from_texts(texts)
 
 
-def _load_vocab(cache_dir) -> Vocab:
-    path = Path(cache_dir) / "vocab.json"
+# Options that name a file a command reads, then the cache files its loaders read (they set `args.vocab` and
+# `args.trie`); every output header records each file under that name. `kb build` repeats --mentions.
+_READ_FILES = ("kb", "mentions", "abbrev", "init", "ckpt", "pairs", "preds", "preds_b", "vocab", "trie")
+
+
+def _header(args, cfg: RunConfig) -> dict:
+    """The header of every output: `cfg`'s settings and the digest of each file of `args` that the command read."""
+    files = {}
+    for name in _READ_FILES:
+        path = getattr(args, name, None)
+        if isinstance(path, list):
+            files.update((f"{name}{i}", p) for i, p in enumerate(path))
+        elif path:
+            files[name] = path
+    return artifacts.make_header(dataclasses.asdict(cfg), files)
+
+
+def _load_vocab(args) -> Vocab:
+    path = args.vocab = Path(args.cache) / "vocab.json"
     records = [values for _, values in artifacts.read_records(path, {"tokens": "a list of strings"})]
     if len(records) != 1:
         raise FormatError(f"{path}: expected one JSON object, found {len(records)}")
@@ -98,14 +115,16 @@ def _load_vocab(cache_dir) -> Vocab:
     return Vocab(tokens)
 
 
-def _load_trie(cache_dir, vocab: Vocab) -> TokenTrie:
-    path = Path(cache_dir) / "trie.bin"
+def _load_trie(args, vocab: Vocab) -> TokenTrie:
+    """The cache's trie, which must hold only `vocab`'s token ids and have been built from `--kb`."""
+    path = args.trie = Path(args.cache) / "trie.bin"
     try:
         trie = load_trie(path)
     except TrieFormatError as e:
         raise TrieFormatError(f"{path}: {e}") from None
     if trie.max_token >= len(vocab):
         raise TrieFormatError(f"{path}: token id {trie.max_token} outside the cache vocabulary of size {len(vocab)}")
+    artifacts.check_inputs(path, trie.header, args, ["kb"])
     return trie
 
 
@@ -123,23 +142,11 @@ def _write_loss_log(path, header: dict, loss_log) -> None:
     artifacts.write_jsonl(path, header, ({"step": s, "loss": l} for s, l in loss_log))
 
 
-def _prediction_records(i: int, preds: list[Prediction]) -> list[dict]:
-    return [
-        {"mention_index": i, "rank": r, "name": p.name, "ids": sorted(p.ids), "score": p.score}
-        for r, p in enumerate(preds, start=1)
-    ]
-
-
-def _link_all(ckpt, examples, trie, kb, cfg: RunConfig) -> list[list[Prediction]]:
-    inputs = [render(ex, ckpt.vocab, max_ctx=cfg.max_ctx) for ex in examples]
-    return constrained_beam_search_batch(ckpt, inputs, trie, kb, beam=cfg.beam, k=cfg.topk)
-
-
-def _predictions_from_file(path, kb: KnowledgeBase, n_examples: int, inputs: dict) -> list[list[Prediction]]:
-    """The prediction lists of a `link` output written for `inputs` (name -> path, as in its header)."""
+def _predictions_from_file(path, args, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
+    """The prediction lists of a `link` output written for `args`' KB, mentions and, where it has one, checkpoint."""
     kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
     header, records = artifacts.read_jsonl(path, kinds)
-    artifacts.check_inputs(path, header, inputs)
+    artifacts.check_inputs(path, header, args, [name for name in ("kb", "mentions", "ckpt") if hasattr(args, name)])
     lists: list[list[Prediction]] = [[] for _ in range(n_examples)]
     for i, rank, name, score in records:
         if not 0 <= i < n_examples:
@@ -168,25 +175,15 @@ def cmd_kb_build(args) -> int:
     trie = build_trie(kb.names(), vocab)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    inputs = {"kb": args.kb}
-    inputs.update({f"mentions{i}": p for i, p in enumerate(args.mentions or [])})
-    header = artifacts.make_header(cfg.seed, inputs)
-    with artifacts.atomic_write(outdir / "vocab.json") as fh:
-        fh.write(artifacts.canonical_json({"header": header, "tokens": list(vocab.tokens)}) + "\n")
+    trie.header = header = _header(args, cfg)
+    artifacts.write_json(outdir / "vocab.json", header, {"tokens": list(vocab.tokens)})
     save_trie(trie, outdir / "trie.bin")
-    with artifacts.atomic_write(outdir / "kb_info.json") as fh:
-        fh.write(
-            artifacts.canonical_json(
-                {
-                    "header": header,
-                    "concepts": len(kb.concepts),
-                    "names": len(kb.name_index),
-                    "rejected": kb.rejected_count,
-                    "vocab_size": len(vocab),
-                }
-            )
-            + "\n"
-        )
+    artifacts.write_json(outdir / "kb_info.json", header, {
+        "concepts": len(kb.concepts),
+        "names": len(kb.name_index),
+        "rejected": kb.rejected_count,
+        "vocab_size": len(vocab),
+    })
     log.info("cached vocab (%d tokens) and trie (%d names) in %s", len(vocab), trie.size, outdir)
     return 0
 
@@ -194,19 +191,18 @@ def cmd_kb_build(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
-    vocab = _load_vocab(args.cache)
     idx = build_index(kb.names())
     examples = synth.gen_pretrain_examples(kb, idx, cap=args.cap)
-    pairs = synth.gen_pretrain_pairs(kb, idx, vocab, k=args.k, examples=examples, max_ctx=cfg.max_ctx)
-    artifacts.write_jsonl(args.out_mentions, artifacts.make_header(cfg.seed, {"kb": args.kb}), (
+    pairs = synth.gen_pretrain_pairs(kb, idx, k=args.k, examples=examples)
+    artifacts.write_jsonl(args.out_mentions, _header(args, cfg), (
         {"left": ex.left_context, "mention": ex.mention, "right": ex.right_context, "gold_ids": sorted(ex.gold_ids),
          "targets": list(ex.targets),
          # each generator puts its template first, so the right context names the generator
          "kind": "definition" if ex.right_context.startswith(synth.DEFINITION_TEMPLATE) else "synonym"}
         for ex in examples
     ))
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.out_mentions})
-    artifacts.write_jsonl(args.out_pairs, header, (_pair_record(t) for t in pairs))
+    args.mentions = args.out_mentions  # the pairs are written for these mentions, as mined ones for --mentions
+    artifacts.write_jsonl(args.out_pairs, _header(args, cfg), (_pair_record(t) for t in pairs))
     log.info("synthesized %d examples and %d pairs", len(examples), len(pairs))
     return 0
 
@@ -214,7 +210,7 @@ def cmd_synth(args) -> int:
 def _load_training_inputs(args):
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
-    vocab = _load_vocab(args.cache)
+    vocab = _load_vocab(args)
     examples, dropped = prepare_mentions(args.mentions, kb, args.abbrev)
     if dropped:
         log.info("dropped %d unlinkable examples", dropped)
@@ -238,9 +234,9 @@ def cmd_train_positive(args) -> int:
             raise ConfigError(f"{args.init}: checkpoint hidden size {width} differs from hidden_dim {cfg.hidden_dim}")
     else:
         ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
+    header = _header(args, cfg)
     result = train(ckpt, instances, cfg)
     model.save(result.checkpoint, args.out)
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions})
     _write_loss_log(str(args.out) + ".losses.jsonl", header, result.loss_log)
     log.info("stage-1 checkpoint: %d instances, %d steps, final loss %.4f",
              len(instances), len(result.loss_log), result.loss_log[-1][1])
@@ -249,12 +245,11 @@ def cmd_train_positive(args) -> int:
 
 def cmd_mine(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    trie = _load_trie(args.cache, vocab)
+    trie = _load_trie(args, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
     triplets = mine_pairs(ckpt, examples, kb, trie, idx, cfg)
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
-    artifacts.write_jsonl(args.out, header, (_pair_record(t) for t in triplets))
+    artifacts.write_jsonl(args.out, _header(args, cfg), (_pair_record(t) for t in triplets))
     log.info("mined %d preference pairs from %d examples", len(triplets), len(examples))
     return 0
 
@@ -272,7 +267,7 @@ def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet
     cfg, _, vocab, examples = _load_training_inputs(args)
     kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
     header, records = artifacts.read_jsonl(args.pairs, kinds)
-    artifacts.check_inputs(args.pairs, header, {"kb": args.kb, "mentions": args.mentions})
+    artifacts.check_inputs(args.pairs, header, args, ["kb", "mentions"])
     inputs: dict[int, EncodedInput] = {}
     triplets = []
     for i, e_w, e_l in records:
@@ -293,10 +288,9 @@ def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet
 def cmd_train_negative(args) -> int:
     cfg, vocab, triplets = _preference_triplets(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
+    header = _header(args, cfg)
     result = train_preference(ckpt, triplets, cfg)
     model.save(result.checkpoint, args.out)
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions,
-                                              "ckpt": args.ckpt, "pairs": args.pairs})
     _write_loss_log(str(args.out) + ".losses.jsonl", header, result.loss_log)
     log.info("stage-2 (%s) checkpoint from %d pairs, mean loss %.4f",
              cfg.loss, len(triplets),
@@ -306,15 +300,14 @@ def cmd_train_negative(args) -> int:
 
 def cmd_link(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    trie = _load_trie(args.cache, vocab)
+    trie = _load_trie(args, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    prediction_lists = _link_all(ckpt, examples, trie, kb, cfg)
-    header = artifacts.make_header(cfg.seed, {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt})
-    artifacts.write_jsonl(
-        args.out,
-        header,
-        (rec for i, preds in enumerate(prediction_lists) for rec in _prediction_records(i, preds)),
-    )
+    encoded = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in examples]
+    prediction_lists = constrained_beam_search_batch(ckpt, encoded, trie, kb, beam=cfg.beam, k=cfg.topk)
+    artifacts.write_jsonl(args.out, _header(args, cfg), (
+        {"mention_index": i, "rank": r, "name": p.name, "ids": sorted(p.ids), "score": p.score}
+        for i, preds in enumerate(prediction_lists) for r, p in enumerate(preds, start=1)
+    ))
     log.info("linked %d mentions (beam %d, top %d)", len(examples), cfg.beam, cfg.topk)
     return 0
 
@@ -337,13 +330,12 @@ def _fold_reports(examples: list[MentionExample], prediction_lists, whole, ks) -
 def cmd_eval(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     ks = (1, args.k) if args.k != 1 else (1,)
-    inputs = {"kb": args.kb, "mentions": args.mentions}
-    prediction_lists = _predictions_from_file(args.preds, kb, len(examples), inputs)
+    prediction_lists = _predictions_from_file(args.preds, args, kb, len(examples))
     gold_sets = [ex.gold_ids for ex in examples]
     report_a = evaluate(prediction_lists, gold_sets, ks=ks)
     doc = _fold_reports(examples, prediction_lists, report_a, ks)
     if args.preds_b:
-        lists_b = _predictions_from_file(args.preds_b, kb, len(examples), inputs)
+        lists_b = _predictions_from_file(args.preds_b, args, kb, len(examples))
         report_b = evaluate(lists_b, gold_sets, ks=ks)
         boot = bootstrap_paired_test(
             report_a.per_example, report_b.per_example, k=args.k,
@@ -355,9 +347,7 @@ def cmd_eval(args) -> int:
             "mean_diff": boot.mean_diff,
             "p_value": boot.p_value,
         }
-    header = artifacts.make_header(cfg.seed, {"mentions": args.mentions, "preds": args.preds})
-    with artifacts.atomic_write(args.out) as fh:
-        fh.write(artifacts.canonical_json({"header": header, "report": doc}) + "\n")
+    artifacts.write_json(args.out, _header(args, cfg), {"report": doc})
     for k in ks:
         print(f"Acc@{k} = {report_a.acc_at[k]:.4f}")
     if args.preds_b:
@@ -369,11 +359,10 @@ def cmd_analyze(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     idx = build_index(kb.names())
-    inputs = {"kb": args.kb, "mentions": args.mentions, "ckpt": args.ckpt}
-    prediction_lists = _predictions_from_file(args.preds, kb, len(examples), inputs)
+    prediction_lists = _predictions_from_file(args.preds, args, kb, len(examples))
     binned = binned_error_report(examples, prediction_lists, kb, idx)
     gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, idx, max_ctx=cfg.max_ctx)
-    header = artifacts.make_header(cfg.seed, {"mentions": args.mentions, "preds": args.preds, "ckpt": args.ckpt})
+    header = _header(args, cfg)
     artifacts.write_jsonl(args.out_bins, header, (dataclasses.asdict(b) for b in binned.bins))
     artifacts.write_jsonl(args.out_gaps, header, (dataclasses.asdict(b) for b in gaps.bins))
     log.info("analysis written to %s and %s", args.out_bins, args.out_gaps)
@@ -427,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="KB-derived synthetic pre-training data")
     _add_common(p)
     p.add_argument("--kb", required=True)
-    p.add_argument("--cache", required=True)
     p.add_argument("--cap", type=int, default=8, help="examples per concept per template")
     p.add_argument("--k", type=int, default=3, help="negatives per synthetic example")
     p.add_argument("--out-mentions", required=True)
@@ -552,10 +540,7 @@ def main(argv=None) -> int:
     except MemoryError as e:  # also one raised in a `map_split` worker, which re-raises it here
         log.error("ran out of memory%s", f": {e}" if str(e) else "")
         return 3
-    except (FormatError, NeglinkError) as e:
-        log.error("%s", e)
-        return 2
-    except OSError as e:
+    except (NeglinkError, OSError) as e:  # FormatError and ConfigError are NeglinkErrors
         log.error("%s", e)
         return 2
     finally:

@@ -20,12 +20,11 @@ the rule `mine --set negatives=tfidf` uses).
 
 from __future__ import annotations
 
-from .corpus import MentionExample, render
+from .corpus import MentionExample
 from .errors import ConfigError
 from .kb import KnowledgeBase, normalize_name
 from .tfidf import TfIdfIndex, rank_synonyms
 from .train_negative import PreferenceTriplet, tfidf_pairs
-from .vocab import Vocab
 
 DEFINITION_TEMPLATE = "is defined as"
 SYNONYM_TEMPLATE = "has synonyms such as"
@@ -84,18 +83,16 @@ def gen_pretrain_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> l
 def gen_pretrain_pairs(
     kb: KnowledgeBase,
     idx: TfIdfIndex,
-    vocab: Vocab,
     examples: list[MentionExample],
     k: int = 3,
-    max_ctx: int = 128,
 ) -> list[PreferenceTriplet]:
     """Preference triplets for synthetic examples without running the model.
 
     Each example's target is preferred against the k most mention-similar
     names carried by other concepts only; mention_index points into the
-    example list.
+    example list. They are written, not trained on, so they carry no
+    rendered input (`PreferenceTriplet.input` is None).
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    return [t for i, ex in enumerate(examples)
-            for t in tfidf_pairs(render(ex, vocab, max_ctx=max_ctx), ex, ex.targets[0], kb, idx, k, i)]
+    return [t for i, ex in enumerate(examples) for t in tfidf_pairs(None, ex, ex.targets[0], kb, idx, k, i)]

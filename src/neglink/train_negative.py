@@ -48,7 +48,7 @@ from .workers import map_split
 
 @dataclass(frozen=True)
 class PreferenceTriplet:
-    input: EncodedInput
+    input: EncodedInput | None  # None for triplets that are written, not trained on (`synth`)
     preferred: str
     dispreferred: str
     mention_index: int | None = field(default=None, compare=False)
@@ -104,7 +104,7 @@ def triplets_from_predictions(
 
 
 def tfidf_pairs(
-    enc_input: EncodedInput,
+    enc_input: EncodedInput | None,
     ex: MentionExample,
     preferred: str,
     kb: KnowledgeBase,

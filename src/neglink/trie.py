@@ -15,7 +15,9 @@ readers iterate `children` directly instead of sorting it.
 
 File format 4: the `artifacts` array container, magic "ATRI", holding two
 u32 arrays: `lengths`, each name's token count, and `tokens`, the names'
-token ids concatenated. Names are written in ascending token order, the
+token ids concatenated. Its header holds the trie's `header` fields (`kb
+build` stores the cache's header there, so a reader can check the KB the
+trie was built from). Names are written in ascending token order, the
 tree's preorder, so save -> load -> save is byte-identical. The reader
 inserts every name, so a loaded trie is exactly one `insert` could build.
 The writer walks the tree with an explicit stack, so a name's length is
@@ -47,6 +49,7 @@ class TokenTrie:
     size: int = field(default=0, init=False)  # number of names inserted
     depth: int = field(default=0, init=False)  # token count of the longest name
     max_token: int = field(default=-1, init=False)  # largest token id inserted, -1 for none
+    header: dict = field(default_factory=dict, init=False)  # fields of the file header, written and read with it
 
     def insert(self, token_ids) -> None:
         token_ids = [int(t) for t in token_ids]
@@ -124,11 +127,11 @@ def save_trie(trie: TokenTrie, path) -> None:
             tokens.extend(prefix)
         # Pushed in descending order so children pop in ascending order.
         stack.extend((depth + 1, t, child) for t, child in reversed(node.children.items()))
-    write_arrays(path, MAGIC, FORMAT_VERSION, {}, {"lengths": lengths, "tokens": tokens}, "<u4")
+    write_arrays(path, MAGIC, FORMAT_VERSION, trie.header, {"lengths": lengths, "tokens": tokens}, "<u4")
 
 
 def load_trie(path) -> TokenTrie:
-    _, arrays = read_arrays(path, MAGIC, FORMAT_VERSION, "<u4", "trie", TrieFormatError)
+    header, arrays = read_arrays(path, MAGIC, FORMAT_VERSION, "<u4", "trie", TrieFormatError)
     if sorted(arrays) != ["lengths", "tokens"] or any(a.ndim != 1 for a in arrays.values()):
         raise TrieFormatError(f"arrays {sorted(arrays)}, expected the 1-D arrays lengths and tokens")
     lengths, tokens = arrays["lengths"].tolist(), arrays["tokens"].tolist()
@@ -138,4 +141,5 @@ def load_trie(path) -> TokenTrie:
     for n in lengths:
         trie.insert(tokens[pos : pos + n])
         pos += n
+    trie.header = {key: value for key, value in header.items() if key not in ("arrays", "data_sha256")}
     return trie

@@ -64,3 +64,14 @@ def test_every_run_setting_is_read_outside_config():
     }
     unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
     assert unread == [], f"RunConfig fields read nowhere in src/neglink outside config.py: {unread}"
+
+
+def test_every_output_header_is_built_in_one_place():
+    """`artifacts.make_header` has one caller, the CLI's header helper, so no command lists its header's inputs by hand."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "make_header"
+    ]
+    assert len(calls) == 1, f"calls of make_header in src/neglink: {calls}"

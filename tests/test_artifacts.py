@@ -43,11 +43,12 @@ def test_canonical_json_is_sorted_and_compact():
 def test_make_header_contents(tmp_path):
     f = tmp_path / "in.txt"
     f.write_text("data")
-    header = make_header(7, {"kb": f})
+    header = make_header({"seed": 7}, {"kb": f})
     assert header["tool"] == "neglink"
     assert header["version"] == __version__
-    assert header["seed"] == 7
-    assert header["inputs"]["kb"] == sha256_file(f)
+    assert header["config"] == {"seed": 7}
+    assert header["inputs"] == {"kb": sha256_file(f)}
+    assert set(header) == {"tool", "version", "config", "inputs"}  # digests and settings only, no paths
 
 
 def test_write_read_round_trip(tmp_path):

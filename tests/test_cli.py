@@ -7,6 +7,7 @@ tests inspect the artifacts it leaves behind and probe the error paths.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ from neglink import artifacts, model, trie
 from neglink.artifacts import read_jsonl
 from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main
+from neglink.config import RunConfig, build_config
 from neglink.corpus import MAX_INPUT_TOKENS, prepare_mentions
 from neglink.kb import load_kb
 
@@ -32,6 +34,7 @@ FAST = [
     "--set", "pos_warmup=5",
     "--set", "hidden_dim=32",
 ]
+FAST_CONFIG = build_config(preset="toy", overrides={"pos_steps": "60", "pos_warmup": "5", "hidden_dim": "32"})
 
 
 def run(*argv) -> None:
@@ -50,7 +53,7 @@ def pipeline(tmp_path_factory):
     cache = str(root / "cache")
 
     run("kb", "build", "--kb", kb, "--mentions", train, "--mentions", test, "--out", cache)
-    run("synth", "--kb", kb, "--cache", cache, "--cap", "2",
+    run("synth", "--kb", kb, "--cap", "2",
         "--out-mentions", str(root / "synth.jsonl"),
         "--out-pairs", str(root / "synth_pairs.jsonl"))
     run("train-positive", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
@@ -223,6 +226,101 @@ def test_link_reruns_are_byte_identical(pipeline):
     assert again.read_bytes() == (root / "preds_s1.jsonl").read_bytes()
 
 
+def _header_of(path: Path) -> dict:
+    if path.suffix == ".bin":
+        return trie.load_trie(path).header
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8"))["header"]
+    return read_jsonl(path)[0]
+
+
+# command -> (its settings, output files under the pipeline root, input files by header name); eval, analyze and
+# train-positive --init are run by the test itself, the others by the pipeline fixture.
+HEADER_CASES = {
+    "kb-build": (RunConfig(), ["cache/vocab.json", "cache/kb_info.json", "cache/trie.bin"],
+                 {"kb": "KB", "mentions0": "TRAIN", "mentions1": "TEST"}),
+    "synth-mentions": (RunConfig(), ["synth.jsonl"], {"kb": "KB"}),
+    "synth-pairs": (RunConfig(), ["synth_pairs.jsonl"], {"kb": "KB", "mentions": "synth.jsonl"}),
+    "train-positive": (FAST_CONFIG, ["s1.ckpt.losses.jsonl"], {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB"}),
+    "train-positive-init": (dataclasses.replace(FAST_CONFIG, pos_steps=1), ["init.ckpt.losses.jsonl"],
+                            {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "init": "s1.ckpt"}),
+    "mine": (FAST_CONFIG, ["pairs.jsonl"],
+             {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "trie": "TRIE", "ckpt": "s1.ckpt"}),
+    "train-negative": (FAST_CONFIG, ["s2.ckpt.losses.jsonl"],
+                       {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "ckpt": "s1.ckpt", "pairs": "pairs.jsonl"}),
+    "link": (FAST_CONFIG, ["preds_s1.jsonl", "preds_s2.jsonl"],
+             {"kb": "KB", "mentions": "TEST", "vocab": "VOCAB", "trie": "TRIE", "ckpt": "s1.ckpt"}),
+    "eval": (RunConfig(), ["header_report.json"], {"kb": "KB", "mentions": "TEST", "vocab": "VOCAB",
+                                                    "preds": "preds_s2.jsonl", "preds_b": "preds_s1.jsonl"}),
+    "analyze": (RunConfig(), ["header_bins.jsonl", "header_gaps.jsonl"],
+                {"kb": "KB", "mentions": "TEST", "vocab": "VOCAB", "ckpt": "s2.ckpt", "preds": "preds_s2.jsonl"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_CASES))
+def test_every_header_records_the_settings_and_exactly_the_files_read(pipeline, case):
+    root, kb, train, test, cache = pipeline
+    cfg, outputs, files = HEADER_CASES[case]
+    if case == "train-positive-init":
+        run("train-positive", *FAST, "--set", "pos_steps=1", "--kb", kb, "--mentions", train, "--cache", cache,
+            "--init", str(root / "s1.ckpt"), "--out", str(root / "init.ckpt"))
+    elif case == "eval":
+        run("eval", "--kb", kb, "--mentions", test, "--cache", cache, "--preds", str(root / "preds_s2.jsonl"),
+            "--preds-b", str(root / "preds_s1.jsonl"), "--k", "1", "--out", str(root / "header_report.json"))
+    elif case == "analyze":
+        run("analyze", "--kb", kb, "--mentions", test, "--cache", cache, "--ckpt", str(root / "s2.ckpt"),
+            "--preds", str(root / "preds_s2.jsonl"), "--out-bins", str(root / "header_bins.jsonl"),
+            "--out-gaps", str(root / "header_gaps.jsonl"))
+    named = {"KB": kb, "TRAIN": train, "TEST": test, "VOCAB": Path(cache, "vocab.json"), "TRIE": Path(cache, "trie.bin")}
+    want = {name: artifacts.sha256_file(named.get(f, root / f)) for name, f in files.items()}
+    if case == "link":  # each prediction file records the checkpoint it was made with
+        want = [want, {**want, "ckpt": artifacts.sha256_file(root / "s2.ckpt")}]
+    else:
+        want = [want] * len(outputs)
+    for out, inputs in zip(outputs, want, strict=True):
+        header = _header_of(root / out)
+        assert header["inputs"] == inputs, out
+        assert header["config"] == dataclasses.asdict(cfg), out
+        assert str(root) not in json.dumps(header), out
+
+
+@pytest.mark.parametrize("setting", ["beam=10", "neg_lr=0.25"])
+def test_link_headers_differ_by_the_setting_alone(pipeline, tmp_path, setting):
+    """A wider beam may change the predictions; a setting `link` does not read changes the header line only."""
+    root, kb, train, test, cache = pipeline
+    out = tmp_path / "preds.jsonl"
+    run("link", *FAST, "--set", setting, "--kb", kb, "--mentions", test, "--cache", cache,
+        "--ckpt", str(root / "s1.ckpt"), "--out", str(out))
+    other, default = out.read_text(encoding="utf-8").splitlines(), (root / "preds_s1.jsonl").read_text().splitlines()
+    key, _, value = setting.partition("=")
+    header, default_header = json.loads(other[0])["header"], json.loads(default[0])["header"]
+    assert header["config"][key] == float(value) != default_header["config"][key]
+    header["config"][key] = default_header["config"][key]
+    assert header == default_header
+    if key == "neg_lr":
+        assert other[1:] == default[1:]
+
+
+def test_a_trie_built_from_another_kb_exit_2_naming_it(pipeline, tmp_path, caplog):
+    """A cache whose trie.bin comes from another KB: without the check, every name links to no KB concept."""
+    root, kb, train, test, cache = pipeline
+    write_benchmark(gen_benchmark(n_pairs=10, n_train=48, n_test=24, seed=5), tmp_path / "other")
+    run("kb", "build", "--kb", str(tmp_path / "other" / "kb.jsonl"), "--mentions", train, "--mentions", test,
+        "--out", str(tmp_path / "other_cache"))
+    mixed = tmp_path / "mixed"
+    shutil.copytree(cache, mixed)
+    shutil.copy(tmp_path / "other_cache" / "trie.bin", mixed / "trie.bin")
+    n_vocab = len(json.loads((mixed / "vocab.json").read_text(encoding="utf-8"))["tokens"])
+    assert trie.load_trie(mixed / "trie.bin").max_token < n_vocab  # the token bound alone lets it through
+    inputs = ["--kb", kb, "--cache", str(mixed), "--ckpt", str(root / "s1.ckpt"), "--out", str(tmp_path / "out")]
+    for argv in (["link", *FAST, *inputs, "--mentions", test], ["mine", *FAST, *inputs, "--mentions", train]):
+        caplog.clear()
+        assert main(argv) == 2, argv
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{mixed / 'trie.bin'}: written for another kb file: its header's digest differs from {kb}'s"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seeds", "0", "--coords", "2"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
@@ -269,7 +367,7 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     inputs = ["--kb", kb, "--cache", str(no_trie)]
     s1, preds = ["--ckpt", str(root / "s1.ckpt")], ["--preds", str(root / "preds_s1.jsonl")]
     for argv in (
-        ["synth", *inputs, "--cap", "1", "--out-mentions", str(out / "m.jsonl"), "--out-pairs", str(out / "p.jsonl")],
+        ["synth", "--kb", kb, "--cap", "1", "--out-mentions", str(out / "m.jsonl"), "--out-pairs", str(out / "p.jsonl")],
         ["train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train, "--out", str(out / "a.ckpt")],
         ["train-negative", *FAST, *inputs, "--mentions", train, *s1, "--pairs", str(root / "pairs.jsonl"),
          "--out", str(out / "b.ckpt")],
@@ -323,7 +421,7 @@ def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
         "eval-b": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl"),
                    "--preds-b", str(root / "preds_s1.jsonl")],
         "eval": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl")],
-        "synth": ["synth", "--kb", kb, "--cache", cache, "--out-mentions", str(tmp_path / "m.jsonl"),
+        "synth": ["synth", "--kb", kb, "--out-mentions", str(tmp_path / "m.jsonl"),
                   "--out-pairs", str(tmp_path / "p.jsonl")],
         "gradcheck": ["gradcheck"],
     }[command]

@@ -88,9 +88,8 @@ def test_generation_is_deterministic():
 def test_pretrain_pairs_prefer_target_against_other_concept_names():
     kb = make_kb()
     idx = build_index(kb.names())
-    vocab = Vocab.from_texts(kb.names() + [DEFINITION_TEMPLATE, SYNONYM_TEMPLATE, "some thing alone. is"])
     examples = gen_pretrain_examples(kb, idx)
-    pairs = gen_pretrain_pairs(kb, idx, vocab, k=2, examples=examples)
+    pairs = gen_pretrain_pairs(kb, idx, k=2, examples=examples)
     assert pairs
     for t in pairs:
         ex = examples[t.mention_index]

@@ -288,12 +288,13 @@ def test_save_load_copy_is_node_for_node_equal(tmp_path):
     vocab = make_vocab()
     names = ["", *("".join(rng.choice("abcdefghij ") for _ in range(rng.randrange(1, 12))) for _ in range(200))]
     trie = build_trie(names, vocab)
+    trie.header = {"inputs": {"kb": "0" * 64}, "tool": "neglink"}
     path = tmp_path / "t.bin"
     save_trie(trie, path)
     loaded = load_trie(path)
     # TrieNode is a dataclass, so == compares children and terminal flags recursively.
     assert loaded.root == trie.root
-    assert (loaded.size, loaded.depth) == (trie.size, trie.depth)
+    assert (loaded.size, loaded.depth, loaded.header) == (trie.size, trie.depth, trie.header)
     assert saved(loaded, tmp_path / "again.bin") == path.read_bytes()
 
 
