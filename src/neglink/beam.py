@@ -13,8 +13,8 @@ chunk, then one decoder step per depth over every live hypothesis of every
 mention in it. Each mention keeps its own beam, so batching changes no
 ranking; scores may differ from a batch of one in their last bits. The
 chunks are independent, so `workers.map_split` searches contiguous runs of
-them in forked processes, one per usable CPU, each with one BLAS thread;
-the results are identical to searching every chunk in one process.
+them in forked processes, one per usable CPU, with results identical to
+searching every chunk in one process.
 
 A decoder step reads the input tables that the chunk's prompt pass built
 (`model.InputTables`): its input projections are gathered by token and by

@@ -13,11 +13,12 @@ One subcommand per pipeline stage, file handoff between stages:
     gradcheck       finite-difference verification of all losses
 
 Exit codes: 0 success, 1 usage, 2 malformed/missing input, 3 numeric
-failure, a worker process that died or memory that ran out, 4 gradient
-check failure. Logs go to stderr; data to files.
+failure, a worker process that died or could not be started or memory that
+ran out, 4 gradient check failure. Logs go to stderr; data to files.
 
-`link` and `mine` search on every usable CPU (`taskset` limits them), one
-BLAS thread per process; their output does not depend on the CPU count.
+Every process computes with one BLAS thread (`workers`), and `link` and
+`mine` search on every usable CPU (`taskset` limits them). No output depends
+on the CPU count or on the BLAS thread settings.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Two families matter to callers: input/format problems (bad files, bad
 records, out-of-vocabulary text) and numeric failures during training.
-The CLI maps them to distinct exit codes; a worker process that died
-shares the numeric failures' code.
+The CLI maps them to distinct exit codes; a worker process that died or
+could not be started shares the numeric failures' code.
 """
 
 
@@ -59,4 +59,4 @@ class DivergenceError(NumericError):
 
 
 class WorkerError(NeglinkError):
-    """A worker process ended without returning its results: killed by a signal, out of memory."""
+    """A worker process could not be started, or ended without returning its results."""

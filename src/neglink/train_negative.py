@@ -16,10 +16,10 @@ synonym against the three most mention-similar names of no gold concept.
 
 Each mention is mined on its own (render, decode, pairing rules,
 invariant check), so `workers.map_split` mines contiguous runs of the
-mentions in forked processes, one per usable CPU, each with one BLAS
-thread. Triplets are then deduplicated on (input, preferred,
-dispreferred), keeping the first occurrence in mention order, so the
-output does not depend on the CPU count.
+mentions in forked processes, one per usable CPU. Triplets are then
+deduplicated on (input, preferred, dispreferred), keeping the first
+occurrence in mention order, so the output does not depend on the CPU
+count.
 
 Four losses share one margin form; dpo measures log-probs relative to
 the starting checkpoint, which training leaves unmodified and re-scores

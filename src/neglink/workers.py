@@ -1,22 +1,28 @@
-"""`map_split`: map a function over independent items on every usable CPU, one BLAS thread each.
+"""The one BLAS thread policy, and `map_split`: a map over independent items on every usable CPU.
 
-The items are split into contiguous runs, one per worker. The parent
-computes the first run and forked children the others, each sending back
-its pickled results, or its exception, through a pipe; results are joined
-in item order, so they do not depend on the worker count. Every process
-uses one BLAS thread meanwhile, since OpenBLAS splitting these small
-matmuls across CPUs the other workers use is slower than not splitting
-them. The parent computes every item itself when there is one usable CPU
-or one item, where `os.sched_getaffinity` is missing (where it exists, so
-does `fork`), or where no OpenBLAS thread control is found.
+Importing neglink pins numpy's OpenBLAS to one thread, here, once per
+process, whatever `OPENBLAS_NUM_THREADS` and the like say: a second thread
+would change the outputs' last bits, and it busy-waits at these shapes. A
+numpy build without OpenBLAS thread control keeps its own settings.
+
+`map_split` splits the items into contiguous runs, one per worker. The
+parent computes the first run and forked children the others, each sending
+back its pickled results, or its exception, through a pipe; results are
+joined in item order, so they do not depend on the worker count. The parent
+computes every item itself when there is one usable CPU or one item, where
+`os.sched_getaffinity` is missing (where it exists, so does `fork`), or
+where no OpenBLAS thread control is found.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
+
+import numpy  # noqa: F401  # loads the OpenBLAS that the pin below finds
 
 from .errors import WorkerError
 
@@ -27,6 +33,7 @@ _BLAS_SYMBOLS = (
 )
 
 
+@functools.cache
 def _blas_threads():
     """(get, set) for the thread count of the OpenBLAS loaded in this process, or None."""
     try:
@@ -39,29 +46,28 @@ def _blas_threads():
         for get_name, set_name in _BLAS_SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
+                return get, set_  # ctypes' default, int arguments and result, fits both
     return None
+
+
+if _blas_threads() is not None:  # the pin, when `neglink/__init__.py` first imports this module
+    _blas_threads()[1](1)
 
 
 def map_split(fn, items) -> list:
     """`[fn(x) for x in items]`, with contiguous runs of items computed by forked children.
 
     A child's exception is raised here unchanged, the first in item order;
-    a child that dies without a result raises `WorkerError`. On any
-    exception every child still running is killed and reaped.
+    a child that dies without a result, or one that cannot be started,
+    raises `WorkerError`. On any exception every child still running is
+    killed and reaped.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items)) if hasattr(os, "sched_getaffinity") else 1
-    blas = _blas_threads() if workers > 1 else None
-    if blas is None:
+    if workers < 2 or _blas_threads() is None:
         return [fn(x) for x in items]
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     runs = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
     children: list[list[int]] = []  # [pid, read fd or -1] of each child not yet reaped, in item order
     try:
         children.extend(_fork(fn, run) for run in runs[1:])
@@ -75,13 +81,19 @@ def map_split(fn, items) -> list:
             if fd >= 0:
                 os.close(fd)
             os.waitpid(pid, 0)
-        set_threads(threads)
 
 
 def _fork(fn, run) -> list[int]:
     """Start a child computing `fn` over `run`; returns its pid and the read end of its pipe."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    fds: list[int] = []
+    try:
+        fds.extend(os.pipe())
+        pid = os.fork()
+    except OSError as e:  # out of processes or descriptors: nothing started, nothing left open
+        for fd in fds:
+            os.close(fd)
+        raise WorkerError(f"could not start a worker process: {e}") from e
+    read_fd, write_fd = fds
     if pid == 0:  # the child: it never returns from here
         try:
             os.close(read_fd)

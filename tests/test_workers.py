@@ -3,13 +3,15 @@
 `workers.map_split` hands contiguous runs of items to children made with
 `os.fork`. The usable CPU count is patched to 1, 2 and 3, and the batched
 search and mining must return exactly what one process returns. Errors
-raised in a child reach the caller unchanged, a child that dies or a
-`MemoryError` in the parent or a child makes `neglink link` exit 3, and
-after every test no child is left and the BLAS thread count is what it was.
+raised in a child reach the caller unchanged; a child that dies, one that
+cannot be started, or a `MemoryError` in the parent or a child makes
+`neglink link` exit 3. Before and after every test no child is left, and
+where OpenBLAS thread control is found, its thread count is one.
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import pickle
@@ -24,7 +26,7 @@ from neglink.benchmark import gen_benchmark, write_benchmark
 from neglink.cli import main, vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
-from neglink.errors import DivergenceError, VocabError
+from neglink.errors import DivergenceError, VocabError, WorkerError
 from neglink.kb import load_kb
 from neglink.model import init_checkpoint
 from neglink.tfidf import build_index
@@ -41,11 +43,11 @@ def blas_threads() -> int | None:
 
 @pytest.fixture(autouse=True)
 def no_children_left():
-    before = blas_threads()
+    assert blas_threads() in (None, 1)  # None: no thread control found, so neglink never pinned it
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert blas_threads() == before
+    assert blas_threads() in (None, 1)
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -206,7 +208,8 @@ def linkable(a11_data, tmp_path_factory):
 
 
 def link_fails_with_one_error(linkable, search, tmp_path, monkeypatch, caplog, capfd) -> str:
-    """Run `link` with `search` as `beam._search`, on 4-mention chunks and two CPUs.
+    """Run `linkable` (`link`, or `mine` with the same options) with `search` as `beam._search`,
+    on 4-mention chunks and two CPUs.
 
     It must exit 3 with one error line, which is returned, no traceback and no output file.
     """
@@ -247,3 +250,44 @@ def test_running_out_of_memory_makes_link_exit_3(linkable, tmp_path, monkeypatch
 
     error = link_fails_with_one_error(linkable, out_of_memory, tmp_path, monkeypatch, caplog, capfd)
     assert error == f"ran out of memory: {message}"
+
+
+def cannot_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def test_a_worker_that_cannot_be_started_closes_its_pipes_and_reaps_the_others(monkeypatch):
+    """The second of two forks fails; the first only pretends to start a child, so no process runs."""
+    use_cpus(monkeypatch, 3)
+    fake_pid, pipes, killed, reaped = 1 << 22, [], [], []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        if len(pipes) > 1:
+            cannot_fork()
+        return fake_pid
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append((pid, sig)))
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: reaped.append(pid) or (pid, 0))
+    with pytest.raises(WorkerError, match=r"^could not start a worker process: \[Errno 11\] "):
+        workers.map_split(str, range(3))
+    assert (killed, reaped) == ([(fake_pid, signal.SIGKILL)], [fake_pid])
+    assert len(pipes) == 2
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+
+
+@pytest.mark.parametrize("command", ["link", "mine"])
+def test_a_worker_that_cannot_be_started_makes_link_and_mine_exit_3(linkable, tmp_path, monkeypatch, caplog,
+                                                                     capfd, command):
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    error = link_fails_with_one_error([command, *linkable[1:]], beam._search, tmp_path, monkeypatch, caplog, capfd)
+    assert error == f"could not start a worker process: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
