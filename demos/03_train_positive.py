@@ -21,7 +21,7 @@ from neglink.beam import constrained_beam_search_batch
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
-from neglink.evaluate import acc_at_k
+from neglink.evaluate import evaluate
 from neglink.kb import load_kb
 from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
@@ -49,7 +49,7 @@ def main() -> None:
         preds = constrained_beam_search_batch(
             ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
         )
-        return acc_at_k(preds, [ex.gold_ids for ex in test_ex], 1)
+        return evaluate(preds, [ex.gold_ids for ex in test_ex], ks=(1,)).acc_at[1]
 
     ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     print(f"\nuntrained Acc@1 on {len(test_ex)} test mentions: {acc(ckpt):.3f}")

@@ -22,10 +22,10 @@ from neglink.beam import constrained_beam_search_batch
 from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
-from neglink.evaluate import acc_at_k
+from neglink.evaluate import evaluate
 from neglink.kb import load_kb
 from neglink.tfidf import build_index
-from neglink.train_negative import mine_pairs, preference_loss, train_preference
+from neglink.train_negative import mine_pairs, preference_loss_and_grads, train_preference
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
 
@@ -53,7 +53,7 @@ def main() -> None:
         )
 
     preds1 = link(stage1)
-    acc1 = acc_at_k(preds1, gold, 1)
+    acc1 = evaluate(preds1, gold, ks=(1,)).acc_at[1]
     print(f"stage-1 Acc@1 on {len(test_ex)} test mentions: {acc1:.3f}")
 
     print("\n=== mining preference pairs ===")
@@ -70,7 +70,7 @@ def main() -> None:
     print("\n=== dpo against the frozen stage-1 reference ===")
     # Before any update the policy equals the reference, so every pair's
     # loss is -ln sigmoid(0) = ln 2.
-    anchor = preference_loss(stage1, stage1, triplets[0], cfg)
+    anchor, _ = preference_loss_and_grads(stage1, stage1, triplets[:1], cfg, want_grads=False)
     print(f"loss at the reference: {anchor:.9f}  (ln 2 = {math.log(2.0):.9f})")
 
     result = train_preference(stage1, triplets, cfg)
@@ -79,7 +79,7 @@ def main() -> None:
           f"(first batch {losses[0]:.4f}, last batch {losses[-1]:.4f})")
 
     preds2 = link(result.checkpoint)
-    acc2 = acc_at_k(preds2, gold, 1)
+    acc2 = evaluate(preds2, gold, ks=(1,)).acc_at[1]
     print(f"\nstage-2 Acc@1: {acc2:.3f} (stage-1 was {acc1:.3f}, delta {100 * (acc2 - acc1):+.1f} pts)")
     print("The gain concentrates on mentions whose surface form points at the")
     print("wrong concept; demo 05 breaks that down by similarity bin.")

@@ -71,16 +71,14 @@ def main() -> None:
     print("\n=== error rate by gold-synonym similarity ===")
     print("(how mention-like is the *correct* answer? errors cluster where")
     print(" the gold surface form is far from the mention)")
-    binned = binned_error_report(test_ex, preds_a, kb, idx)
-    for b in binned.bins:
+    for b in binned_error_report(test_ex, preds_a, kb, idx):
         acc = "     -" if b.accuracy is None else f"{b.accuracy:.3f}"
         print(f"  sim [{b.lo:.1f}, {b.hi:.1f}): n={b.count:4d}  errors={b.errors:4d}  Acc@1={acc}")
 
     print("\n=== log-prob gap by mention-negative similarity ===")
     print("(positive score minus negative score, binned by how confusable the")
     print(" negative is; preference training widens the high-similarity bins)")
-    gaps = logprob_gap_report(trained, test_ex, preds_a, kb, idx)
-    for g in gaps.bins:
+    for g in logprob_gap_report(trained, test_ex, preds_a, kb, idx):
         if g.count == 0:
             continue
         print(f"  sim [{g.lo:.1f}, {g.hi:.1f}): pairs={g.count:4d}  mean gap={g.mean_gap:+.3f}")

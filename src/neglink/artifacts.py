@@ -126,7 +126,7 @@ def read_lines(path, error: type[FormatError] = FormatError):
 
 # kind -> (accepted value types, whether a missing key or null is accepted as None, the type every item must have)
 _TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float), "a list": (list,),
-          "a list of strings": (list,), "a list of integers": (list,)}
+          "a list of strings": (list,), "a list of integers": (list,), "an object": (dict,)}
 _ITEMS = {"a list of strings": str, "a list of integers": int}
 _KINDS = {**{kind: (t, False, _ITEMS.get(kind)) for kind, t in _TYPES.items()},
           **{f"{kind} or null": (t, True, _ITEMS.get(kind)) for kind, t in _TYPES.items()}}

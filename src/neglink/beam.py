@@ -55,7 +55,7 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
 
     Returns (states after each prompt (B, d), next-token log-distributions
     (B, V), the decoder's input tables over the encoder summaries, prompt
-    log-probs list). A prompt's log-prob sums, in order, the log-probs of
+    log-probs list). A prompt's log-prob is `model.sequence_log_probs` over
     its tokens 2..n; the first token is given, not predicted. With the
     entity [EOS], the decoder reads just the prompt and the target mask
     marks only its last position.
@@ -63,7 +63,7 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
     eos = ckpt.vocab.eos_id
     cache, targets, last_mask = model.forward_pairs(ckpt, inputs, [[eos]] * len(inputs))
     logp, picked = model.target_log_probs(cache.logits, targets)
-    scores = np.cumsum(picked * (cache.dec.mask - last_mask), axis=1)[:, -1]  # in order; .sum(axis=1) adds pairwise
+    scores = model.sequence_log_probs(picked, cache.dec.mask - last_mask)
     last, rows = last_mask.argmax(axis=1), np.arange(len(inputs))
     return cache.dec.H[last, rows], logp[rows, last], cache.dec.tables, scores.tolist()
 
@@ -173,7 +173,7 @@ def sequence_score(ckpt: Checkpoint, enc_input: EncodedInput, entity_tokens) -> 
     covers prompt tokens 2..n and then the entity, as a beam hypothesis does.
     """
     cache, targets, _ = model.forward_pairs(ckpt, [enc_input], [entity_tokens])
-    return float(model.sequence_log_probs(cache, targets, cache.dec.mask)[0])
+    return float(model.sequence_log_probs(model.target_log_probs(cache.logits, targets)[1], cache.dec.mask)[0])
 
 
 def name_tokens(name: str, vocab) -> list[int]:

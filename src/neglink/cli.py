@@ -44,13 +44,7 @@ from .errors import (
     VocabError,
     WorkerError,
 )
-from .evaluate import (
-    bootstrap_paired_test,
-    binned_error_report,
-    evaluate,
-    kfold_aggregate,
-    logprob_gap_report,
-)
+from .evaluate import bootstrap_paired_test, binned_error_report, evaluate, logprob_gap_report
 from .gradcheck import run_gradcheck
 from .kb import KnowledgeBase, load_kb, normalize_name
 from .tfidf import build_index
@@ -108,11 +102,14 @@ def _header(args, cfg: RunConfig) -> dict:
 
 
 def _load_vocab(args) -> Vocab:
+    """The cache's vocabulary, which must have been built from `--kb`."""
     path = args.vocab = Path(args.cache) / "vocab.json"
-    records = [values for _, values in artifacts.read_records(path, {"tokens": "a list of strings"})]
+    kinds = {"header": "an object", "tokens": "a list of strings"}
+    records = [values for _, values in artifacts.read_records(path, kinds)]
     if len(records) != 1:
         raise FormatError(f"{path}: expected one JSON object, found {len(records)}")
-    (tokens,) = records[0]
+    header, tokens = records[0]
+    artifacts.check_inputs(path, header, args, ["kb"])
     return Vocab(tokens)
 
 
@@ -314,17 +311,17 @@ def cmd_link(args) -> int:
 
 
 def _fold_reports(examples: list[MentionExample], prediction_lists, whole, ks) -> dict:
-    folds = sorted({ex.fold for ex in examples if ex.fold is not None})
+    """`whole`'s accuracies, and where examples carry folds, each fold's and their unweighted mean."""
     doc = {"n": whole.n, "acc_at": {str(k): v for k, v in whole.acc_at.items()}}
+    folds = sorted({ex.fold for ex in examples if ex.fold is not None})
     if folds:
-        per_fold = []
+        reports = []
         for f in folds:
             sub = [i for i, ex in enumerate(examples) if ex.fold == f]
-            rep = evaluate([prediction_lists[i] for i in sub], [examples[i].gold_ids for i in sub], ks=ks)
-            per_fold.append((f, rep))
-        agg = kfold_aggregate([r for _, r in per_fold])
-        doc["folds"] = {str(f): {"n": r.n, "acc_at": {str(k): v for k, v in r.acc_at.items()}} for f, r in per_fold}
-        doc["fold_mean"] = {str(k): v for k, v in agg.acc_at.items()}
+            reports.append(evaluate([prediction_lists[i] for i in sub], [examples[i].gold_ids for i in sub], ks=ks))
+        doc["folds"] = {str(f): {"n": r.n, "acc_at": {str(k): v for k, v in r.acc_at.items()}}
+                        for f, r in zip(folds, reports)}
+        doc["fold_mean"] = {str(k): sum(r.acc_at[k] for r in reports) / len(reports) for k in ks}
     return doc
 
 
@@ -364,20 +361,18 @@ def cmd_analyze(args) -> int:
     binned = binned_error_report(examples, prediction_lists, kb, idx)
     gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, idx, max_ctx=cfg.max_ctx)
     header = _header(args, cfg)
-    artifacts.write_jsonl(args.out_bins, header, (dataclasses.asdict(b) for b in binned.bins))
-    artifacts.write_jsonl(args.out_gaps, header, (dataclasses.asdict(b) for b in gaps.bins))
+    artifacts.write_jsonl(args.out_bins, header, (dataclasses.asdict(b) for b in binned))
+    artifacts.write_jsonl(args.out_gaps, header, (dataclasses.asdict(b) for b in gaps))
     log.info("analysis written to %s and %s", args.out_bins, args.out_gaps)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(seeds=tuple(args.seeds), n_coords=args.coords, tol=args.tol)
-    for c in report.checks:
+    checks = run_gradcheck(seeds=tuple(args.seeds), n_coords=args.coords, tol=args.tol)
+    for c in checks:
         status = "ok" if c.ok else "FAIL"
         print(f"{c.loss_kind:8s} seed={c.seed}  max_rel_err={c.max_rel_err:.3e}  {status}")
-    if not report.passed:
-        return 4
-    return 0
+    return 0 if all(c.ok for c in checks) else 4
 
 
 # ---------------------------------------------------------------------------

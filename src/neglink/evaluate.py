@@ -33,7 +33,7 @@ GAP_BINS = 10  # equal-width mention-negative similarity bins of the log-prob ga
 class EvalReport:
     acc_at: dict[int, float]
     n: int
-    per_example: list[int | None] | None
+    per_example: list[int | None]
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,12 @@ class BinRecord:
     accuracy: float | None
 
 
-@dataclass
-class BinnedReport:
-    bins: list[BinRecord]
-
-
 @dataclass(frozen=True)
 class GapBin:
     lo: float
     hi: float
     count: int
     mean_gap: float | None
-
-
-@dataclass
-class GapReport:
-    bins: list[GapBin]
 
 
 @dataclass(frozen=True)
@@ -81,10 +71,6 @@ def acc_from_ranks(ranks: list[int | None], k: int) -> float:
     if not ranks:
         raise ValueError("no examples to score")
     return sum(1 for r in ranks if r is not None and r <= k) / len(ranks)
-
-
-def acc_at_k(prediction_lists: list[list[Prediction]], gold_sets, k: int) -> float:
-    return acc_from_ranks(ranks_of(prediction_lists, list(gold_sets)), k)
 
 
 def evaluate(prediction_lists, gold_sets, ks=(1, 5)) -> EvalReport:
@@ -185,8 +171,8 @@ def binned_error_report(
     prediction_lists: list[list[Prediction]],
     kb: KnowledgeBase,
     idx: TfIdfIndex,
-) -> BinnedReport:
-    """Acc@1 stratified by the mention's best gold-synonym similarity."""
+) -> list[BinRecord]:
+    """Acc@1 stratified by the mention's best gold-synonym similarity, one record per bin of FIVE_BINS."""
     if len(examples) != len(prediction_lists):
         raise ValueError("examples and predictions differ in length")
     counts = [0] * 5
@@ -197,14 +183,13 @@ def binned_error_report(
         counts[b] += 1
         if rank_of_gold(preds, ex.gold_ids) != 1:
             errors[b] += 1
-    bins = [
+    return [
         BinRecord(
             lo=lo, hi=hi, count=c, errors=e,
             accuracy=None if c == 0 else (c - e) / c,
         )
         for (lo, hi), c, e in zip(FIVE_BINS, counts, errors)
     ]
-    return BinnedReport(bins=bins)
 
 
 def logprob_gap_report(
@@ -214,8 +199,8 @@ def logprob_gap_report(
     kb: KnowledgeBase,
     idx: TfIdfIndex,
     max_ctx: int = 128,
-) -> GapReport:
-    """Mean (positive score - negative score) binned by mention-negative similarity.
+) -> list[GapBin]:
+    """Mean (positive score - negative score) in GAP_BINS bins of mention-negative similarity.
 
     The positive score is the best-ranked correct prediction's score; when
     no correct name appears in the list, the most mention-similar gold
@@ -246,23 +231,10 @@ def logprob_gap_report(
             b = min(int(s * GAP_BINS), GAP_BINS - 1)
             sums[b] += pos_score - neg.score
             counts[b] += 1
-    bins = [
+    return [
         GapBin(
             lo=i / GAP_BINS, hi=(i + 1) / GAP_BINS, count=c,
             mean_gap=None if c == 0 else sums[i] / c,
         )
         for i, c in enumerate(counts)
     ]
-    return GapReport(bins=bins)
-
-
-def kfold_aggregate(reports: list[EvalReport]) -> EvalReport:
-    """Unweighted mean of per-fold accuracies; per-example ranks do not carry over."""
-    if not reports:
-        raise ValueError("no fold reports")
-    keys = set(reports[0].acc_at)
-    for r in reports[1:]:
-        if set(r.acc_at) != keys:
-            raise ValueError("fold reports disagree on which k values were measured")
-    acc = {k: sum(r.acc_at[k] for r in reports) / len(reports) for k in sorted(keys)}
-    return EvalReport(acc_at=acc, n=sum(r.n for r in reports), per_example=None)

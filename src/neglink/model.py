@@ -478,9 +478,13 @@ def target_log_probs(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     return logp, np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
 
 
-def sequence_log_probs(cache: ForwardCache, targets: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
-    """Per-sequence sums of target log-probs at masked positions; (B,)."""
-    _, picked = target_log_probs(cache.logits, targets)
+def sequence_log_probs(picked: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
+    """Per-sequence sums of `target_log_probs`' target log-probs (B, T) at masked positions; (B,).
+
+    This is the one sum behind every sequence score: the preference losses
+    (policy and dpo reference), `beam.sequence_score` and the search's
+    prompt pass.
+    """
     return (picked * target_mask).sum(axis=1)
 
 

@@ -102,10 +102,6 @@ def hard_negatives(
     k: int,
     idx: TfIdfIndex,
 ) -> list[str]:
-    """The k most mention-similar KB names aligned only outside `exclude`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """The k most mention-similar KB names aligned only outside `exclude`, ranked as `rank_synonyms` ranks."""
     exclude = frozenset(exclude)
-    eligible = [n for n in kb.names() if not (kb.align(n) & exclude)]
-    ranked = sorted(eligible, key=lambda s: (-similarity(mention, s, idx), s))
-    return ranked[: min(k, len(ranked))]
+    return rank_synonyms(mention, [n for n in kb.names() if not (kb.align(n) & exclude)], k, idx)

@@ -84,18 +84,13 @@ def triplets_from_predictions(
         )
 
     if correct:
-        if pairs == "all":
-            for rw, pw in correct:
-                for rl, pl in incorrect:
+        for rw, pw in correct:
+            for rl, pl in incorrect:
+                if pairs == "all" or rl < rw:
                     emit(pw.name, pl.name, rw, rl)
-        else:
-            for rw, pw in correct:
-                for rl, pl in incorrect:
-                    if rl < rw:
-                        emit(pw.name, pl.name, rw, rl)
-            if correct[0][0] == 1 and incorrect:
-                rl, pl = incorrect[0]
-                emit(correct[0][1].name, pl.name, 1, rl)
+        if pairs != "all" and correct[0][0] == 1 and incorrect:
+            rl, pl = incorrect[0]
+            emit(correct[0][1].name, pl.name, 1, rl)
     else:
         e_w = rank_synonyms(mention, gold_names, 1, idx)[0]
         for rl, pl in incorrect[:3]:
@@ -208,17 +203,6 @@ def preference_loss_values(
     return loss, dlp_w, dlp_l
 
 
-def preference_loss(
-    ckpt: model.Checkpoint,
-    ref: model.Checkpoint | None,
-    triplet: PreferenceTriplet,
-    cfg: RunConfig,
-) -> float:
-    """Per-pair loss for one triplet; ref is consulted only for dpo."""
-    loss, _ = preference_loss_and_grads(ckpt, ref, [triplet], cfg, want_grads=False)
-    return model.check_finite_loss(loss)
-
-
 def preference_loss_and_grads(
     ckpt: model.Checkpoint,
     ref: model.Checkpoint | None,
@@ -243,11 +227,13 @@ def preference_loss_and_grads(
     entities = [name_tokens(t.preferred, ckpt.vocab) for t in triplets]
     entities += [name_tokens(t.dispreferred, ckpt.vocab) for t in triplets]
     if cfg.loss == "dpo":
-        ref_lp = model.sequence_log_probs(*model.forward_pairs(ref, inputs, entities))
+        ref_cache, tg, tm = model.forward_pairs(ref, inputs, entities)
+        ref_lp = model.sequence_log_probs(model.target_log_probs(ref_cache.logits, tg)[1], tm)
+        del ref_cache
     else:
         ref_lp = np.zeros(2 * B)
     cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
-    lp = model.sequence_log_probs(cache, tg, tm)
+    lp = model.sequence_log_probs(model.target_log_probs(cache.logits, tg)[1], tm)
     len_w = np.array([len(e) for e in entities[:B]], dtype=np.float64)
     len_l = np.array([len(e) for e in entities[B:]], dtype=np.float64)
     losses, dlp_w, dlp_l = preference_loss_values(

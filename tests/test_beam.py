@@ -155,3 +155,14 @@ def test_narrow_beam_prunes_the_best_name():
     assert [p.name for p in constrained_beam_search(ckpt, enc, trie, kb, beam=2, k=2)] == ["ba", "ab"]
     batched = constrained_beam_search_batch(ckpt, [enc] * 3, trie, kb, beam=1, k=1)
     assert [[p.name for p in preds] for preds in batched] == [["ab"]] * 3
+
+
+def test_prompt_scores_are_the_one_sequence_sum_over_the_prompt_positions():
+    """The search's prompt base is `model.sequence_log_probs` over prompt tokens 2..n, bit for bit."""
+    kb, vocab, _, ckpt, _ = setup({"C1": ["abc"], "C2": ["abd"]}, seed=5, d=12)
+    mentions = ["q", "query", "text query", "query text query", "qu", "text text text query"]
+    inputs = [render(MentionExample("text", m, "text", frozenset({"C1"})), vocab) for m in mentions]
+    cache, targets, last_mask = model.forward_pairs(ckpt, inputs, [[vocab.eos_id]] * len(inputs))
+    picked = model.target_log_probs(cache.logits, targets)[1]
+    want = model.sequence_log_probs(picked, cache.dec.mask - last_mask).tolist()
+    assert prompt_log_prob(ckpt, inputs)[3] == want

@@ -205,6 +205,39 @@ def test_eval_paired_comparison(pipeline, capsys):
     assert cmp_doc["k"] == 1
 
 
+def test_eval_reports_each_fold_and_their_unweighted_mean(pipeline, tmp_path):
+    """Mentions that carry folds: report.json holds each fold's n and accuracies, and their unweighted mean."""
+    root, kb, train, test, cache = pipeline
+    records = [json.loads(line) for line in Path(test).read_text(encoding="utf-8").splitlines()]
+    folds = [None if i % 5 == 4 else [7, 0, 2][i % 3] for i in range(len(records))]  # uneven folds, some unset
+    mentions = tmp_path / "folds.jsonl"
+    mentions.write_text("".join(json.dumps({**r, "fold": f}) + "\n" for r, f in zip(records, folds)),
+                        encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    common = ["--kb", kb, "--mentions", str(mentions), "--cache", cache]
+    run("link", *FAST, *common, "--ckpt", str(root / "s1.ckpt"), "--out", str(preds))
+    run("eval", *common, "--preds", str(preds), "--k", "3", "--out", str(tmp_path / "report.json"))
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["report"]
+
+    ranks = [None] * len(records)
+    for p in sorted(read_jsonl(preds)[1], key=lambda p: (p["mention_index"], p["rank"])):
+        i = p["mention_index"]
+        if ranks[i] is None and set(p["ids"]) & set(records[i]["gold_ids"]):
+            ranks[i] = p["rank"]
+
+    def acc(rows, k):
+        return sum(1 for i in rows if ranks[i] is not None and ranks[i] <= k) / len(rows)
+
+    assert report["n"] == len(records)
+    per_fold = {}
+    for f in sorted({f for f in folds if f is not None}):
+        rows = [i for i, g in enumerate(folds) if g == f]
+        per_fold[str(f)] = {"n": len(rows), "acc_at": {"1": acc(rows, 1), "3": acc(rows, 3)}}
+    assert report["folds"] == per_fold
+    assert sorted(per_fold) == ["0", "2", "7"] and len({v["n"] for v in per_fold.values()}) > 1
+    assert report["fold_mean"] == {k: sum(v["acc_at"][k] for v in per_fold.values()) / 3 for k in ("1", "3")}
+
+
 def test_analyze_outputs(pipeline):
     root, kb, train, test, cache = pipeline
     run("analyze", "--kb", kb, "--mentions", test, "--cache", cache,
@@ -318,6 +351,26 @@ def test_a_trie_built_from_another_kb_exit_2_naming_it(pipeline, tmp_path, caplo
         assert main(argv) == 2, argv
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"{mixed / 'trie.bin'}: written for another kb file: its header's digest differs from {kb}'s"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_vocab_built_from_another_kb_exit_2_naming_it(pipeline, tmp_path, caplog):
+    """A cache whose vocab.json comes from another KB: without the check, a command reads it as this KB's."""
+    root, kb, train, test, cache = pipeline
+    write_benchmark(gen_benchmark(n_pairs=10, n_train=48, n_test=24, seed=5), tmp_path / "other")
+    run("kb", "build", "--kb", str(tmp_path / "other" / "kb.jsonl"), "--mentions", train, "--mentions", test,
+        "--out", str(tmp_path / "other_cache"))
+    mixed = tmp_path / "mixed"
+    shutil.copytree(cache, mixed)
+    shutil.copy(tmp_path / "other_cache" / "vocab.json", mixed / "vocab.json")
+    inputs = ["--kb", kb, "--cache", str(mixed), "--out", str(tmp_path / "out")]
+    for argv in (["train-positive", *FAST, *inputs, "--mentions", train],
+                 ["link", *FAST, *inputs, "--mentions", test, "--ckpt", str(root / "s1.ckpt")],
+                 ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s1.jsonl")]):
+        caplog.clear()
+        assert main(argv) == 2, argv
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{mixed / 'vocab.json'}: written for another kb file: its header's digest differs from {kb}'s"]
     assert not (tmp_path / "out").exists()
 
 
@@ -790,7 +843,7 @@ def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case
 
 @pytest.fixture(scope="module")
 def other_inputs(pipeline, tmp_path_factory):
-    """A KB with one more concept, and s1's predictions for the first 24 train mentions."""
+    """A KB with one more concept and its cache, and s1's predictions for the first 24 train mentions."""
     root, kb, train, test, cache = pipeline
     other = tmp_path_factory.mktemp("other")
     kb2, mentions2, preds2 = other / "kb.jsonl", other / "mentions.jsonl", other / "preds.jsonl"
@@ -798,7 +851,8 @@ def other_inputs(pipeline, tmp_path_factory):
     mentions2.write_bytes(b"".join(Path(train).read_bytes().splitlines(keepends=True)[:24]))
     run("link", *FAST, "--kb", kb, "--mentions", str(mentions2), "--cache", cache,
         "--ckpt", str(root / "s1.ckpt"), "--out", str(preds2))
-    return {"kb": str(kb2), "preds": str(preds2)}
+    run("kb", "build", "--kb", str(kb2), "--mentions", train, "--mentions", test, "--out", str(other / "cache"))
+    return {"kb": str(kb2), "cache": str(other / "cache"), "preds": str(preds2)}
 
 
 @pytest.mark.parametrize("case", ["pairs-mentions", "pairs-kb", "preds", "preds-b", "analyze-ckpt"])
@@ -809,11 +863,12 @@ def test_a_file_written_for_other_inputs_exit_2_naming_it(pipeline, other_inputs
     pairs, preds = str(root / "pairs.jsonl"), str(root / "preds_s2.jsonl")
     out = ["--out", str(tmp_path / "out")]
     s1 = ["--ckpt", str(root / "s1.ckpt")]
-    train_negative = ["train-negative", *FAST, "--cache", cache, *s1, "--pairs", pairs, *out]
+    train_negative = ["train-negative", *FAST, *s1, "--pairs", pairs, *out]
     evaluate = ["eval", "--kb", kb, "--mentions", test, "--cache", cache, *out]
     argv, named = {
-        "pairs-mentions": (train_negative + ["--kb", kb, "--mentions", str(longer)], pairs),
-        "pairs-kb": (train_negative + ["--kb", other_inputs["kb"], "--mentions", train], pairs),
+        "pairs-mentions": (train_negative + ["--kb", kb, "--cache", cache, "--mentions", str(longer)], pairs),
+        "pairs-kb": (train_negative + ["--kb", other_inputs["kb"], "--cache", other_inputs["cache"],
+                                       "--mentions", train], pairs),
         # as many mentions as the predictions cover, but other ones
         "preds": (evaluate + ["--preds", other_inputs["preds"]], other_inputs["preds"]),
         "preds-b": (evaluate + ["--preds", preds, "--preds-b", other_inputs["preds"]], other_inputs["preds"]),

@@ -12,12 +12,10 @@ from neglink import model
 from neglink.beam import Prediction
 from neglink.corpus import MentionExample
 from neglink.evaluate import (
-    acc_at_k,
     acc_from_ranks,
     binned_error_report,
     bootstrap_paired_test,
     evaluate,
-    kfold_aggregate,
     logprob_gap_report,
     ranks_of,
 )
@@ -42,7 +40,7 @@ def test_ranks_and_accuracy_hand_counted():
     assert ranks == [1, 2, None, None]
     assert acc_from_ranks(ranks, 1) == 0.25
     assert acc_from_ranks(ranks, 2) == 0.5
-    assert acc_at_k(preds, golds, 5) == 0.5
+    assert evaluate(preds, golds, ks=(5,)).acc_at[5] == 0.5
     report = evaluate(preds, golds, ks=(1, 2))
     assert report.acc_at == {1: 0.25, 2: 0.5}
     assert report.n == 4
@@ -51,7 +49,7 @@ def test_ranks_and_accuracy_hand_counted():
 
 def test_ambiguous_prediction_counts_when_any_id_matches():
     preds = [[pred("shared", {"C1", "C2"})]]
-    assert acc_at_k(preds, [frozenset({"C2"})], 1) == 1.0
+    assert evaluate(preds, [frozenset({"C2"})], ks=(1,)).acc_at[1] == 1.0
 
 
 def test_bootstrap_identical_systems_give_p_one():
@@ -153,14 +151,14 @@ def test_binned_error_report_strata():
         [pred("abcdef", {"C1"})],  # correct
         [pred("abcdef", {"C1"})],  # wrong
     ]
-    report = binned_error_report(examples, preds, kb, idx)
-    assert len(report.bins) == 5
-    top, bottom = report.bins[4], report.bins[0]
+    bins = binned_error_report(examples, preds, kb, idx)
+    assert len(bins) == 5
+    top, bottom = bins[4], bins[0]
     assert (top.count, top.errors, top.accuracy) == (1, 0, 1.0)
     assert (bottom.count, bottom.errors, bottom.accuracy) == (1, 1, 0.0)
-    empty = report.bins[2]
+    empty = bins[2]
     assert empty.count == 0 and empty.accuracy is None
-    assert [b.lo for b in report.bins] == [0.0, 0.2, 0.4, 0.6, 0.8]
+    assert [b.lo for b in bins] == [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
 def test_gap_report_uses_top_correct_and_bins_negatives():
@@ -175,9 +173,9 @@ def test_gap_report_uses_top_correct_and_bins_negatives():
         pred("aaa", {"C1"}, score=-2.0),   # the positive
         pred("zzz", {"C3"}, score=-5.0),   # negative, sim 0
     ]]
-    report = logprob_gap_report(ckpt, examples, preds, kb, idx)
-    assert len(report.bins) == 10
-    populated = [b for b in report.bins if b.count]
+    bins = logprob_gap_report(ckpt, examples, preds, kb, idx)
+    assert len(bins) == 10
+    populated = [b for b in bins if b.count]
     assert len(populated) == 2
     low, high = populated[0], populated[-1]
     assert low.lo == 0.0
@@ -192,8 +190,8 @@ def test_gap_report_scores_fallback_positive_when_gold_missing():
     ckpt = model.init_checkpoint(vocab, 4, 1)
     examples = [MentionExample("", "aaa", "", frozenset({"C1"}))]
     preds = [[pred("bbb", {"C2"}, score=-1.5)]]
-    report = logprob_gap_report(ckpt, examples, preds, kb, idx)
-    populated = [b for b in report.bins if b.count]
+    bins = logprob_gap_report(ckpt, examples, preds, kb, idx)
+    populated = [b for b in bins if b.count]
     assert len(populated) == 1
     assert populated[0].count == 1
     # the fallback gap is finite and uses the model's own score for "aaa"
@@ -210,18 +208,7 @@ def test_gap_report_similarity_one_folds_into_top_bin():
     ckpt = model.init_checkpoint(vocab, 4, 2)
     examples = [MentionExample("", "qqq", "", frozenset({"C1"}))]
     preds = [[pred("mmm", {"C1"}, -1.0), pred("qqq", {"C2"}, -2.0)]]
-    report = logprob_gap_report(ckpt, examples, preds, kb2, idx)
-    assert report.bins[9].count == 1
-    assert report.bins[9].mean_gap == pytest.approx(1.0)
+    bins = logprob_gap_report(ckpt, examples, preds, kb2, idx)
+    assert bins[9].count == 1
+    assert bins[9].mean_gap == pytest.approx(1.0)
 
-
-def test_kfold_aggregate_unweighted_mean():
-    a = evaluate([[pred("x", {"C1"})]], [frozenset({"C1"})], ks=(1,))
-    b = evaluate([[pred("x", {"C9"})], [pred("y", {"C2"})]],
-                 [frozenset({"C1"}), frozenset({"C2"})], ks=(1,))
-    agg = kfold_aggregate([a, b])
-    assert agg.acc_at[1] == pytest.approx((1.0 + 0.5) / 2)
-    assert agg.n == 3
-    assert agg.per_example is None
-    with pytest.raises(ValueError):
-        kfold_aggregate([])

@@ -279,7 +279,8 @@ def forward_and_gradients(ckpt, inputs, entities):
     enc = cache.enc
     weights = target_mask * np.linspace(-1.0, 1.0, len(inputs))[:, None]
     grads = model.backward_from_dlogits(ckpt, cache, model.target_dlogits(cache, targets, weights))
-    return cache, enc, model.sequence_log_probs(cache, targets, target_mask), grads
+    picked = model.target_log_probs(cache.logits, targets)[1]
+    return cache, enc, model.sequence_log_probs(picked, target_mask), grads
 
 
 @pytest.mark.parametrize("batch", [three_targets_of_one_mention, preference_stack])

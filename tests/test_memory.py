@@ -88,6 +88,7 @@ def test_a_second_backward_on_a_consumed_cache_raises_value_error(toy):
     dlogits = model.target_dlogits(cache, targets, -tmask)
     model.backward_from_dlogits(ckpt, cache, dlogits)
     assert cache.dec is None and cache.enc is None
-    assert model.sequence_log_probs(cache, targets, tmask).shape == (2,)  # logits stay
+    picked = model.target_log_probs(cache.logits, targets)[1]  # logits stay
+    assert model.sequence_log_probs(picked, tmask).shape == (2,)
     with pytest.raises(ValueError, match="new forward pass"):
         model.backward_from_dlogits(ckpt, cache, dlogits)

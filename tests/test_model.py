@@ -32,7 +32,8 @@ def enc_input(ckpt, mention="abc", left="fed", right="gab"):
 
 def score(ckpt, inputs, entities):
     """Entity log-probabilities of (input, entity) pairs, scored in one batch."""
-    return model.sequence_log_probs(*model.forward_pairs(ckpt, inputs, entities))
+    cache, targets, target_mask = model.forward_pairs(ckpt, inputs, entities)
+    return model.sequence_log_probs(model.target_log_probs(cache.logits, targets)[1], target_mask)
 
 
 def test_param_shapes_cover_all_roles():
