@@ -2,8 +2,8 @@
 
 Walks through the first layer of the linker: the KB file format, name
 normalization, the name -> identifier alignment map (including names
-shared by several concepts), and the trigram similarity index used to
-pick training synonyms and hard negatives.
+shared by several concepts), and the KB's trigram similarity index
+(`kb.tfidf`) used to pick training synonyms and hard negatives.
 
 Run from the repository root:
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from neglink.kb import load_kb, normalize_name
-from neglink.tfidf import build_index, hard_negatives, rank_synonyms, similarity, trigrams
+from neglink.tfidf import rank_synonyms, similarity, trigrams
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 
@@ -46,7 +46,8 @@ def main() -> None:
     # Strings are padded with '#' and cut into 3-character windows.
     print(f"trigrams('abc') -> {dict(trigrams('abc'))}")
 
-    idx = build_index(kb.names())
+    # The KB owns its index over all its names, built on first use.
+    idx = kb.tfidf
     a, b = concept.names[0], concept.names[1]
     print(f"\nsimilarity({a!r}, {b!r}) = {similarity(a, b, idx):.4f}   (same concept)")
     partner = kb.concepts["B" + concept.id[1:]]  # the confusable sibling
@@ -58,13 +59,13 @@ def main() -> None:
     # stage-1 chooses its generation targets.
     mention = a[:-1] + a[-1] * 2  # a distorted spelling of `a`
     print(f"\nmention {mention!r}, nearest synonyms of {concept.id}:")
-    for s in rank_synonyms(mention, list(concept.names), 3, idx):
+    for s in rank_synonyms(mention, kb.synonyms(frozenset({concept.id})), 3, idx):
         print(f"  {s!r}  sim={similarity(mention, s, idx):.4f}")
 
-    # hard_negatives finds the most confusable names of *other* concepts;
+    # kb.hard_negatives finds the most confusable names of *other* concepts;
     # these are what preference training pushes the model away from.
     print(f"\nhard negatives for {mention!r} (excluding {concept.id}):")
-    for s in hard_negatives(mention, kb, {concept.id}, 3, idx):
+    for s in kb.hard_negatives(mention, frozenset({concept.id}), 3):
         print(f"  {s!r}  sim={similarity(mention, s, idx):.4f}  ids={sorted(kb.align(s))}")
 
 

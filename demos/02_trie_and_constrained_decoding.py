@@ -16,6 +16,7 @@ from pathlib import Path
 
 from neglink import model
 from neglink.beam import constrained_beam_search
+from neglink.config import RunConfig
 from neglink.corpus import MentionExample, render
 from neglink.kb import load_kb
 from neglink.trie import allowed_next, build_trie
@@ -25,6 +26,7 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 
 
 def main() -> None:
+    cfg = RunConfig()
     kb = load_kb(DATA / "kb.jsonl")
     names = kb.names()
     # The vocabulary needs every character the model will ever read: here
@@ -54,7 +56,7 @@ def main() -> None:
         right_context=right,
         gold_ids=kb.align(name),
     )
-    enc = render(ex, vocab)
+    enc = render(ex, vocab, max_ctx=cfg.max_ctx)
     # Encoder input wraps the mention in marker tokens; the decoder prompt
     # is "<bos>" + the mention + " is", after which generation is masked
     # by the trie until EOS.

@@ -23,7 +23,6 @@ from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.evaluate import evaluate
 from neglink.kb import load_kb
-from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
 
@@ -35,19 +34,18 @@ def main() -> None:
     kb = load_kb(DATA / "kb.jsonl")
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
     trie = build_trie(kb.names(), vocab)
-    idx = build_index(kb.names())
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
 
     print("=== the positive training set ===")
-    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
+    instances = build_positive_set(train_ex, kb, vocab, cfg)
     print(f"{len(train_ex)} mentions -> {len(instances)} (input, synonym) instances")
     sample = instances[0]
     print(f"example target: mention {train_ex[0].mention!r} -> generate {sample.target_name!r}")
 
     def acc(ckpt) -> float:
         preds = constrained_beam_search_batch(
-            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+            ckpt, [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
         )
         return evaluate(preds, [ex.gold_ids for ex in test_ex], ks=(1,)).acc_at[1]
 

@@ -24,7 +24,6 @@ from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.evaluate import evaluate
 from neglink.kb import load_kb
-from neglink.tfidf import build_index
 from neglink.train_negative import mine_pairs, preference_loss_and_grads, train_preference
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
@@ -37,19 +36,18 @@ def main() -> None:
     kb = load_kb(DATA / "kb.jsonl")
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
     trie = build_trie(kb.names(), vocab)
-    idx = build_index(kb.names())
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
     gold = [ex.gold_ids for ex in test_ex]
 
     print("=== stage 1 (positive-only) ===")
-    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
+    instances = build_positive_set(train_ex, kb, vocab, cfg)
     base = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     stage1 = train(base, instances, cfg).checkpoint
 
     def link(ckpt):
         return constrained_beam_search_batch(
-            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+            ckpt, [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
         )
 
     preds1 = link(stage1)
@@ -57,7 +55,7 @@ def main() -> None:
     print(f"stage-1 Acc@1 on {len(test_ex)} test mentions: {acc1:.3f}")
 
     print("\n=== mining preference pairs ===")
-    triplets = mine_pairs(stage1, train_ex, kb, trie, idx, cfg)
+    triplets = mine_pairs(stage1, train_ex, kb, trie, cfg)
     print(f"{len(train_ex)} mentions -> {len(triplets)} deduplicated pairs")
     with_rank = next(t for t in triplets if t.rank_w is not None)
     print(f"from the decoder's own list: prefer {with_rank.preferred!r} (rank {with_rank.rank_w})"

@@ -28,7 +28,6 @@ from neglink.evaluate import (
     logprob_gap_report,
 )
 from neglink.kb import load_kb
-from neglink.tfidf import build_index
 from neglink.train_positive import build_positive_set, train
 from neglink.trie import build_trie
 
@@ -40,18 +39,17 @@ def main() -> None:
     kb = load_kb(DATA / "kb.jsonl")
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
     trie = build_trie(kb.names(), vocab)
-    idx = build_index(kb.names())
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
     gold = [ex.gold_ids for ex in test_ex]
 
     untrained = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
-    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
+    instances = build_positive_set(train_ex, kb, vocab, cfg)
     trained = train(untrained, instances, cfg).checkpoint
 
     def link(ckpt):
         return constrained_beam_search_batch(
-            ckpt, [render(ex, vocab) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
+            ckpt, [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex], trie, kb, beam=cfg.beam, k=cfg.topk
         )
 
     preds_a, preds_b = link(trained), link(untrained)
@@ -71,14 +69,14 @@ def main() -> None:
     print("\n=== error rate by gold-synonym similarity ===")
     print("(how mention-like is the *correct* answer? errors cluster where")
     print(" the gold surface form is far from the mention)")
-    for b in binned_error_report(test_ex, preds_a, kb, idx):
+    for b in binned_error_report(test_ex, preds_a, kb):
         acc = "     -" if b.accuracy is None else f"{b.accuracy:.3f}"
         print(f"  sim [{b.lo:.1f}, {b.hi:.1f}): n={b.count:4d}  errors={b.errors:4d}  Acc@1={acc}")
 
     print("\n=== log-prob gap by mention-negative similarity ===")
     print("(positive score minus negative score, binned by how confusable the")
     print(" negative is; preference training widens the high-similarity bins)")
-    for g in logprob_gap_report(trained, test_ex, preds_a, kb, idx):
+    for g in logprob_gap_report(trained, test_ex, preds_a, kb, cfg.max_ctx):
         if g.count == 0:
             continue
         print(f"  sim [{g.lo:.1f}, {g.hi:.1f}): pairs={g.count:4d}  mean gap={g.mean_gap:+.3f}")

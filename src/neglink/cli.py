@@ -47,8 +47,7 @@ from .errors import (
 from .evaluate import bootstrap_paired_test, binned_error_report, evaluate, logprob_gap_report
 from .gradcheck import run_gradcheck
 from .kb import KnowledgeBase, load_kb, normalize_name
-from .tfidf import build_index
-from .train_negative import PreferenceTriplet, mine_pairs, train_preference
+from .train_negative import PreferenceTriplet, check_pairs, mine_pairs, train_preference
 from .train_positive import PositiveInstance, build_positive_set, train
 from .trie import TokenTrie, build_trie, load_trie, save_trie
 from .vocab import Vocab
@@ -87,10 +86,13 @@ def vocab_from_sources(kb: KnowledgeBase, mention_files: list[str], abbrev: str 
 # Options that name a file a command reads, then the cache files its loaders read (they set `args.vocab` and
 # `args.trie`); every output header records each file under that name. `kb build` repeats --mentions.
 _READ_FILES = ("kb", "mentions", "abbrev", "init", "ckpt", "pairs", "preds", "preds_b", "vocab", "trie")
+# Command options outside `RunConfig` that change an output (`eval`'s and `synth`'s); headers record them as set.
+_OUTPUT_OPTIONS = ("cap", "k", "resamples")
 
 
 def _header(args, cfg: RunConfig) -> dict:
-    """The header of every output: `cfg`'s settings and the digest of each file of `args` that the command read."""
+    """The header of every output: `cfg`'s settings, the digest of each file of `args` that the command read
+    and, under "options", the values of its `_OUTPUT_OPTIONS`."""
     files = {}
     for name in _READ_FILES:
         path = getattr(args, name, None)
@@ -98,7 +100,9 @@ def _header(args, cfg: RunConfig) -> dict:
             files.update((f"{name}{i}", p) for i, p in enumerate(path))
         elif path:
             files[name] = path
-    return artifacts.make_header(dataclasses.asdict(cfg), files)
+    header = artifacts.make_header(dataclasses.asdict(cfg), files)
+    options = {name: getattr(args, name) for name in _OUTPUT_OPTIONS if hasattr(args, name)}
+    return {**header, "options": options} if options else header
 
 
 def _load_vocab(args) -> Vocab:
@@ -189,9 +193,8 @@ def cmd_kb_build(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
-    idx = build_index(kb.names())
-    examples = synth.gen_pretrain_examples(kb, idx, cap=args.cap)
-    pairs = synth.gen_pretrain_pairs(kb, idx, k=args.k, examples=examples)
+    examples = synth.gen_pretrain_examples(kb, cap=args.cap)
+    pairs = synth.gen_pretrain_pairs(kb, k=args.k, examples=examples)
     artifacts.write_jsonl(args.out_mentions, _header(args, cfg), (
         {"left": ex.left_context, "mention": ex.mention, "right": ex.right_context, "gold_ids": sorted(ex.gold_ids),
          "targets": list(ex.targets),
@@ -220,7 +223,7 @@ def _load_training_inputs(args):
 def _positive_instances(args) -> tuple[RunConfig, Vocab, list[PositiveInstance]]:
     """The stage-1 instances; the KB, its TF-IDF index and the examples are freed on return."""
     cfg, kb, vocab, examples = _load_training_inputs(args)
-    return cfg, vocab, build_positive_set(examples, kb, build_index(kb.names()), vocab, cfg)
+    return cfg, vocab, build_positive_set(examples, kb, vocab, cfg)
 
 
 def cmd_train_positive(args) -> int:
@@ -245,8 +248,7 @@ def cmd_mine(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     trie = _load_trie(args, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    idx = build_index(kb.names())
-    triplets = mine_pairs(ckpt, examples, kb, trie, idx, cfg)
+    triplets = mine_pairs(ckpt, examples, kb, trie, cfg)
     artifacts.write_jsonl(args.out, _header(args, cfg), (_pair_record(t) for t in triplets))
     log.info("mined %d preference pairs from %d examples", len(triplets), len(examples))
     return 0
@@ -260,9 +262,10 @@ def _pair_record(t: PreferenceTriplet) -> dict:
 def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet]]:
     """The pairs file's triplets, each mention rendered once; the KB and the examples are freed on return.
 
-    The pairs must have been written for `--kb` and `--mentions`, and each name must be readable by the vocabulary.
+    The pairs must have been written for `--kb` and `--mentions`, each name must be readable by the vocabulary,
+    and the pairs must pass `check_pairs`: each keeps the mining rules, and none repeats.
     """
-    cfg, _, vocab, examples = _load_training_inputs(args)
+    cfg, kb, vocab, examples = _load_training_inputs(args)
     kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
     header, records = artifacts.read_jsonl(args.pairs, kinds)
     artifacts.check_inputs(args.pairs, header, args, ["kb", "mentions"])
@@ -280,6 +283,10 @@ def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet
         triplets.append(PreferenceTriplet(input=inputs[i], preferred=e_w, dispreferred=e_l, mention_index=i))
     if not triplets:
         raise FormatError(f"{args.pairs}: no preference pairs")
+    try:
+        check_pairs(triplets, examples, kb)
+    except FormatError as e:
+        raise FormatError(f"{args.pairs}: {e}") from None
     return cfg, vocab, triplets
 
 
@@ -356,10 +363,9 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     cfg, kb, vocab, examples = _load_training_inputs(args)
     ckpt = _load_checkpoint(args.ckpt, vocab)
-    idx = build_index(kb.names())
     prediction_lists = _predictions_from_file(args.preds, args, kb, len(examples))
-    binned = binned_error_report(examples, prediction_lists, kb, idx)
-    gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, idx, max_ctx=cfg.max_ctx)
+    binned = binned_error_report(examples, prediction_lists, kb)
+    gaps = logprob_gap_report(ckpt, examples, prediction_lists, kb, max_ctx=cfg.max_ctx)
     header = _header(args, cfg)
     artifacts.write_jsonl(args.out_bins, header, (dataclasses.asdict(b) for b in binned))
     artifacts.write_jsonl(args.out_gaps, header, (dataclasses.asdict(b) for b in gaps))

@@ -22,8 +22,7 @@ from .corpus import MentionExample, render
 from .errors import ConfigError, NumericError
 from .kb import KnowledgeBase
 from .model import Checkpoint
-from .tfidf import TfIdfIndex, rank_synonyms, similarity
-from .train_positive import gold_synonyms
+from .tfidf import rank_synonyms, similarity
 
 FIVE_BINS = ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0))
 GAP_BINS = 10  # equal-width mention-negative similarity bins of the log-prob gap report
@@ -167,10 +166,7 @@ def _five_bin_index(s: float) -> int:
 
 
 def binned_error_report(
-    examples: list[MentionExample],
-    prediction_lists: list[list[Prediction]],
-    kb: KnowledgeBase,
-    idx: TfIdfIndex,
+    examples: list[MentionExample], prediction_lists: list[list[Prediction]], kb: KnowledgeBase
 ) -> list[BinRecord]:
     """Acc@1 stratified by the mention's best gold-synonym similarity, one record per bin of FIVE_BINS."""
     if len(examples) != len(prediction_lists):
@@ -178,7 +174,7 @@ def binned_error_report(
     counts = [0] * 5
     errors = [0] * 5
     for ex, preds in zip(examples, prediction_lists):
-        best = max(similarity(ex.mention, name, idx) for name in gold_synonyms(ex, kb))
+        best = max(similarity(ex.mention, name, kb.tfidf) for name in kb.synonyms(ex.gold_ids))
         b = _five_bin_index(best)
         counts[b] += 1
         if rank_of_gold(preds, ex.gold_ids) != 1:
@@ -197,8 +193,7 @@ def logprob_gap_report(
     examples: list[MentionExample],
     prediction_lists: list[list[Prediction]],
     kb: KnowledgeBase,
-    idx: TfIdfIndex,
-    max_ctx: int = 128,
+    max_ctx: int,
 ) -> list[GapBin]:
     """Mean (positive score - negative score) in GAP_BINS bins of mention-negative similarity.
 
@@ -222,12 +217,12 @@ def logprob_gap_report(
                 pos_score = p.score
                 break
         if pos_score is None:
-            best = rank_synonyms(ex.mention, gold_synonyms(ex, kb), 1, idx)[0]
+            best = rank_synonyms(ex.mention, kb.synonyms(ex.gold_ids), 1, kb.tfidf)[0]
             enc = render(ex, ckpt.vocab, max_ctx=max_ctx)
             entity = name_tokens(best, ckpt.vocab)
             pos_score = sequence_score(ckpt, enc, entity)
         for neg in negatives:
-            s = similarity(ex.mention, neg.name, idx)
+            s = similarity(ex.mention, neg.name, kb.tfidf)
             b = min(int(s * GAP_BINS), GAP_BINS - 1)
             sums[b] += pos_score - neg.score
             counts[b] += 1

@@ -6,17 +6,20 @@ normalized name to the set of identifiers that carry it, which is the
 alignment function used to decide whether a generated name is correct:
 a prediction counts as correct when its alignment set intersects the gold
 identifier set. Ambiguous names (one surface form under several ids) are
-ordinary, not an error.
+ordinary, not an error. The store also owns the trigram TF-IDF view of its
+names (`tfidf`).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import artifacts
 from .errors import KBFormatError
+from .tfidf import TfIdfIndex, build_index, rank_synonyms
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +53,19 @@ class KnowledgeBase:
     def names(self) -> list[str]:
         """All distinct names in deterministic (sorted) order."""
         return sorted(self.name_index)
+
+    def synonyms(self, ids: frozenset[str]) -> list[str]:
+        """Union of the names of every concept in `ids`, deduplicated, sorted."""
+        return sorted({n for cid in ids for n in self.concepts[cid].names})
+
+    @cached_property
+    def tfidf(self) -> TfIdfIndex:
+        """The index over `names()`, built on first use: a KB does not change after loading, so it cannot go stale."""
+        return build_index(self.names())
+
+    def hard_negatives(self, mention: str, exclude: frozenset[str], k: int) -> list[str]:
+        """The k most mention-similar names aligned only outside `exclude`, ranked as `rank_synonyms` ranks."""
+        return rank_synonyms(mention, [n for n in self.names() if not (self.align(n) & exclude)], k, self.tfidf)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):

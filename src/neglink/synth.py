@@ -24,7 +24,7 @@ from .corpus import MentionExample
 from .errors import ConfigError
 from .kb import KnowledgeBase, normalize_name
 from .tfidf import TfIdfIndex, rank_synonyms
-from .train_negative import PreferenceTriplet, tfidf_pairs
+from .train_negative import PreferenceTriplet, check_pairs, tfidf_pairs
 
 DEFINITION_TEMPLATE = "is defined as"
 SYNONYM_TEMPLATE = "has synonyms such as"
@@ -35,7 +35,7 @@ def _nearest_other(name: str, others: list[str], idx: TfIdfIndex, rank: int = 1)
     return ranked[rank - 1] if len(ranked) >= rank else None
 
 
-def gen_definition_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> list[MentionExample]:
+def gen_definition_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExample]:
     """One example per (concept with definition, synonym), capped per concept.
 
     The target is the synonym's most similar sibling name; a single-name
@@ -49,12 +49,12 @@ def gen_definition_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) ->
         right = normalize_name(f"{DEFINITION_TEMPLATE} {concept.definition}")
         for s in concept.names[:cap]:
             others = [n for n in concept.names if n != s]
-            target = _nearest_other(s, others, idx) if others else s
+            target = _nearest_other(s, others, kb.tfidf) if others else s
             out.append(MentionExample("", s, right, frozenset({cid}), targets=(target or s,)))
     return out
 
 
-def gen_synonym_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> list[MentionExample]:
+def gen_synonym_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExample]:
     """Definition-free concepts with >= 2 names, capped per concept.
 
     The context names the mention's most similar sibling; the target is the
@@ -67,32 +67,30 @@ def gen_synonym_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> li
             continue
         for s1 in concept.names[:cap]:
             others = [n for n in concept.names if n != s1]
-            s2 = _nearest_other(s1, others, idx)
-            target = _nearest_other(s1, others, idx, rank=2) or s2
+            s2 = _nearest_other(s1, others, kb.tfidf)
+            target = _nearest_other(s1, others, kb.tfidf, rank=2) or s2
             out.append(MentionExample("", s1, f"{SYNONYM_TEMPLATE} {s2}", frozenset({cid}), targets=(target,)))
     return out
 
 
-def gen_pretrain_examples(kb: KnowledgeBase, idx: TfIdfIndex, cap: int = 8) -> list[MentionExample]:
+def gen_pretrain_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExample]:
     """Both template families, definition examples first."""
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
-    return gen_definition_examples(kb, idx, cap) + gen_synonym_examples(kb, idx, cap)
+    return gen_definition_examples(kb, cap) + gen_synonym_examples(kb, cap)
 
 
-def gen_pretrain_pairs(
-    kb: KnowledgeBase,
-    idx: TfIdfIndex,
-    examples: list[MentionExample],
-    k: int = 3,
-) -> list[PreferenceTriplet]:
+def gen_pretrain_pairs(kb: KnowledgeBase, examples: list[MentionExample], k: int = 3) -> list[PreferenceTriplet]:
     """Preference triplets for synthetic examples without running the model.
 
     Each example's target is preferred against the k most mention-similar
     names carried by other concepts only; mention_index points into the
     example list. They are written, not trained on, so they carry no
-    rendered input (`PreferenceTriplet.input` is None).
+    rendered input (`PreferenceTriplet.input` is None). They keep the mining
+    rules (`train_negative.check_pairs`).
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    return [t for i, ex in enumerate(examples) for t in tfidf_pairs(None, ex, ex.targets[0], kb, idx, k, i)]
+    pairs = [t for i, ex in enumerate(examples) for t in tfidf_pairs(None, ex, ex.targets[0], kb, k, i)]
+    check_pairs(pairs, examples, kb)
+    return pairs

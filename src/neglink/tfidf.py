@@ -21,8 +21,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .kb import KnowledgeBase
-
 
 def trigrams(s: str) -> Counter:
     """Multiset of 3-char windows over '#' + s + '#'; empty for empty s."""
@@ -93,15 +91,3 @@ def rank_synonyms(mention: str, synonyms: list[str], k: int, idx: TfIdfIndex) ->
     unique = list(dict.fromkeys(synonyms))
     ranked = sorted(unique, key=lambda s: (-similarity(mention, s, idx), s))
     return ranked[: min(k, len(ranked))]
-
-
-def hard_negatives(
-    mention: str,
-    kb: KnowledgeBase,
-    exclude: frozenset[str] | set[str],
-    k: int,
-    idx: TfIdfIndex,
-) -> list[str]:
-    """The k most mention-similar KB names aligned only outside `exclude`, ranked as `rank_synonyms` ranks."""
-    exclude = frozenset(exclude)
-    return rank_synonyms(mention, [n for n in kb.names() if not (kb.align(n) & exclude)], k, idx)

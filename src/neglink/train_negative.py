@@ -41,8 +41,7 @@ from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
 from .errors import ConfigError, FormatError
 from .kb import KnowledgeBase
-from .tfidf import TfIdfIndex, hard_negatives, rank_synonyms
-from .train_positive import gold_synonyms
+from .tfidf import TfIdfIndex, rank_synonyms
 from .workers import map_split
 
 
@@ -99,19 +98,26 @@ def triplets_from_predictions(
 
 
 def tfidf_pairs(
-    enc_input: EncodedInput | None,
-    ex: MentionExample,
-    preferred: str,
-    kb: KnowledgeBase,
-    idx: TfIdfIndex,
-    k: int,
-    mention_index: int,
+    enc_input: EncodedInput | None, ex: MentionExample, preferred: str, kb: KnowledgeBase, k: int, mention_index: int
 ) -> list[PreferenceTriplet]:
     """`preferred` against each of the k KB names most similar to the mention that belong to no gold concept."""
     return [
         PreferenceTriplet(input=enc_input, preferred=preferred, dispreferred=e_l, mention_index=mention_index)
-        for e_l in hard_negatives(ex.mention, kb, ex.gold_ids, k, idx)
+        for e_l in kb.hard_negatives(ex.mention, ex.gold_ids, k)
     ]
+
+
+def check_pairs(triplets: list[PreferenceTriplet], examples: list[MentionExample], kb: KnowledgeBase) -> None:
+    """Raise FormatError naming the mention unless no triplet repeats and each keeps the mining rules: its preferred
+    name aligns to a gold id of `examples[t.mention_index]`, its dispreferred one is a KB name that aligns to none."""
+    seen: set[tuple] = set()
+    for t in triplets:
+        i, gold = t.mention_index, examples[t.mention_index].gold_ids
+        if not kb.align(t.preferred) & gold or t.dispreferred not in kb.name_index or kb.align(t.dispreferred) & gold:
+            raise FormatError(f"mention {i}: mined triplet violates invariants: {t.preferred!r} vs {t.dispreferred!r}")
+        if (i, t.preferred, t.dispreferred) in seen:
+            raise FormatError(f"mention {i}: pair {t.preferred!r} vs {t.dispreferred!r} appears twice")
+        seen.add((i, t.preferred, t.dispreferred))
 
 
 def dedup_triplets(triplets: list[PreferenceTriplet]) -> list[PreferenceTriplet]:
@@ -126,12 +132,7 @@ def dedup_triplets(triplets: list[PreferenceTriplet]) -> list[PreferenceTriplet]
 
 
 def mine_pairs(
-    ckpt: model.Checkpoint,
-    examples: list[MentionExample],
-    kb: KnowledgeBase,
-    trie,
-    idx: TfIdfIndex,
-    cfg: RunConfig,
+    ckpt: model.Checkpoint, examples: list[MentionExample], kb: KnowledgeBase, trie, cfg: RunConfig
 ) -> list[PreferenceTriplet]:
     """Mine the preference dataset from the model's constrained predictions.
 
@@ -142,26 +143,18 @@ def mine_pairs(
     """
     if cfg.topk < 2:
         raise ConfigError(f"mining needs topk >= 2, got {cfg.topk}")
+    idx = kb.tfidf  # built here, before the workers fork, so they share one index
 
     def mine_one(item: tuple[int, MentionExample]) -> list[PreferenceTriplet]:
         i, ex = item
         enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
-        names = gold_synonyms(ex, kb)
+        names = kb.synonyms(ex.gold_ids)
         if cfg.negatives == "tfidf":
-            mined = tfidf_pairs(enc, ex, rank_synonyms(ex.mention, names, 1, idx)[0], kb, idx, 3, i)
+            mined = tfidf_pairs(enc, ex, rank_synonyms(ex.mention, names, 1, idx)[0], kb, 3, i)
         else:
             preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
             mined = triplets_from_predictions(enc, preds, ex.gold_ids, ex.mention, names, idx, cfg.pairs, i)
-        for t in mined:
-            ok = (
-                kb.align(t.preferred) & ex.gold_ids
-                and not (kb.align(t.dispreferred) & ex.gold_ids)
-                and t.preferred != t.dispreferred
-            )
-            if not ok:
-                raise FormatError(
-                    f"mention {i}: mined triplet violates invariants: {t.preferred!r} vs {t.dispreferred!r}"
-                )
+        check_pairs(mined, examples, kb)
         return mined
 
     return dedup_triplets([t for mined in map_split(mine_one, enumerate(examples)) for t in mined])

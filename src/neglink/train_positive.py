@@ -20,7 +20,7 @@ from .config import RunConfig
 from .corpus import EncodedInput, MentionExample, render
 from .kb import KnowledgeBase
 from .model import Checkpoint, ForwardCache
-from .tfidf import TfIdfIndex, rank_synonyms
+from .tfidf import rank_synonyms
 from .vocab import Vocab
 
 
@@ -31,20 +31,8 @@ class PositiveInstance:
     target_name: str
 
 
-def gold_synonyms(ex: MentionExample, kb: KnowledgeBase) -> list[str]:
-    """Union of the names of every gold concept, deduplicated, sorted."""
-    out: set[str] = set()
-    for cid in ex.gold_ids:
-        out.update(kb.concepts[cid].names)
-    return sorted(out)
-
-
 def build_positive_set(
-    examples: list[MentionExample],
-    kb: KnowledgeBase,
-    idx: TfIdfIndex,
-    vocab: Vocab,
-    cfg: RunConfig,
+    examples: list[MentionExample], kb: KnowledgeBase, vocab: Vocab, cfg: RunConfig
 ) -> list[PositiveInstance]:
     """One instance per (example, selected synonym), in rank order.
 
@@ -58,7 +46,7 @@ def build_positive_set(
         if ex.targets is not None:
             targets = list(ex.targets)[: cfg.syn_topk]
         else:
-            targets = rank_synonyms(ex.mention, gold_synonyms(ex, kb), cfg.syn_topk, idx)
+            targets = rank_synonyms(ex.mention, kb.synonyms(ex.gold_ids), cfg.syn_topk, kb.tfidf)
         for name in targets:
             tokens = tuple(name_tokens(name, vocab))
             instances.append(PositiveInstance(input=enc, target=tokens, target_name=name))

@@ -274,11 +274,10 @@ def benchmark_runs():
     cfg = build_config(preset="toy")
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
     trie = build_trie(kb.names(), vocab)
-    idx = build_index(kb.names())
     train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
     test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
     gold = [ex.gold_ids for ex in test_ex]
-    instances = build_positive_set(train_ex, kb, idx, vocab, cfg)
+    instances = build_positive_set(train_ex, kb, vocab, cfg)
 
     def link(ckpt):
         inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
@@ -288,12 +287,12 @@ def benchmark_runs():
         base = init_checkpoint(vocab, cfg.hidden_dim, seed)
         seeded = dataclasses.replace(cfg, seed=seed)
         stage1 = train(base, instances, seeded).checkpoint
-        triplets = mine_pairs(stage1, train_ex, kb, trie, idx, cfg)
+        triplets = mine_pairs(stage1, train_ex, kb, trie, cfg)
         result2 = train_preference(stage1, triplets, seeded)
         stage2 = result2.checkpoint
         preds1, preds2 = link(stage1), link(stage2)
-        gaps1 = logprob_gap_report(stage1, test_ex, preds1, kb, idx, max_ctx=cfg.max_ctx)
-        gaps2 = logprob_gap_report(stage2, test_ex, preds2, kb, idx, max_ctx=cfg.max_ctx)
+        gaps1 = logprob_gap_report(stage1, test_ex, preds1, kb, max_ctx=cfg.max_ctx)
+        gaps2 = logprob_gap_report(stage2, test_ex, preds2, kb, max_ctx=cfg.max_ctx)
         return {
             "seed": seed,
             "acc1": evaluate(preds1, gold, ks=(1,)).acc_at[1],

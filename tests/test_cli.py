@@ -901,6 +901,59 @@ def test_a_pair_name_outside_the_vocabulary_exit_2_when_the_pairs_are_read(pipel
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
 
 
+def _break_the_mining_rules(case: str, rec: dict, kb, gold: frozenset) -> None:
+    """Edit the pair `rec`, whose mention has the gold ids `gold`, so that it breaks one mining rule."""
+    if case == "same-name":
+        rec["e_l"] = rec["e_w"]
+    elif case == "non-gold-e_w":
+        rec["e_w"] = next(n for n in kb.names() if not kb.align(n) & gold and n != rec["e_l"])
+    elif case == "gold-e_l":
+        rec["e_l"] = next(n for n in kb.synonyms(gold) if n != rec["e_w"])
+    else:
+        rec["e_l"] += rec["e_l"][-1]
+        assert rec["e_l"] not in kb.name_index
+
+
+@pytest.mark.parametrize("case", ["same-name", "non-gold-e_w", "gold-e_l", "e_l-outside-the-kb", "duplicated"])
+def test_pairs_that_break_the_mining_rules_exit_2_naming_the_mention(pipeline, tmp_path, caplog, case):
+    root, kb, train, test, cache = pipeline
+    header, *records = (root / "pairs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "duplicated":
+        rec = json.loads(records[0])
+        records += records
+        want = f"mention {rec['mention_index']}: pair {rec['e_w']!r} vs {rec['e_l']!r} appears twice"
+    else:
+        rec = json.loads(records[-1])
+        knowledge = load_kb(kb)
+        gold = prepare_mentions(train, knowledge)[0][rec["mention_index"]].gold_ids
+        _break_the_mining_rules(case, rec, knowledge, gold)
+        records[-1] = json.dumps(rec) + "\n"
+        want = f"mention {rec['mention_index']}: mined triplet violates invariants: {rec['e_w']!r} vs {rec['e_l']!r}"
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_text(header + "".join(records), encoding="utf-8")
+    caplog.clear()
+    assert main(["train-negative", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
+                 "--ckpt", str(root / "s1.ckpt"), "--pairs", str(bad), "--out", str(tmp_path / "s2.ckpt")]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"{bad}: {want}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
+
+def test_headers_record_the_command_options_that_change_an_output(pipeline, tmp_path):
+    """`eval --resamples` changes the p-value, so two runs that differ in it differ in their header line."""
+    root, kb, train, test, cache = pipeline
+    headers = []
+    for resamples in ("100", "50"):
+        out = tmp_path / f"report_{resamples}.json"
+        run("eval", "--kb", kb, "--mentions", test, "--cache", cache, "--preds", str(root / "preds_s2.jsonl"),
+            "--preds-b", str(root / "preds_s1.jsonl"), "--resamples", resamples, "--out", str(out))
+        headers.append(_header_of(out))
+    assert [h["options"] for h in headers] == [{"k": 5, "resamples": 100}, {"k": 5, "resamples": 50}]
+    assert {**headers[0], "options": None} == {**headers[1], "options": None}
+    for synthesized in ("synth.jsonl", "synth_pairs.jsonl"):
+        assert _header_of(root / synthesized)["options"] == {"cap": 2, "k": 3}
+    assert "options" not in _header_of(root / "pairs.jsonl")
+
+
 class FakeLibc:
     """A libc whose mallopt does nothing and whose malloc_trim, when it has one, records its calls."""
 

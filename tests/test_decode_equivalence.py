@@ -19,9 +19,7 @@ input twice encodes it once and gives both copies the same predictions.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,16 +27,9 @@ from scipy.special import expit
 
 from neglink import beam, model
 from neglink.beam import CHUNK, constrained_beam_search, constrained_beam_search_batch, prompt_log_prob
-from neglink.cli import vocab_from_sources
-from neglink.config import build_config
-from neglink.corpus import prepare_mentions, render
-from neglink.kb import load_kb
-from neglink.model import init_checkpoint, log_softmax
-from neglink.tfidf import build_index
-from neglink.train_positive import build_positive_set, train
+from neglink.model import log_softmax
 from neglink.trie import build_trie
 
-DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
@@ -80,24 +71,8 @@ def reference_prompt_batch(ckpt, inputs):
     return np.stack(states), np.stack(logps), model.input_tables(ckpt, "dec", np.stack(summaries)), list(scores)
 
 
-@pytest.fixture(scope="module")
-def toy():
-    """Toy KB, trie, rendered test inputs and a briefly trained checkpoint."""
-    kb = load_kb(DATA / "kb.jsonl")
-    cfg = build_config(preset="toy")
-    vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
-    trie = build_trie(kb.names(), vocab)
-    train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
-    test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
-    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab, cfg)
-    base = init_checkpoint(vocab, cfg.hidden_dim, 0)
-    ckpt = train(base, instances, dataclasses.replace(cfg, pos_steps=40, seed=0)).checkpoint
-    inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
-    return kb, trie, ckpt, inputs, cfg
-
-
-def test_one_pass_prompt_matches_the_per_token_loop(toy):
-    _, _, ckpt, inputs, _ = toy
+def test_one_pass_prompt_matches_the_per_token_loop(toy_linker):
+    _, _, ckpt, inputs, _ = toy_linker
     worst = 0.0
     for enc in inputs:
         states, logps, tables, scores = prompt_log_prob(ckpt, [enc])
@@ -109,8 +84,8 @@ def test_one_pass_prompt_matches_the_per_token_loop(toy):
     assert worst <= TOL, worst
 
 
-def test_search_rankings_identical_to_the_per_token_prompt(toy, monkeypatch):
-    kb, trie, ckpt, inputs, cfg = toy
+def test_search_rankings_identical_to_the_per_token_prompt(toy_linker, monkeypatch):
+    kb, trie, ckpt, inputs, cfg = toy_linker
 
     def search_all():
         return [constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.beam, k=cfg.topk) for enc in inputs]
@@ -126,8 +101,8 @@ def test_search_rankings_identical_to_the_per_token_prompt(toy, monkeypatch):
             assert abs(p.score - q.score) <= TOL
 
 
-def per_mention(toy, inputs):
-    kb, trie, ckpt, _, cfg = toy
+def per_mention(toy_linker, inputs):
+    kb, trie, ckpt, _, cfg = toy_linker
     return [constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.beam, k=cfg.topk) for enc in inputs]
 
 
@@ -140,25 +115,25 @@ def assert_same_rankings(got, want):
     assert worst <= TOL, worst
 
 
-def test_batch_of_one_equals_the_per_mention_search(toy):
-    kb, trie, ckpt, inputs, cfg = toy
-    want = per_mention(toy, inputs)
+def test_batch_of_one_equals_the_per_mention_search(toy_linker):
+    kb, trie, ckpt, inputs, cfg = toy_linker
+    want = per_mention(toy_linker, inputs)
     for enc, w in zip(inputs, want):
         assert constrained_beam_search_batch(ckpt, [enc], trie, kb, beam=cfg.beam, k=cfg.topk) == [w]
 
 
-def test_chunked_search_matches_the_per_mention_search(toy):
-    kb, trie, ckpt, inputs, cfg = toy
+def test_chunked_search_matches_the_per_mention_search(toy_linker):
+    kb, trie, ckpt, inputs, cfg = toy_linker
     step = 70  # not a multiple of CHUNK, so calls end in a partial chunk
     assert step % CHUNK
     got = []
     for start in range(0, len(inputs), step):
         got += constrained_beam_search_batch(ckpt, inputs[start : start + step], trie, kb, beam=cfg.beam, k=cfg.topk)
-    assert_same_rankings(got, per_mention(toy, inputs))
+    assert_same_rankings(got, per_mention(toy_linker, inputs))
 
 
-def test_mixed_lengths_in_one_chunk(toy):
-    kb, trie, ckpt, inputs, cfg = toy
+def test_mixed_lengths_in_one_chunk(toy_linker):
+    kb, trie, ckpt, inputs, cfg = toy_linker
     by_prompt = sorted(inputs, key=lambda x: len(x.prompt_tokens))
     by_encoder = sorted(inputs, key=lambda x: len(x.encoder_tokens))
     chunk = [by_prompt[0], by_encoder[-1], by_prompt[-1], by_encoder[0], by_prompt[1], by_prompt[-2]]
@@ -172,11 +147,11 @@ def test_mixed_lengths_in_one_chunk(toy):
                     float(np.abs(summaries[i] - ref_summary).max()), abs(scores[i] - ref_score))
         assert worst <= TOL, (i, worst)
     got = constrained_beam_search_batch(ckpt, chunk, trie, kb, beam=cfg.beam, k=cfg.topk)
-    assert_same_rankings(got, per_mention(toy, chunk))
+    assert_same_rankings(got, per_mention(toy_linker, chunk))
 
 
-def test_a_chunk_that_repeats_an_input_encodes_it_once(toy, monkeypatch):
-    kb, trie, ckpt, inputs, cfg = toy
+def test_a_chunk_that_repeats_an_input_encodes_it_once(toy_linker, monkeypatch):
+    kb, trie, ckpt, inputs, cfg = toy_linker
     chunk = inputs[: CHUNK - 1] + [inputs[5]]
     assert len(chunk) == CHUNK and len({x.encoder_tokens for x in chunk}) == CHUNK - 1
     encoded = []
@@ -191,11 +166,11 @@ def test_a_chunk_that_repeats_an_input_encodes_it_once(toy, monkeypatch):
     assert encoded == [x.encoder_tokens for x in chunk[:-1]]
     assert got[5] == got[-1]
     monkeypatch.undo()
-    assert_same_rankings(got, per_mention(toy, chunk))
+    assert_same_rankings(got, per_mention(toy_linker, chunk))
 
 
-def test_a_trie_built_from_shuffled_names_searches_identically(toy):
-    kb, trie, ckpt, inputs, cfg = toy
+def test_a_trie_built_from_shuffled_names_searches_identically(toy_linker):
+    kb, trie, ckpt, inputs, cfg = toy_linker
     names = kb.names()
     assert names == sorted(names)
     shuffled = names[:]
@@ -206,8 +181,8 @@ def test_a_trie_built_from_shuffled_names_searches_identically(toy):
         assert constrained_beam_search_batch(ckpt, chunk, other, kb, beam=cfg.beam, k=cfg.topk) == want
 
 
-def test_batch_edge_cases(toy):
-    kb, trie, ckpt, inputs, _ = toy
+def test_batch_edge_cases(toy_linker):
+    kb, trie, ckpt, inputs, _ = toy_linker
     assert constrained_beam_search_batch(ckpt, [], trie, kb) == []
     for batch in ([], inputs[:3]):
         with pytest.raises(ValueError):

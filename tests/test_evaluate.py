@@ -10,6 +10,7 @@ import pytest
 from neglink import evaluate as evaluate_module
 from neglink import model
 from neglink.beam import Prediction
+from neglink.config import RunConfig
 from neglink.corpus import MentionExample
 from neglink.evaluate import (
     acc_from_ranks,
@@ -20,7 +21,6 @@ from neglink.evaluate import (
     ranks_of,
 )
 from neglink.kb import Concept, build_kb
-from neglink.tfidf import build_index
 from neglink.vocab import Vocab
 
 
@@ -137,12 +137,11 @@ def binned_setup():
             Concept("C2", ("zzzzz",), None),      # low-similarity mentions
         ]
     )
-    idx = build_index(kb.names())
-    return kb, idx
+    return kb
 
 
 def test_binned_error_report_strata():
-    kb, idx = binned_setup()
+    kb = binned_setup()
     examples = [
         MentionExample("", "abcdef", "", frozenset({"C1"})),  # sim 1.0 -> top bin
         MentionExample("", "qqqq", "", frozenset({"C2"})),    # sim 0.0 -> bottom bin
@@ -151,7 +150,7 @@ def test_binned_error_report_strata():
         [pred("abcdef", {"C1"})],  # correct
         [pred("abcdef", {"C1"})],  # wrong
     ]
-    bins = binned_error_report(examples, preds, kb, idx)
+    bins = binned_error_report(examples, preds, kb)
     assert len(bins) == 5
     top, bottom = bins[4], bins[0]
     assert (top.count, top.errors, top.accuracy) == (1, 0, 1.0)
@@ -164,7 +163,6 @@ def test_binned_error_report_strata():
 def test_gap_report_uses_top_correct_and_bins_negatives():
     kb = build_kb([Concept("C1", ("aaa",), None), Concept("C2", ("aab",), None),
                    Concept("C3", ("zzz",), None)])
-    idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + ["m is"])
     ckpt = model.init_checkpoint(vocab, 4, 0)
     examples = [MentionExample("", "aaa", "", frozenset({"C1"}))]
@@ -173,7 +171,7 @@ def test_gap_report_uses_top_correct_and_bins_negatives():
         pred("aaa", {"C1"}, score=-2.0),   # the positive
         pred("zzz", {"C3"}, score=-5.0),   # negative, sim 0
     ]]
-    bins = logprob_gap_report(ckpt, examples, preds, kb, idx)
+    bins = logprob_gap_report(ckpt, examples, preds, kb, RunConfig().max_ctx)
     assert len(bins) == 10
     populated = [b for b in bins if b.count]
     assert len(populated) == 2
@@ -185,12 +183,11 @@ def test_gap_report_uses_top_correct_and_bins_negatives():
 
 def test_gap_report_scores_fallback_positive_when_gold_missing():
     kb = build_kb([Concept("C1", ("aaa",), None), Concept("C2", ("bbb",), None)])
-    idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + ["m is"])
     ckpt = model.init_checkpoint(vocab, 4, 1)
     examples = [MentionExample("", "aaa", "", frozenset({"C1"}))]
     preds = [[pred("bbb", {"C2"}, score=-1.5)]]
-    bins = logprob_gap_report(ckpt, examples, preds, kb, idx)
+    bins = logprob_gap_report(ckpt, examples, preds, kb, RunConfig().max_ctx)
     populated = [b for b in bins if b.count]
     assert len(populated) == 1
     assert populated[0].count == 1
@@ -203,12 +200,11 @@ def test_gap_report_similarity_one_folds_into_top_bin():
     # the mention text equals another concept's name, so that name is a
     # genuine negative with similarity exactly 1.0
     kb2 = build_kb([Concept("C1", ("mmm",), None), Concept("C2", ("qqq",), None)])
-    idx = build_index(kb2.names())
     vocab = Vocab.from_texts(kb2.names() + ["m is"])
     ckpt = model.init_checkpoint(vocab, 4, 2)
     examples = [MentionExample("", "qqq", "", frozenset({"C1"}))]
     preds = [[pred("mmm", {"C1"}, -1.0), pred("qqq", {"C2"}, -2.0)]]
-    bins = logprob_gap_report(ckpt, examples, preds, kb2, idx)
+    bins = logprob_gap_report(ckpt, examples, preds, kb2, RunConfig().max_ctx)
     assert bins[9].count == 1
     assert bins[9].mean_gap == pytest.approx(1.0)
 

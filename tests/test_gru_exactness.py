@@ -27,7 +27,6 @@ from neglink.cli import vocab_from_sources
 from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.kb import load_kb
-from neglink.tfidf import build_index
 from neglink.train_negative import PreferenceTriplet, preference_loss_and_grads
 from neglink.train_positive import build_positive_set, ce_loss_and_grads, train
 
@@ -42,7 +41,7 @@ def toy():
     cfg = build_config(preset="toy")
     vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl")], None)
     examples, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
-    instances = build_positive_set(examples[:120], kb, build_index(kb.names()), vocab, cfg)
+    instances = build_positive_set(examples[:120], kb, vocab, cfg)
     ckpt = train(model.init_checkpoint(vocab, cfg.hidden_dim, 0), instances,
                  dataclasses.replace(cfg, pos_steps=20, seed=0)).checkpoint
     inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in examples[:32]]

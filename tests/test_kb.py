@@ -1,4 +1,4 @@
-"""Knowledge-base loading, normalization, and the alignment index."""
+"""Knowledge-base loading, normalization, the alignment index and the KB's TF-IDF view."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from neglink import kb as kb_module
 from neglink.errors import KBFormatError
 from neglink.kb import Concept, KnowledgeBase, build_kb, load_kb, normalize_name
 
@@ -115,3 +116,34 @@ def test_build_kb_equality():
     assert a == b
     assert a != build_kb([Concept("C2", ("x",), None)])
     assert isinstance(a, KnowledgeBase)
+
+
+def test_synonyms_union_sorted():
+    kb = build_kb([Concept("C1", ("abc", "abd", "xyz"), None), Concept("C2", ("bcd",), None)])
+    assert kb.synonyms(frozenset({"C1", "C2"})) == ["abc", "abd", "bcd", "xyz"]
+    assert kb.synonyms(frozenset({"C2"})) == ["bcd"]
+
+
+def test_tfidf_is_built_once_on_first_use_over_all_names(monkeypatch):
+    built = []
+    monkeypatch.setattr(kb_module, "build_index", lambda names: built.append(names) or object())
+    kb = build_kb([Concept("C1", ("b", "a"), None), Concept("C2", ("a", "c"), None)])
+    assert built == []
+    first = kb.tfidf
+    assert kb.tfidf is first
+    assert built == [["a", "b", "c"]]
+
+
+def test_hard_negatives_excludes_gold_ids():
+    kb = build_kb(
+        [
+            Concept("C1", ("aspirin", "asa"), None),
+            Concept("C2", ("aspirin tablet",), None),
+            Concept("C3", ("ibuprofen",), None),
+        ]
+    )
+    negs = kb.hard_negatives("aspirin", exclude=frozenset({"C1"}), k=2)
+    assert "aspirin" not in negs
+    assert "asa" not in negs
+    assert negs[0] == "aspirin tablet"
+    assert len(negs) == 2

@@ -22,8 +22,6 @@ they must be bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,16 +30,7 @@ from scipy.special import expit
 
 from neglink import model
 from neglink.beam import constrained_beam_search_batch
-from neglink.cli import vocab_from_sources
-from neglink.config import build_config
-from neglink.corpus import prepare_mentions, render
-from neglink.kb import load_kb
-from neglink.model import init_checkpoint
-from neglink.tfidf import build_index
-from neglink.train_positive import build_positive_set, train
-from neglink.trie import build_trie
 
-DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 TOL = 1e-12
 
 
@@ -164,24 +153,9 @@ def assert_close(got, want, what):
     assert err <= TOL * scale, (what, err, scale)
 
 
-@pytest.fixture(scope="module")
-def toy():
-    """Toy KB, trie, rendered test inputs and a briefly trained checkpoint."""
-    kb = load_kb(DATA / "kb.jsonl")
-    cfg = build_config(preset="toy")
-    vocab = vocab_from_sources(kb, [str(DATA / "train.jsonl"), str(DATA / "test.jsonl")], None)
-    train_ex, _ = prepare_mentions(DATA / "train.jsonl", kb, None)
-    test_ex, _ = prepare_mentions(DATA / "test.jsonl", kb, None)
-    instances = build_positive_set(train_ex, kb, build_index(kb.names()), vocab, cfg)
-    base = init_checkpoint(vocab, cfg.hidden_dim, 0)
-    ckpt = train(base, instances, dataclasses.replace(cfg, pos_steps=40, seed=0)).checkpoint
-    inputs = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in test_ex]
-    return kb, build_trie(kb.names(), vocab), ckpt, inputs, cfg
-
-
-def mixed_batch(toy):
+def mixed_batch(toy_linker):
     """Inputs and entities whose encoder and decoder rows span the shortest and longest of the set."""
-    kb, _, ckpt, inputs, _ = toy
+    kb, _, ckpt, inputs, _ = toy_linker
     vocab = ckpt.vocab
     names = sorted(kb.names(), key=len)
     by_encoder = sorted(inputs, key=lambda x: len(x.encoder_tokens))
@@ -191,9 +165,9 @@ def mixed_batch(toy):
     return batch, entities
 
 
-def test_forward_and_gradients_match_the_batch_major_loops(toy, monkeypatch):
-    ckpt = toy[2]
-    inputs, entities = mixed_batch(toy)
+def test_forward_and_gradients_match_the_batch_major_loops(toy_linker, monkeypatch):
+    ckpt = toy_linker[2]
+    inputs, entities = mixed_batch(toy_linker)
     cache, targets, target_mask = model.forward_pairs(ckpt, inputs, entities)
     enc_len, dec_len = cache.enc.mask.sum(axis=1), cache.dec.mask.sum(axis=1)
     assert enc_len.min() < enc_len.max() and dec_len.min() < dec_len.max()
@@ -214,9 +188,9 @@ def test_forward_and_gradients_match_the_batch_major_loops(toy, monkeypatch):
         assert_close(got[name], want[name], name)
 
 
-def test_beam_rankings_match_the_batch_major_loops(toy, monkeypatch):
-    kb, trie, ckpt, inputs, cfg = toy
-    batch = inputs[:40] + mixed_batch(toy)[0]
+def test_beam_rankings_match_the_batch_major_loops(toy_linker, monkeypatch):
+    kb, trie, ckpt, inputs, cfg = toy_linker
+    batch = inputs[:40] + mixed_batch(toy_linker)[0]
 
     def search():
         return constrained_beam_search_batch(ckpt, batch, trie, kb, beam=cfg.beam, k=cfg.topk)
@@ -253,9 +227,9 @@ def row_per_pair_forward(forward_teacher):
     return forward
 
 
-def three_targets_of_one_mention(toy):
+def three_targets_of_one_mention(toy_linker):
     """A stage-1 batch where one mention's input stands under three different names, between two others."""
-    kb, _, ckpt, inputs, _ = toy
+    kb, _, ckpt, inputs, _ = toy_linker
     vocab = ckpt.vocab
     names = sorted(kb.names(), key=len)
     batch = [inputs[0], inputs[1], inputs[0], inputs[2], inputs[0]]
@@ -263,11 +237,11 @@ def three_targets_of_one_mention(toy):
     return batch, entities
 
 
-def preference_stack(toy):
+def preference_stack(toy_linker):
     """A stage-2 batch: every input twice, under its preferred and then its dispreferred name."""
-    kb, _, ckpt, _, _ = toy
+    kb, _, ckpt, _, _ = toy_linker
     vocab = ckpt.vocab
-    inputs, entities = mixed_batch(toy)
+    inputs, entities = mixed_batch(toy_linker)
     names = sorted(kb.names())
     losers = [vocab.encode_chars(n) + [vocab.eos_id] for n in names[: len(inputs)]]
     return inputs * 2, entities + losers
@@ -284,9 +258,9 @@ def forward_and_gradients(ckpt, inputs, entities):
 
 
 @pytest.mark.parametrize("batch", [three_targets_of_one_mention, preference_stack])
-def test_repeated_inputs_are_encoded_once_and_match_one_row_per_pair(toy, monkeypatch, batch):
-    ckpt = toy[2]
-    inputs, entities = batch(toy)
+def test_repeated_inputs_are_encoded_once_and_match_one_row_per_pair(toy_linker, monkeypatch, batch):
+    ckpt = toy_linker[2]
+    inputs, entities = batch(toy_linker)
     distinct = len({x.encoder_tokens for x in inputs})
     assert distinct < len(inputs)
     cache, enc, lp, grads = forward_and_gradients(ckpt, inputs, entities)
@@ -304,9 +278,9 @@ def test_repeated_inputs_are_encoded_once_and_match_one_row_per_pair(toy, monkey
         assert_close(grads[name], ref_grads[name], name)
 
 
-def test_distinct_inputs_match_one_row_per_pair_bit_for_bit(toy, monkeypatch):
-    ckpt = toy[2]
-    inputs, entities = mixed_batch(toy)
+def test_distinct_inputs_match_one_row_per_pair_bit_for_bit(toy_linker, monkeypatch):
+    ckpt = toy_linker[2]
+    inputs, entities = mixed_batch(toy_linker)
     assert len({x.encoder_tokens for x in inputs}) == len(inputs)
     cache, _, lp, grads = forward_and_gradients(ckpt, inputs, entities)
     assert np.array_equal(cache.rows, np.arange(len(inputs)))  # row b reads encoder row b

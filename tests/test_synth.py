@@ -17,7 +17,6 @@ from neglink.synth import (
     gen_pretrain_pairs,
     gen_synonym_examples,
 )
-from neglink.tfidf import build_index
 from neglink.vocab import Vocab
 
 
@@ -34,8 +33,7 @@ def make_kb():
 
 def test_definition_examples_use_template_and_sibling_target():
     kb = make_kb()
-    idx = build_index(kb.names())
-    got = gen_definition_examples(kb, idx)
+    got = gen_definition_examples(kb)
     by_mention = {(cid, e.mention): e for e in got for cid in e.gold_ids}
     assert all(len(e.gold_ids) == 1 and e.right_context.startswith(DEFINITION_TEMPLATE) for e in got)
     # every synonym of every defined concept appears
@@ -49,8 +47,7 @@ def test_definition_examples_use_template_and_sibling_target():
 
 def test_synonym_examples_only_for_undefined_multiname_concepts():
     kb = make_kb()
-    idx = build_index(kb.names())
-    got = gen_synonym_examples(kb, idx)
+    got = gen_synonym_examples(kb)
     assert {cid for e in got for cid in e.gold_ids} == {"C2", "C4"}
     e = next(x for x in got if x.mention == "bcd")
     assert e.right_context == f"{SYNONYM_TEMPLATE} bce"
@@ -61,16 +58,14 @@ def test_synonym_examples_only_for_undefined_multiname_concepts():
 
 def test_cap_limits_examples_per_concept():
     kb = make_kb()
-    idx = build_index(kb.names())
-    got = gen_definition_examples(kb, idx, cap=1)
+    got = gen_definition_examples(kb, cap=1)
     assert sum(1 for e in got if e.gold_ids == {"C1"}) == 1
 
 
 def test_examples_render_like_ordinary_mentions():
     kb = make_kb()
-    idx = build_index(kb.names())
     vocab = Vocab.from_texts(kb.names() + [DEFINITION_TEMPLATE, SYNONYM_TEMPLATE, "some thing alone. is"])
-    for e in gen_pretrain_examples(kb, idx):
+    for e in gen_pretrain_examples(kb):
         assert len(e.targets) == 1 and e.targets[0] in kb.names()
         assert len(e.gold_ids) == 1 and e.gold_ids <= kb.align(e.targets[0])
         assert e.left_context == "" and e.fold is None
@@ -81,15 +76,13 @@ def test_examples_render_like_ordinary_mentions():
 
 def test_generation_is_deterministic():
     kb = make_kb()
-    idx = build_index(kb.names())
-    assert gen_pretrain_examples(kb, idx) == gen_pretrain_examples(kb, idx)
+    assert gen_pretrain_examples(kb) == gen_pretrain_examples(kb)
 
 
 def test_pretrain_pairs_prefer_target_against_other_concept_names():
     kb = make_kb()
-    idx = build_index(kb.names())
-    examples = gen_pretrain_examples(kb, idx)
-    pairs = gen_pretrain_pairs(kb, idx, k=2, examples=examples)
+    examples = gen_pretrain_examples(kb)
+    pairs = gen_pretrain_pairs(kb, k=2, examples=examples)
     assert pairs
     for t in pairs:
         ex = examples[t.mention_index]

@@ -14,8 +14,8 @@ import numpy as np
 
 from neglink import tfidf
 from neglink.corpus import prepare_mentions
-from neglink.kb import Concept, build_kb, load_kb
-from neglink.tfidf import TfIdfIndex, build_index, hard_negatives, rank_synonyms, similarity, trigrams
+from neglink.kb import load_kb
+from neglink.tfidf import TfIdfIndex, build_index, rank_synonyms, similarity, trigrams
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
@@ -122,22 +122,6 @@ def test_rank_synonyms_exact_order_vs_reference():
         want = sorted(pool, key=lambda s: (-float(np.dot(vec(mention), vec(s))), s))
         got = rank_synonyms(mention, pool, len(pool), idx)
         assert got == want
-
-
-def test_hard_negatives_excludes_gold_ids():
-    kb = build_kb(
-        [
-            Concept("C1", ("aspirin", "asa"), None),
-            Concept("C2", ("aspirin tablet",), None),
-            Concept("C3", ("ibuprofen",), None),
-        ]
-    )
-    idx = build_index(kb.names())
-    negs = hard_negatives("aspirin", kb, exclude=frozenset({"C1"}), k=2, idx=idx)
-    assert "aspirin" not in negs
-    assert "asa" not in negs
-    assert negs[0] == "aspirin tablet"
-    assert len(negs) == 2
 
 
 def test_index_is_deterministic():

@@ -25,7 +25,6 @@ from neglink.train_negative import (
     train_preference,
     triplets_from_predictions,
 )
-from neglink.train_positive import gold_synonyms
 from neglink.trie import build_trie
 from neglink.vocab import Vocab
 
@@ -195,13 +194,12 @@ def linking_setup(seed=0):
     kb = build_kb([Concept("C1", ("abc", "abd"), None), Concept("C2", ("bcd", "bce"), None)])
     vocab = Vocab.from_texts(kb.names() + ["m is"])
     trie = build_trie(kb.names(), vocab)
-    idx = build_index(kb.names())
     ckpt = model.init_checkpoint(vocab, 8, seed)
     examples = [
         MentionExample(left_context="a", mention="abc", right_context="b", gold_ids=frozenset({"C1"})),
         MentionExample(left_context="c", mention="bcd", right_context="d", gold_ids=frozenset({"C2"})),
     ]
-    return kb, vocab, trie, idx, ckpt, examples
+    return kb, vocab, trie, ckpt, examples
 
 
 def make_triplet(vocab, ex, e_w, e_l):
@@ -209,7 +207,7 @@ def make_triplet(vocab, ex, e_w, e_l):
 
 
 def test_dpo_batch_loss_is_ln2_at_the_reference_model():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     ref = model.copy_checkpoint(ckpt)
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
@@ -223,14 +221,14 @@ def test_dpo_batch_loss_is_ln2_at_the_reference_model():
 
 
 def test_dpo_requires_reference():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     t = make_triplet(vocab, examples[0], "abc", "bcd")
     with pytest.raises(ValueError):
         preference_loss_and_grads(ckpt, None, [t], pconfig("dpo"))
 
 
 def test_preference_gradients_match_finite_differences():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup(seed=5)
+    kb, vocab, trie, ckpt, examples = linking_setup(seed=5)
     ref = model.init_checkpoint(vocab, 8, 99)
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
@@ -257,8 +255,8 @@ def test_preference_gradients_match_finite_differences():
 
 
 def test_mine_pairs_respects_invariants_and_dedup():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
-    triplets = mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(topk=3))
+    kb, vocab, trie, ckpt, examples = linking_setup()
+    triplets = mine_pairs(ckpt, examples, kb, trie, RunConfig(topk=3))
     assert triplets
     assert len(dedup_triplets(triplets)) == len(triplets)
     for t in triplets:
@@ -271,28 +269,28 @@ def test_mine_pairs_respects_invariants_and_dedup():
 def test_mine_pairs_invariant_violation_is_a_format_error(monkeypatch, cpus):
     """A KB whose alignment disowns the second mention's gold names breaks the invariant
     there; with two CPUs that mention is mined in a child process."""
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     real = kb.align
     monkeypatch.setattr(kb, "align", lambda name: frozenset() if name.startswith("b") else real(name))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with pytest.raises(FormatError, match=r"^mention 1: mined triplet violates invariants: 'bc[de]' vs '\w+'$"):
-        mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(topk=3))
+        mine_pairs(ckpt, examples, kb, trie, RunConfig(topk=3))
 
 
 def test_mine_pairs_tfidf_mode_skips_decoding():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
-    triplets = mine_pairs(ckpt, examples, kb, trie, idx, RunConfig(negatives="tfidf"))
+    kb, vocab, trie, ckpt, examples = linking_setup()
+    triplets = mine_pairs(ckpt, examples, kb, trie, RunConfig(negatives="tfidf"))
     # nearest gold synonym against three hard negatives per example
     assert len(triplets) == len(examples) * 2  # only two non-gold names exist per example
     for t in triplets:
         ex = examples[t.mention_index]
-        syns = gold_synonyms(ex, kb)
+        syns = kb.synonyms(ex.gold_ids)
         assert t.preferred == syns[0] or t.preferred in syns
         assert t.rank_w is None and t.rank_l is None
 
 
 def test_train_preference_runs_and_freezes_reference():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
         make_triplet(vocab, examples[1], "bcd", "abc"),
@@ -318,7 +316,7 @@ def test_train_preference_runs_and_freezes_reference():
 @pytest.mark.parametrize("epochs", [1, 2])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_each_step_scores_the_reference_first_and_encodes_each_input_once(monkeypatch, kind, epochs):
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
         make_triplet(vocab, examples[1], "bcd", "abc"),
@@ -347,7 +345,7 @@ def test_each_step_scores_the_reference_first_and_encodes_each_input_once(monkey
 
 
 def test_train_preference_zero_rate_is_identity():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = [make_triplet(vocab, examples[0], "abc", "bcd")]
     cfg = pconfig("simpo", lr=0.0, seed=3)
     result = train_preference(ckpt, triplets, cfg)
@@ -356,7 +354,7 @@ def test_train_preference_zero_rate_is_identity():
 
 
 def test_train_preference_deterministic():
-    kb, vocab, trie, idx, ckpt, examples = linking_setup()
+    kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = [
         make_triplet(vocab, examples[0], "abc", "bcd"),
         make_triplet(vocab, examples[1], "bcd", "abc"),

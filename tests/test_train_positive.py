@@ -12,11 +12,9 @@ from neglink import model
 from neglink.config import RunConfig
 from neglink.corpus import MentionExample
 from neglink.kb import Concept, build_kb
-from neglink.tfidf import build_index
 from neglink.train_positive import (
     build_positive_set,
     ce_loss_and_grads,
-    gold_synonyms,
     train,
 )
 from neglink.vocab import Vocab
@@ -40,17 +38,10 @@ def mention(m, ids, targets=None, left="ab", right="cd"):
                           gold_ids=frozenset(ids), targets=targets)
 
 
-def test_gold_synonyms_union_sorted():
-    kb = toy_kb()
-    ex = mention("abc", {"C1", "C2"})
-    assert gold_synonyms(ex, kb) == ["abc", "abd", "bcd", "xyz"]
-
-
 def test_build_positive_set_selects_nearest_synonyms():
     kb = toy_kb()
-    idx = build_index(kb.names())
     vocab = toy_vocab()
-    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, RunConfig(syn_topk=2))
+    inst = build_positive_set([mention("abc", {"C1"})], kb, vocab, RunConfig(syn_topk=2))
     names = [i.target_name for i in inst]
     assert names == ["abc", "abd"]
     want = tuple(vocab.encode_chars("abc") + [vocab.eos_id])
@@ -59,20 +50,18 @@ def test_build_positive_set_selects_nearest_synonyms():
 
 def test_build_positive_set_honors_explicit_targets():
     kb = toy_kb()
-    idx = build_index(kb.names())
     vocab = toy_vocab()
-    inst = build_positive_set([mention("abc", {"C1"}, targets=("xyz",))], kb, idx, vocab, RunConfig(syn_topk=3))
+    inst = build_positive_set([mention("abc", {"C1"}, targets=("xyz",))], kb, vocab, RunConfig(syn_topk=3))
     assert [i.target_name for i in inst] == ["xyz"]
 
 
 def test_uniform_model_ce_is_log_vocab_size():
     kb = toy_kb()
-    idx = build_index(kb.names())
     vocab = toy_vocab()
     ckpt = model.init_checkpoint(vocab, 8, 0)
     for p in ckpt.params.values():
         p[...] = 0.0
-    inst = build_positive_set([mention("abc", {"C1"})], kb, idx, vocab, RunConfig(syn_topk=1))[0]
+    inst = build_positive_set([mention("abc", {"C1"})], kb, vocab, RunConfig(syn_topk=1))[0]
     # a uniform predictive distribution scores -ln V per position for any
     # smoothing, because the smoothed target distribution sums to one
     for smoothing in (0.0, 0.1, 0.5):
@@ -81,12 +70,11 @@ def test_uniform_model_ce_is_log_vocab_size():
 
 def test_ce_gradients_match_finite_differences():
     kb = toy_kb()
-    idx = build_index(kb.names())
     vocab = toy_vocab()
     ckpt = model.init_checkpoint(vocab, 6, 3)
     instances = build_positive_set(
         [mention("abc", {"C1"}), mention("bcd", {"C2"}, left="", right="xy")],
-        kb, idx, vocab, RunConfig(syn_topk=2),
+        kb, vocab, RunConfig(syn_topk=2),
     )
     _, grads = ce_loss_and_grads(ckpt, instances, smoothing=0.1)
     rng = np.random.default_rng(1)
@@ -108,14 +96,13 @@ def test_ce_gradients_match_finite_differences():
 
 def training_setup(seed=0):
     kb = toy_kb()
-    idx = build_index(kb.names())
     vocab = toy_vocab()
     examples = [
         mention("abc", {"C1"}),
         mention("abd", {"C1"}, left="x", right="y"),
         mention("bcd", {"C2"}, left="", right="ab"),
     ]
-    instances = build_positive_set(examples, kb, idx, vocab, RunConfig(syn_topk=2))
+    instances = build_positive_set(examples, kb, vocab, RunConfig(syn_topk=2))
     ckpt = model.init_checkpoint(vocab, 8, seed)
     return ckpt, instances
 

@@ -29,7 +29,6 @@ from neglink.corpus import prepare_mentions, render
 from neglink.errors import DivergenceError, VocabError, WorkerError
 from neglink.kb import load_kb
 from neglink.model import init_checkpoint
-from neglink.tfidf import build_index
 from neglink.train_negative import mine_pairs
 from neglink.trie import build_trie
 
@@ -99,8 +98,7 @@ def test_mining_split_across_workers_equals_one_process(a11_data, monkeypatch, c
     cfg = build_config(preset="toy", overrides={"hidden_dim": "32"})
     vocab = vocab_from_sources(kb, [str(a11_data / "train.jsonl")], None)
     examples, _ = prepare_mentions(a11_data / "train.jsonl", kb, None)
-    args = (init_checkpoint(vocab, cfg.hidden_dim, 0), examples, kb, build_trie(kb.names(), vocab),
-            build_index(kb.names()), cfg)
+    args = (init_checkpoint(vocab, cfg.hidden_dim, 0), examples, kb, build_trie(kb.names(), vocab), cfg)
     with monkeypatch.context() as m:
         use_cpus(m, 1)
         m.setattr(os, "fork", no_fork)
