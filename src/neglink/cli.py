@@ -145,7 +145,8 @@ def _write_loss_log(path, header: dict, loss_log) -> None:
 
 
 def _predictions_from_file(path, args, kb: KnowledgeBase, n_examples: int) -> list[list[Prediction]]:
-    """The prediction lists of a `link` output written for `args`' KB, mentions and, where it has one, checkpoint."""
+    """The prediction lists of a `link` output written for `args`' KB, mentions and, where it has one, checkpoint;
+    each list must hold ranks 1..n and keep `_check_predictions`' rules."""
     kinds = {"mention_index": "an integer", "rank": "an integer", "name": "a string", "score": "a number"}
     header, records = artifacts.read_jsonl(path, kinds)
     artifacts.check_inputs(path, header, args, [name for name in ("kb", "mentions", "ckpt") if hasattr(args, name)])
@@ -163,7 +164,24 @@ def _predictions_from_file(path, args, kb: KnowledgeBase, n_examples: int) -> li
         if ranks != list(range(1, len(ranks) + 1)):
             raise FormatError(f"{path}: mention_index {i} has ranks {ranks!r:.60}, expected 1..{len(ranks)}")
         out.append([p for _, p in preds])
+    _check_predictions(path, out, kb)
     return out
+
+
+def _check_predictions(path, prediction_lists: list[list[Prediction]], kb: KnowledgeBase) -> None:
+    """Raise FormatError naming `path` and the mention unless each list keeps `link`'s rules: KB names only,
+    none twice, and scores that do not rise with rank."""
+    for i, preds in enumerate(prediction_lists):
+        seen: set[str] = set()
+        for rank, p in enumerate(preds, start=1):
+            at = f"{path}: mention_index {i}: rank {rank}"
+            if p.name not in kb.name_index:
+                raise FormatError(f"{at}: {p.name!r:.60} is not a KB name")
+            if p.name in seen:
+                raise FormatError(f"{at}: {p.name!r:.60} appears at a higher rank too")
+            if rank > 1 and p.score > preds[rank - 2].score:
+                raise FormatError(f"{at}: score {p.score!r} is above rank {rank - 1}'s")
+            seen.add(p.name)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +255,7 @@ def cmd_train_positive(args) -> int:
         ckpt = model.init_checkpoint(vocab, cfg.hidden_dim, cfg.seed)
     header = _header(args, cfg)
     result = train(ckpt, instances, cfg)
-    model.save(result.checkpoint, args.out)
+    model.save(result.checkpoint, args.out, header)
     _write_loss_log(str(args.out) + ".losses.jsonl", header, result.loss_log)
     log.info("stage-1 checkpoint: %d instances, %d steps, final loss %.4f",
              len(instances), len(result.loss_log), result.loss_log[-1][1])
@@ -295,7 +313,7 @@ def cmd_train_negative(args) -> int:
     ckpt = _load_checkpoint(args.ckpt, vocab)
     header = _header(args, cfg)
     result = train_preference(ckpt, triplets, cfg)
-    model.save(result.checkpoint, args.out)
+    model.save(result.checkpoint, args.out, header)
     _write_loss_log(str(args.out) + ".losses.jsonl", header, result.loss_log)
     log.info("stage-2 (%s) checkpoint from %d pairs, mean loss %.4f",
              cfg.loss, len(triplets),
@@ -309,6 +327,7 @@ def cmd_link(args) -> int:
     ckpt = _load_checkpoint(args.ckpt, vocab)
     encoded = [render(ex, vocab, max_ctx=cfg.max_ctx) for ex in examples]
     prediction_lists = constrained_beam_search_batch(ckpt, encoded, trie, kb, beam=cfg.beam, k=cfg.topk)
+    _check_predictions(args.out, prediction_lists, kb)
     artifacts.write_jsonl(args.out, _header(args, cfg), (
         {"mention_index": i, "rank": r, "name": p.name, "ids": sorted(p.ids), "score": p.score}
         for i, preds in enumerate(prediction_lists) for r, p in enumerate(preds, start=1)

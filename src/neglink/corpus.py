@@ -119,7 +119,7 @@ def filter_linkable(
     return kept, len(examples) - len(kept)
 
 
-def render(ex: MentionExample, vocab: Vocab, max_ctx: int = 128) -> EncodedInput:
+def render(ex: MentionExample, vocab: Vocab, max_ctx: int) -> EncodedInput:
     """Token sequences for one preprocessed example.
 
     Context is clipped to the `max_ctx` characters adjacent to the mention:

@@ -44,7 +44,7 @@ def _fixture(seed: int):
     ref = model.init_checkpoint(vocab, 8, seed + 1009)
     ex1 = MentionExample(left_context="x y", mention="abacs", right_context="z", gold_ids=frozenset({"C1"}))
     ex2 = MentionExample(left_context="", mention="bacab", right_context="x", gold_ids=frozenset({"C2"}))
-    enc1, enc2 = render(ex1, vocab), render(ex2, vocab)
+    enc1, enc2 = (render(ex, vocab, max_ctx=RunConfig().max_ctx) for ex in (ex1, ex2))
     instances = [
         PositiveInstance(input=enc1, target=tuple(name_tokens("abac", vocab)), target_name="abac"),
         PositiveInstance(input=enc2, target=tuple(name_tokens("bacab", vocab)), target_name="bacab"),

@@ -52,9 +52,10 @@ a preference pair's two sides, a search chunk's repeat) read its one
 summary, and their summary gradients are summed into its row.
 
 Checkpoint file (format 4): the `artifacts` array container, magic
-"ACKP". Its header holds the vocabulary tokens and the stage tag; its
-float64 arrays are the parameters by name. The hidden size is the embedding
-array's width. save -> load -> save is byte-identical.
+"ACKP". Its header holds the caller's fields (the CLI's command header)
+and the vocabulary tokens, the one field `load` reads. Its float64 arrays
+are the parameters by name; the hidden size is the embedding array's
+width. save -> load -> save with one header is byte-identical.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .vocab import Vocab
 MAGIC = b"ACKP"
 FORMAT_VERSION = 4
 INIT_SCALE = 0.08
-STAGES = ("init", "positive", "negative")
 
 
 def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
@@ -104,7 +104,6 @@ def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
 class Checkpoint:
     vocab: Vocab
     params: dict[str, np.ndarray]  # the hidden size is params["emb"].shape[1]
-    stage: str = "init"
 
 
 def init_checkpoint(vocab: Vocab, hidden_dim: int, seed: int) -> Checkpoint:
@@ -116,12 +115,12 @@ def init_checkpoint(vocab: Vocab, hidden_dim: int, seed: int) -> Checkpoint:
         halves = 2 if name.endswith("g") else 1
         part = shape[:-1] + (shape[-1] // halves,)
         params[name] = np.concatenate([rng.uniform(-INIT_SCALE, INIT_SCALE, size=part) for _ in range(halves)], axis=-1)
-    return Checkpoint(vocab=vocab, params=params, stage="init")
+    return Checkpoint(vocab=vocab, params=params)
 
 
 def copy_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     """Deep copy of the parameter arrays."""
-    return Checkpoint(vocab=ckpt.vocab, params={k: a.copy() for k, a in ckpt.params.items()}, stage=ckpt.stage)
+    return Checkpoint(vocab=ckpt.vocab, params={k: a.copy() for k, a in ckpt.params.items()})
 
 
 def validate_checkpoint(ckpt: Checkpoint) -> None:
@@ -140,8 +139,6 @@ def validate_checkpoint(ckpt: Checkpoint) -> None:
             raise CheckpointFormatError(f"array {name}: shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointFormatError(f"array {name} contains non-finite values")
-    if ckpt.stage not in STAGES:
-        raise CheckpointFormatError(f"unknown stage tag {ckpt.stage!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +561,14 @@ def check_finite_loss(loss: float, step_index: int | None = None) -> float:
 # serialization
 
 
-def save(ckpt: Checkpoint, path) -> None:
+def save(ckpt: Checkpoint, path, header: dict) -> None:
     validate_checkpoint(ckpt)
-    write_arrays(path, MAGIC, FORMAT_VERSION, {"stage": ckpt.stage, "vocab": list(ckpt.vocab.tokens)}, ckpt.params, "<f8")
+    write_arrays(path, MAGIC, FORMAT_VERSION, {**header, "vocab": list(ckpt.vocab.tokens)}, ckpt.params, "<f8")
 
 
 def load(path) -> Checkpoint:
     header, params = read_arrays(path, MAGIC, FORMAT_VERSION, "<f8", "checkpoint", CheckpointFormatError,
-                                 {"stage": "a string", "vocab": "a list of strings"})
-    ckpt = Checkpoint(vocab=Vocab(header["vocab"]), params=params, stage=header["stage"])
+                                 {"vocab": "a list of strings"})
+    ckpt = Checkpoint(vocab=Vocab(header["vocab"]), params=params)
     validate_checkpoint(ckpt)
     return ckpt

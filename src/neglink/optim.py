@@ -107,7 +107,6 @@ def train_loop(
     batch_size: int,
     warmup_steps: int,
     steps: int,
-    stage: str,
 ) -> TrainResult:
     """`steps` clipped AdamW steps on a copy of `ckpt`, which is not modified.
 
@@ -117,8 +116,7 @@ def train_loop(
     length stops mid-epoch. The rate warms up over `warmup_steps` to
     `learning_rate`; clipping, Adam and weight decay read `cfg`.
     `loss_and_grads(ckpt, batch)` returns the batch loss and the gradient of
-    every parameter. The copy starts with a fresh optimizer state and is
-    returned tagged with `stage`.
+    every parameter. The copy starts with a fresh optimizer state.
     """
     if not items:
         raise ValueError("nothing to train on")
@@ -139,5 +137,4 @@ def train_loop(
             adamw_step(out.params, grads, state, cfg, learning_rate, warmup_steps)
             loss_log.append((step, loss))
             step += 1
-    out.stage = stage
     return TrainResult(checkpoint=out, loss_log=loss_log)

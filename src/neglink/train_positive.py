@@ -88,10 +88,10 @@ def train(
 ) -> optim.TrainResult:
     """Stage-1 training: `cfg.pos_steps` steps of smoothed cross-entropy.
 
-    Returns a positive-stage copy of `ckpt` and the loss curve; the schedule
+    Returns a trained copy of `ckpt` and the loss curve; the schedule
     is `optim.train_loop`'s, at the `pos_*` rate, batch and warmup.
     """
     return optim.train_loop(
         ckpt, instances, lambda c, batch: ce_loss_and_grads(c, batch, cfg.label_smoothing),
-        cfg, cfg.pos_lr, cfg.pos_batch, cfg.pos_warmup, cfg.pos_steps, "positive",
+        cfg, cfg.pos_lr, cfg.pos_batch, cfg.pos_warmup, cfg.pos_steps,
     )

@@ -110,7 +110,7 @@ def test_a1_constrained_decoding_sound_and_complete(verdict):
     for _ in range(1000):
         base = names[rng.integers(len(names))]
         mention = base if rng.random() < 0.5 else _mutate(base, rng, alphabet)
-        enc = render(MentionExample("", mention, "", frozenset({"A000"})), vocab)
+        enc = render(MentionExample("", mention, "", frozenset({"A000"})), vocab, max_ctx=RunConfig().max_ctx)
         preds = constrained_beam_search(ckpt, enc, trie, kb, beam=3, k=3)
         assert preds
         for p in preds:
@@ -154,7 +154,7 @@ def test_a3_dpo_loss_is_ln2_at_the_reference(verdict):
     worst = 0.0
     for _ in range(100):
         w, l = rng.permutation(len(pool))[:2]
-        enc = render(MentionExample("", pool[rng.integers(len(pool))], "", frozenset({"X"})), vocab)
+        enc = render(MentionExample("", pool[rng.integers(len(pool))], "", frozenset({"X"})), vocab, max_ctx=cfg.max_ctx)
         t = PreferenceTriplet(input=enc, preferred=pool[w], dispreferred=pool[l])
         loss, _ = preference_loss_and_grads(ckpt, ref, [t], cfg, want_grads=False)
         worst = max(worst, abs(check_finite_loss(loss) - math.log(2.0)))
@@ -241,7 +241,7 @@ def test_a5_mining_matches_brute_force_rules(verdict):
     kb = build_kb([Concept(id=f"K{i}", names=tuple(pool[3 * i : 3 * i + 3])) for i in range(8)])
     idx = build_index(kb.names())
     vocab = Vocab.from_texts([" is"] + pool)
-    enc = render(MentionExample("", pool[0], "", frozenset({"K0"})), vocab)
+    enc = render(MentionExample("", pool[0], "", frozenset({"K0"})), vocab, max_ctx=RunConfig().max_ctx)
 
     all_names = kb.names()
     checked = 0
@@ -367,7 +367,7 @@ def test_a9_full_width_beam_equals_exhaustive_ranking(verdict):
         kb = build_kb([Concept(id=f"C{i}", names=(nm,)) for i, nm in enumerate(names)])
         trie = build_trie(kb.names(), vocab)
         mention = _mutate(names[rng.integers(n)], rng, alphabet)
-        enc = render(MentionExample("", mention, "", frozenset({"C0"})), vocab)
+        enc = render(MentionExample("", mention, "", frozenset({"C0"})), vocab, max_ctx=RunConfig().max_ctx)
         preds = constrained_beam_search(ckpt, enc, trie, kb, beam=n, k=n)
         oracle = sorted(
             kb.names(), key=lambda nm: (-sequence_score(ckpt, enc, name_tokens(nm, vocab)), nm)

@@ -17,6 +17,7 @@ from neglink.beam import (
     rank_of_gold,
     sequence_score,
 )
+from neglink.config import RunConfig
 from neglink.corpus import MentionExample, render
 from neglink.kb import Concept, build_kb
 from neglink.trie import build_trie
@@ -30,7 +31,7 @@ def setup(names_by_id: dict[str, list[str]], seed=0, d=8):
     ckpt = model.init_checkpoint(vocab, d, seed)
     ex = MentionExample(left_context="text", mention="query", right_context="text",
                         gold_ids=frozenset(names_by_id))
-    return kb, vocab, trie, ckpt, render(ex, vocab)
+    return kb, vocab, trie, ckpt, render(ex, vocab, max_ctx=RunConfig().max_ctx)
 
 
 def exhaustive(ckpt, enc, kb, vocab, k):
@@ -145,7 +146,7 @@ def test_narrow_beam_prunes_the_best_name():
     p["out_W"][...] = logits / np.tanh(1.0)
     ex = MentionExample(left_context="text", mention="query", right_context="text",
                         gold_ids=frozenset({"C1", "C2"}))
-    enc = render(ex, vocab)
+    enc = render(ex, vocab, max_ctx=RunConfig().max_ctx)
 
     first = prompt_log_prob(ckpt, [enc])[1][0]
     assert first[a] > first[b]
@@ -161,7 +162,8 @@ def test_prompt_scores_are_the_one_sequence_sum_over_the_prompt_positions():
     """The search's prompt base is `model.sequence_log_probs` over prompt tokens 2..n, bit for bit."""
     kb, vocab, _, ckpt, _ = setup({"C1": ["abc"], "C2": ["abd"]}, seed=5, d=12)
     mentions = ["q", "query", "text query", "query text query", "qu", "text text text query"]
-    inputs = [render(MentionExample("text", m, "text", frozenset({"C1"})), vocab) for m in mentions]
+    inputs = [render(MentionExample("text", m, "text", frozenset({"C1"})), vocab, max_ctx=RunConfig().max_ctx)
+              for m in mentions]
     cache, targets, last_mask = model.forward_pairs(ckpt, inputs, [[vocab.eos_id]] * len(inputs))
     picked = model.target_log_probs(cache.logits, targets)[1]
     want = model.sequence_log_probs(picked, cache.dec.mask - last_mask).tolist()

@@ -106,7 +106,7 @@ def test_synthetic_pretraining_runs_through_both_stages_and_its_pairs_align(pipe
         "--out", str(tmp_path / "p2.ckpt"))
     run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train,
         "--init", str(tmp_path / "p2.ckpt"), "--out", str(tmp_path / "s1.ckpt"))
-    assert model.load(tmp_path / "p2.ckpt").stage == "negative"
+    assert _header_of(tmp_path / "p2.ckpt")["inputs"]["ckpt"] == artifacts.sha256_file(tmp_path / "p1.ckpt")
     # every pair joins the mention the stages load at its index: the target is gold, the negative is not
     knowledge = load_kb(kb)
     examples, dropped = prepare_mentions(mentions, knowledge)
@@ -142,12 +142,20 @@ def test_a_header_only_line_is_skipped_on_line_1_only(pipeline, tmp_path, caplog
 
 
 def test_checkpoint_stages_and_losses(pipeline):
+    """A checkpoint's container header is its command's header, as its loss log's is; stage 2's names its sources."""
     root = pipeline[0]
     s1 = model.load(root / "s1.ckpt")
     s2 = model.load(root / "s2.ckpt")
-    assert s1.stage == "positive"
-    assert s2.stage == "negative"
     assert s1.vocab == s2.vocab
+    for tag, ckpt in (("s1", s1), ("s2", s2)):
+        header = _header_of(root / f"{tag}.ckpt")
+        assert header.pop("vocab") == list(ckpt.vocab.tokens)
+        del header["arrays"], header["data_sha256"]  # the container's own fields
+        assert header == _header_of(root / f"{tag}.ckpt.losses.jsonl")
+    inputs = _header_of(root / "s2.ckpt")["inputs"]
+    assert inputs["ckpt"] == artifacts.sha256_file(root / "s1.ckpt")
+    assert inputs["pairs"] == artifacts.sha256_file(root / "pairs.jsonl")
+    assert not {"ckpt", "pairs"} & _header_of(root / "s1.ckpt")["inputs"].keys()
     _, log1 = read_jsonl(str(root / "s1.ckpt") + ".losses.jsonl")
     assert len(log1) == 60
     assert all(rec["loss"] > 0 for rec in log1)
@@ -260,11 +268,12 @@ def test_link_reruns_are_byte_identical(pipeline):
 
 
 def _header_of(path: Path) -> dict:
-    if path.suffix == ".bin":
-        return trie.load_trie(path).header
-    if path.suffix == ".json":
-        return json.loads(path.read_text(encoding="utf-8"))["header"]
-    return read_jsonl(path)[0]
+    """A binary file's container header (a checkpoint's or trie.bin's), or a text file's first-line header."""
+    blob = path.read_bytes()
+    if blob[:4] in (model.MAGIC, trie.MAGIC):
+        (length,) = struct.unpack_from("<I", blob, 8)
+        return json.loads(blob[12 : 12 + length])
+    return json.loads(blob.split(b"\n", 1)[0])["header"]
 
 
 # command -> (its settings, output files under the pipeline root, input files by header name); eval, analyze and
@@ -274,12 +283,13 @@ HEADER_CASES = {
                  {"kb": "KB", "mentions0": "TRAIN", "mentions1": "TEST"}),
     "synth-mentions": (RunConfig(), ["synth.jsonl"], {"kb": "KB"}),
     "synth-pairs": (RunConfig(), ["synth_pairs.jsonl"], {"kb": "KB", "mentions": "synth.jsonl"}),
-    "train-positive": (FAST_CONFIG, ["s1.ckpt.losses.jsonl"], {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB"}),
-    "train-positive-init": (dataclasses.replace(FAST_CONFIG, pos_steps=1), ["init.ckpt.losses.jsonl"],
+    "train-positive": (FAST_CONFIG, ["s1.ckpt", "s1.ckpt.losses.jsonl"],
+                       {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB"}),
+    "train-positive-init": (dataclasses.replace(FAST_CONFIG, pos_steps=1), ["init.ckpt", "init.ckpt.losses.jsonl"],
                             {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "init": "s1.ckpt"}),
     "mine": (FAST_CONFIG, ["pairs.jsonl"],
              {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "trie": "TRIE", "ckpt": "s1.ckpt"}),
-    "train-negative": (FAST_CONFIG, ["s2.ckpt.losses.jsonl"],
+    "train-negative": (FAST_CONFIG, ["s2.ckpt", "s2.ckpt.losses.jsonl"],
                        {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB", "ckpt": "s1.ckpt", "pairs": "pairs.jsonl"}),
     "link": (FAST_CONFIG, ["preds_s1.jsonl", "preds_s2.jsonl"],
              {"kb": "KB", "mentions": "TEST", "vocab": "VOCAB", "trie": "TRIE", "ckpt": "s1.ckpt"}),
@@ -315,6 +325,24 @@ def test_every_header_records_the_settings_and_exactly_the_files_read(pipeline, 
         assert header["inputs"] == inputs, out
         assert header["config"] == dataclasses.asdict(cfg), out
         assert str(root) not in json.dumps(header), out
+
+
+def test_every_file_the_quick_start_writes_carries_a_command_header(pipeline, tmp_path):
+    """Text files in their first line; checkpoints and trie.bin in their container header."""
+    root, kb, train, test, cache = pipeline
+    inputs = ["--kb", kb, "--mentions", test, "--cache", cache, "--preds", str(root / "preds_s2.jsonl")]
+    run("eval", *inputs, "--preds-b", str(root / "preds_s1.jsonl"), "--out", str(tmp_path / "report.json"))
+    run("analyze", *inputs, "--ckpt", str(root / "s2.ckpt"),
+        "--out-bins", str(tmp_path / "bins.jsonl"), "--out-gaps", str(tmp_path / "gaps.jsonl"))
+    written = [p for p in root.rglob("*") if p.is_file() and p.relative_to(root).parts[0] != "data"]
+    written += tmp_path.iterdir()
+    assert {"vocab.json", "kb_info.json", "trie.bin", "s1.ckpt", "s1.ckpt.losses.jsonl", "pairs.jsonl", "s2.ckpt",
+            "s2.ckpt.losses.jsonl", "preds_s1.jsonl", "preds_s2.jsonl", "report.json", "bins.jsonl",
+            "gaps.jsonl"} <= {p.name for p in written}
+    for path in written:
+        header = _header_of(path)
+        assert {"tool", "version", "config", "inputs"} <= header.keys(), path
+        assert (header["tool"], header["version"]) == ("neglink", neglink.__version__), path
 
 
 @pytest.mark.parametrize("setting", ["beam=10", "neg_lr=0.25"])
@@ -620,7 +648,7 @@ def _old_checkpoint(src: Path, dst: Path, version: int) -> None:
     header = {
         "arrays": [{"name": n, "shape": list(params[n].shape), "offset": o} for n, o in zip(names, offsets)],
         "config": {"hidden_dim": params["emb"].shape[1], "seed": 0},
-        "stage": ckpt.stage,
+        "stage": "positive",
         "vocab": list(ckpt.vocab.tokens),
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -658,11 +686,11 @@ def test_format_2_and_3_tries_exit_2(pipeline, tmp_path, caplog, version):
     assert errors == [f"{old_cache / 'trie.bin'}: unsupported trie format version {version}"]
 
 
-@pytest.mark.parametrize("field, value", [("vocab", 5), ("vocab", None), ("stage", ["x"])])
+@pytest.mark.parametrize("field, value", [("vocab", 5), ("vocab", None)])
 def test_mistyped_checkpoint_header_field_exit_2(pipeline, tmp_path, caplog, field, value):
     root, kb, train, test, cache = pipeline
     ckpt = model.load(root / "s1.ckpt")
-    header = {"stage": ckpt.stage, "vocab": list(ckpt.vocab.tokens), field: value}
+    header = {field: value}
     bad = tmp_path / "bad.ckpt"
     artifacts.write_arrays(bad, model.MAGIC, model.FORMAT_VERSION, header, ckpt.params, "<f8")
     caplog.clear()
@@ -810,20 +838,31 @@ def test_eval_preds_b_runs_without_scipy(pipeline, tmp_path):
 
 
 def _edited_predictions(src: Path, dst: Path, case: str) -> None:
-    """A copy of a predictions file cut to its first mentions, with a record repeated, or with a rank gap."""
+    """A copy of a predictions file cut to its first mentions, with a record repeated or a rank gap, or with one
+    mention's list edited to break a rule of `link`'s: a name outside the KB, a name twice, a score that rises."""
     header, *records = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = [json.loads(r) for r in records[:3]]
+    assert [(r["mention_index"], r["rank"]) for r in first] == [(0, 1), (0, 2), (0, 3)]
     if case == "truncated":
         records = [r for r in records if json.loads(r)["mention_index"] < 20]
     elif case == "duplicated":
         records = records[:3] + records[2:]
-    else:
-        assert json.loads(records[1])["rank"] == 2
+    elif case == "rank_gap":
         records = records[:1] + records[2:]
+    else:
+        if case == "unknown_name":
+            first[0]["name"] += first[0]["name"][-1]
+        elif case == "repeated_name":
+            first[2]["name"] = first[1]["name"]
+        else:
+            first[1]["score"] = first[0]["score"] + 1.0
+        records[:3] = [json.dumps(r) + "\n" for r in first]
     dst.write_text(header + "".join(records), encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze"])
-@pytest.mark.parametrize("case", ["truncated", "duplicated", "rank_gap"])
+@pytest.mark.parametrize("case", ["truncated", "duplicated", "rank_gap", "unknown_name", "repeated_name",
+                                  "rising_score"])
 def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case):
     root, kb, train, test, cache = pipeline
     bad = tmp_path / "preds.jsonl"
@@ -836,8 +875,8 @@ def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case
                 "--out-bins", str(tmp_path / "bins.jsonl"), "--out-gaps", str(tmp_path / "gaps.jsonl")]
     caplog.clear()
     assert main(argv) == 2
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and str(bad) in errors[0].getMessage()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"{bad}: ") and "mention_index" in errors[0], errors
     assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
 
 

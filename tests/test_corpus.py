@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from neglink.config import RunConfig
 from neglink.corpus import (
     MAX_INPUT_TOKENS,
     MentionExample,
@@ -125,7 +126,7 @@ def test_filter_linkable_drops_unknown_ids():
 def test_render_structure():
     v = Vocab.from_texts(["left right mention is"])
     ex = example(left_context="left", mention="men", right_context="right")
-    enc = render(ex, v)
+    enc = render(ex, v, max_ctx=RunConfig().max_ctx)
     toks = list(enc.encoder_tokens)
     assert toks[0] == v.bos_id
     assert toks[-1] == v.eos_id
@@ -155,10 +156,10 @@ def test_render_bounds_the_rendered_input():
     v = Vocab.from_texts(["ab is m"])
     # [BOS] left [ST] mention [ET] right [EOS]: the encoder input is 4 tokens longer than its text.
     at_bound = example(left_context="a" * 128, mention="m" * (MAX_INPUT_TOKENS - 260), right_context="b" * 128)
-    assert len(render(at_bound, v).encoder_tokens) == MAX_INPUT_TOKENS
+    assert len(render(at_bound, v, max_ctx=128).encoder_tokens) == MAX_INPUT_TOKENS
     over = example(left_context="a" * 128, mention="m" * (MAX_INPUT_TOKENS - 259), right_context="b" * 128)
     with pytest.raises(MentionFormatError) as err:
-        render(over, v)
+        render(over, v, max_ctx=128)
     assert f"rendered input of {MAX_INPUT_TOKENS + 1} tokens, over the bound of {MAX_INPUT_TOKENS}" in str(err.value)
     assert f"mention {'m' * 60!r}... ({MAX_INPUT_TOKENS - 259} characters)" in str(err.value)
 

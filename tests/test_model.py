@@ -13,7 +13,8 @@ import struct
 import numpy as np
 import pytest
 
-from neglink import model
+from neglink import artifacts, model
+from neglink.config import RunConfig
 from neglink.corpus import MentionExample, render
 from neglink.errors import CheckpointFormatError, NumericError, VocabError
 from neglink.vocab import Vocab
@@ -27,7 +28,7 @@ def make_ckpt(seed=0, d=8, text="abcdefg is"):
 def enc_input(ckpt, mention="abc", left="fed", right="gab"):
     ex = MentionExample(left_context=left, mention=mention, right_context=right,
                         gold_ids=frozenset({"X"}))
-    return render(ex, ckpt.vocab)
+    return render(ex, ckpt.vocab, max_ctx=RunConfig().max_ctx)
 
 
 def score(ckpt, inputs, entities):
@@ -257,20 +258,31 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     ckpt = make_ckpt(seed=13)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    model.save(ckpt, p1)
+    header = {"tool": "neglink", "inputs": {"kb": "0" * 64}}
+    model.save(ckpt, p1, header)
     loaded = model.load(p1)
-    model.save(loaded, p2)
+    model.save(loaded, p2, header)
     assert p1.read_bytes() == p2.read_bytes()
-    assert loaded.stage == ckpt.stage
     assert loaded.vocab == ckpt.vocab
     for name, p in ckpt.params.items():
         assert np.array_equal(loaded.params[name], p)
 
 
+def test_a_checkpoint_holding_a_stage_tag_still_loads(tmp_path):
+    """Format-4 checkpoints once stored a stage tag beside the vocabulary as their whole header; loading ignores it."""
+    ckpt = make_ckpt(seed=3)
+    path = tmp_path / "tagged.ckpt"
+    header = {"stage": "negative", "vocab": list(ckpt.vocab.tokens)}
+    artifacts.write_arrays(path, model.MAGIC, model.FORMAT_VERSION, header, ckpt.params, "<f8")
+    loaded = model.load(path)
+    assert loaded.vocab == ckpt.vocab
+    assert all(np.array_equal(loaded.params[name], p) for name, p in ckpt.params.items())
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     ckpt = make_ckpt()
     path = tmp_path / "c.ckpt"
-    model.save(ckpt, path)
+    model.save(ckpt, path, {})
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     bad = tmp_path / "bad.ckpt"
@@ -292,7 +304,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
 def test_checkpoint_rejects_a_repeated_array_name(tmp_path):
     ckpt = make_ckpt()
     path = tmp_path / "c.ckpt"
-    model.save(ckpt, path)
+    model.save(ckpt, path, {})
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + header_len])

@@ -112,11 +112,10 @@ def test_train_loop_schedule():
         return 1.0, {k: np.zeros_like(p) for k, p in c.params.items()}
 
     cfg = RunConfig(seed=5)
-    result = train_loop(ckpt, list(range(10)), record, cfg, 1e-3, 4, 0, 7, stage="x")
+    result = train_loop(ckpt, list(range(10)), record, cfg, 1e-3, 4, 0, 7)
     assert [len(b) for b in batches] == [4, 4, 2, 4, 4, 2, 4]
     for epoch in (batches[0:3], batches[3:6]):
         assert sorted(i for b in epoch for i in b) == list(range(10))
     assert result.loss_log == [(step, 1.0) for step in range(7)]
-    assert result.checkpoint.stage == "x"
     with pytest.raises(ValueError):
-        train_loop(ckpt, [], record, cfg, 1e-3, 4, 0, 7, stage="x")
+        train_loop(ckpt, [], record, cfg, 1e-3, 4, 0, 7)

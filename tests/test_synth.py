@@ -7,6 +7,7 @@ context starts with the template of the generator that made it.
 
 from __future__ import annotations
 
+from neglink.config import RunConfig
 from neglink.corpus import render
 from neglink.kb import Concept, build_kb
 from neglink.synth import (
@@ -69,7 +70,7 @@ def test_examples_render_like_ordinary_mentions():
         assert len(e.targets) == 1 and e.targets[0] in kb.names()
         assert len(e.gold_ids) == 1 and e.gold_ids <= kb.align(e.targets[0])
         assert e.left_context == "" and e.fold is None
-        enc = render(e, vocab)
+        enc = render(e, vocab, max_ctx=RunConfig().max_ctx)
         assert enc.encoder_tokens[0] == vocab.bos_id
         assert enc.encoder_tokens[-1] == vocab.eos_id
 

@@ -203,7 +203,7 @@ def linking_setup(seed=0):
 
 
 def make_triplet(vocab, ex, e_w, e_l):
-    return PreferenceTriplet(input=render(ex, vocab), preferred=e_w, dispreferred=e_l)
+    return PreferenceTriplet(input=render(ex, vocab, max_ctx=RunConfig().max_ctx), preferred=e_w, dispreferred=e_l)
 
 
 def test_dpo_batch_loss_is_ln2_at_the_reference_model():
@@ -305,7 +305,6 @@ def test_train_preference_runs_and_freezes_reference():
     assert len(train_preference(ckpt, triplets, cfg).loss_log) == 2 * 2
     triplets = triplets[:4]
     result = train_preference(ckpt, triplets, cfg)
-    assert result.checkpoint.stage == "negative"
     assert len(result.loss_log) == 2 * math.ceil(len(triplets) / cfg.neg_batch)
     # first batch of the first epoch starts at the reference, so its dpo loss is ln 2
     assert result.loss_log[0][1] == pytest.approx(math.log(2.0), abs=1e-12)

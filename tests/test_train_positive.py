@@ -114,7 +114,6 @@ def test_training_reduces_loss():
     first = np.mean([l for _, l in result.loss_log[:5]])
     last = np.mean([l for _, l in result.loss_log[-5:]])
     assert last < first
-    assert result.checkpoint.stage == "positive"
     assert len(result.loss_log) == 60
 
 
