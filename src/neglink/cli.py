@@ -3,7 +3,7 @@
 One subcommand per pipeline stage, file handoff between stages:
 
     kb build        cache vocabulary + decoding trie for a knowledge base
-    synth           KB-derived synthetic mentions and preference pairs
+    synth           KB-derived synthetic pre-training mentions
     train-positive  stage-1 checkpoint from mention synonyms
     mine            preference pairs from a checkpoint's predictions
     train-negative  stage-2 checkpoint from a pairs file
@@ -212,7 +212,6 @@ def cmd_synth(args) -> int:
     cfg = _config_from_args(args)
     kb = load_kb(args.kb)
     examples = synth.gen_pretrain_examples(kb, cap=args.cap)
-    pairs = synth.gen_pretrain_pairs(kb, k=args.k, examples=examples)
     artifacts.write_jsonl(args.out_mentions, _header(args, cfg), (
         {"left": ex.left_context, "mention": ex.mention, "right": ex.right_context, "gold_ids": sorted(ex.gold_ids),
          "targets": list(ex.targets),
@@ -220,9 +219,7 @@ def cmd_synth(args) -> int:
          "kind": "definition" if ex.right_context.startswith(synth.DEFINITION_TEMPLATE) else "synonym"}
         for ex in examples
     ))
-    args.mentions = args.out_mentions  # the pairs are written for these mentions, as mined ones for --mentions
-    artifacts.write_jsonl(args.out_pairs, _header(args, cfg), (_pair_record(t) for t in pairs))
-    log.info("synthesized %d examples and %d pairs", len(examples), len(pairs))
+    log.info("synthesized %d examples", len(examples))
     return 0
 
 
@@ -267,26 +264,25 @@ def cmd_mine(args) -> int:
     trie = _load_trie(args, vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab)
     triplets = mine_pairs(ckpt, examples, kb, trie, cfg)
-    artifacts.write_jsonl(args.out, _header(args, cfg), (_pair_record(t) for t in triplets))
+    artifacts.write_jsonl(args.out, _header(args, cfg), (
+        {"mention_index": t.mention_index, "e_w": t.preferred, "e_l": t.dispreferred, "rank_w": t.rank_w,
+         "rank_l": t.rank_l}
+        for t in triplets
+    ))
     log.info("mined %d preference pairs from %d examples", len(triplets), len(examples))
     return 0
-
-
-def _pair_record(t: PreferenceTriplet) -> dict:
-    return {"mention_index": t.mention_index, "e_w": t.preferred, "e_l": t.dispreferred,
-            "rank_w": t.rank_w, "rank_l": t.rank_l}
 
 
 def _preference_triplets(args) -> tuple[RunConfig, Vocab, list[PreferenceTriplet]]:
     """The pairs file's triplets, each mention rendered once; the KB and the examples are freed on return.
 
-    The pairs must have been written for `--kb` and `--mentions`, each name must be readable by the vocabulary,
-    and the pairs must pass `check_pairs`: each keeps the mining rules, and none repeats.
+    The pairs must have been mined by `--ckpt` for `--kb` and `--mentions`, each name must be readable by the
+    vocabulary, and the pairs must pass `check_pairs`: each keeps the mining rules, and none repeats.
     """
     cfg, kb, vocab, examples = _load_training_inputs(args)
     kinds = {"mention_index": "an integer", "e_w": "a string", "e_l": "a string"}
     header, records = artifacts.read_jsonl(args.pairs, kinds)
-    artifacts.check_inputs(args.pairs, header, args, ["kb", "mentions"])
+    artifacts.check_inputs(args.pairs, header, args, ["kb", "mentions", "ckpt"])
     inputs: dict[int, EncodedInput] = {}
     triplets = []
     for i, e_w, e_l in records:
@@ -438,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kb", required=True)
     p.add_argument("--cap", type=int, default=8, help="examples per concept per template")
-    p.add_argument("--k", type=int, default=3, help="negatives per synthetic example")
     p.add_argument("--out-mentions", required=True)
-    p.add_argument("--out-pairs", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-positive", help="stage-1 synonym generation training")

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import artifacts
 from .errors import MentionFormatError, VocabError
 from .kb import KnowledgeBase, normalize_name
+from .tfidf import rank_synonyms
 from .vocab import Vocab
 
 PROMPT_SUFFIX = " is"
@@ -37,6 +38,14 @@ class MentionExample:
     # synthetic data generator, where the target is chosen per template rather
     # than by mention similarity. Human-annotated files normally omit it.
     targets: tuple[str, ...] | None = None
+
+
+def preferred_names(ex: MentionExample, kb: KnowledgeBase, k: int) -> list[str]:
+    """The KB names `ex` should generate, best first: its first k `targets` when it has them, else its k gold
+    synonyms most similar to the mention. Stage 1 trains on them, and mining and the gap report prefer the first."""
+    if ex.targets is not None:
+        return list(ex.targets[:k])
+    return rank_synonyms(ex.mention, kb.synonyms(ex.gold_ids), k, kb.tfidf)
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,8 @@ def load_mentions(path: str | Path) -> list[MentionExample]:
             raise MentionFormatError(f"{path}: line {lineno}: empty 'mention'")
         if not gold:
             raise MentionFormatError(f"{path}: line {lineno}: empty 'gold_ids'")
+        if targets == []:  # `preferred_names` would give the mention no name to generate
+            raise MentionFormatError(f"{path}: line {lineno}: empty 'targets'")
         targets = None if targets is None else tuple(targets)
         out.append(MentionExample(left or "", mention, right or "", frozenset(gold), fold, targets))
     return out

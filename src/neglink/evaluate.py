@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import Prediction, name_tokens, rank_of_gold, sequence_score
-from .corpus import MentionExample, render
+from .corpus import MentionExample, preferred_names, render
 from .errors import ConfigError, NumericError
 from .kb import KnowledgeBase
 from .model import Checkpoint
-from .tfidf import rank_synonyms, similarity
+from .tfidf import similarity
 
 FIVE_BINS = ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0))
 GAP_BINS = 10  # equal-width mention-negative similarity bins of the log-prob gap report
@@ -198,8 +198,9 @@ def logprob_gap_report(
     """Mean (positive score - negative score) in GAP_BINS bins of mention-negative similarity.
 
     The positive score is the best-ranked correct prediction's score; when
-    no correct name appears in the list, the most mention-similar gold
-    synonym is scored directly so every negative still contributes a pair.
+    no correct name appears in the list, the example's first
+    `corpus.preferred_names` is scored directly so every negative still
+    contributes a pair.
     Scores on both sides include the shared prompt log-prob, so the gap is
     a pure entity log-prob difference.
     """
@@ -217,9 +218,8 @@ def logprob_gap_report(
                 pos_score = p.score
                 break
         if pos_score is None:
-            best = rank_synonyms(ex.mention, kb.synonyms(ex.gold_ids), 1, kb.tfidf)[0]
             enc = render(ex, ckpt.vocab, max_ctx=max_ctx)
-            entity = name_tokens(best, ckpt.vocab)
+            entity = name_tokens(preferred_names(ex, kb, 1)[0], ckpt.vocab)
             pos_score = sequence_score(ckpt, enc, entity)
         for neg in negatives:
             s = similarity(ex.mention, neg.name, kb.tfidf)

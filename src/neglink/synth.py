@@ -13,9 +13,11 @@ Each is an ordinary `corpus.MentionExample`: an empty left context, the
 template clause as the right context, the concept's id as `gold_ids`, and
 as `targets` one real name of the same concept, chosen by trigram
 similarity. So every stage reads these mentions like human-annotated
-ones. Preference pairs take the target as preferred against the most
-mention-similar names of other concepts (`train_negative.tfidf_pairs`,
-the rule `mine --set negatives=tfidf` uses).
+ones, and `corpus.preferred_names` makes the target the name they should
+generate. Stage 1 trains on it. `mine --set negatives=tfidf` prefers it
+against the most mention-similar names of other concepts, the
+pre-training pairs; plain `mine` pairs the model's own top-k mistakes and
+prefers the target where no prediction is correct (rule (c)).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .corpus import MentionExample
 from .errors import ConfigError
 from .kb import KnowledgeBase, normalize_name
 from .tfidf import TfIdfIndex, rank_synonyms
-from .train_negative import PreferenceTriplet, check_pairs, tfidf_pairs
 
 DEFINITION_TEMPLATE = "is defined as"
 SYNONYM_TEMPLATE = "has synonyms such as"
@@ -78,19 +79,3 @@ def gen_pretrain_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExampl
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
     return gen_definition_examples(kb, cap) + gen_synonym_examples(kb, cap)
-
-
-def gen_pretrain_pairs(kb: KnowledgeBase, examples: list[MentionExample], k: int = 3) -> list[PreferenceTriplet]:
-    """Preference triplets for synthetic examples without running the model.
-
-    Each example's target is preferred against the k most mention-similar
-    names carried by other concepts only; mention_index points into the
-    example list. They are written, not trained on, so they carry no
-    rendered input (`PreferenceTriplet.input` is None). They keep the mining
-    rules (`train_negative.check_pairs`).
-    """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    pairs = [t for i, ex in enumerate(examples) for t in tfidf_pairs(None, ex, ex.targets[0], kb, k, i)]
-    check_pairs(pairs, examples, kb)
-    return pairs

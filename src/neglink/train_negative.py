@@ -1,18 +1,21 @@
 """Stage-2 training: mine preference pairs, optimize a preference loss.
 
-Mining runs the constrained decoder over the training mentions and turns
-its top-k lists into (input, preferred, dispreferred) triplets:
+Every pairs file is mined here. Mining runs the constrained decoder over
+the training mentions and turns its top-k lists into (input, preferred,
+dispreferred) triplets:
 
   (a) every correct prediction is paired with every incorrect prediction
       ranked above it;
   (b) when rank 1 is already correct, it is paired with the single
       highest-ranked incorrect prediction, if one exists;
-  (c) when no prediction is correct, the TF-IDF-nearest gold synonym is
-      paired with each of the top-3 incorrect predictions.
+  (c) when no prediction is correct, the mention's first preferred name
+      (`corpus.preferred_names`: its target, else its TF-IDF-nearest gold
+      synonym) is paired with each of the top-3 incorrect predictions.
 
-`negatives=tfidf` skips decoding: `tfidf_pairs` pairs the nearest gold
-synonym against the three most mention-similar names of no gold concept.
-`synth` pairs its targets by the same function.
+`negatives=tfidf` skips decoding: it pairs the same preferred name
+against the three most mention-similar names of no gold concept. On
+`synth`'s mentions that is the target against the closest names of other
+concepts, the pre-training pairs.
 
 Each mention is mined on its own (render, decode, pairing rules,
 invariant check), so `workers.map_split` mines contiguous runs of the
@@ -38,16 +41,15 @@ import numpy as np
 from . import model, optim
 from .beam import Prediction, constrained_beam_search, name_tokens
 from .config import RunConfig
-from .corpus import EncodedInput, MentionExample, render
+from .corpus import EncodedInput, MentionExample, preferred_names, render
 from .errors import ConfigError, FormatError
 from .kb import KnowledgeBase
-from .tfidf import TfIdfIndex, rank_synonyms
 from .workers import map_split
 
 
 @dataclass(frozen=True)
 class PreferenceTriplet:
-    input: EncodedInput | None  # None for triplets that are written, not trained on (`synth`)
+    input: EncodedInput
     preferred: str
     dispreferred: str
     mention_index: int | None = field(default=None, compare=False)
@@ -62,16 +64,14 @@ class PreferenceTriplet:
 def triplets_from_predictions(
     enc_input: EncodedInput,
     predictions: list[Prediction],
-    gold_ids: frozenset[str],
-    mention: str,
-    gold_names: list[str],
-    idx: TfIdfIndex,
+    ex: MentionExample,
+    kb: KnowledgeBase,
     pairs: str = "filtered",
     mention_index: int | None = None,
 ) -> list[PreferenceTriplet]:
-    """Apply the pairing rules to one top-k prediction list."""
-    correct = [(r, p) for r, p in enumerate(predictions, start=1) if p.ids & gold_ids]
-    incorrect = [(r, p) for r, p in enumerate(predictions, start=1) if not (p.ids & gold_ids)]
+    """Apply the pairing rules to `ex`'s top-k prediction list."""
+    correct = [(r, p) for r, p in enumerate(predictions, start=1) if p.ids & ex.gold_ids]
+    incorrect = [(r, p) for r, p in enumerate(predictions, start=1) if not (p.ids & ex.gold_ids)]
     out: list[PreferenceTriplet] = []
 
     def emit(e_w: str, e_l: str, rank_w: int | None, rank_l: int | None):
@@ -91,20 +91,10 @@ def triplets_from_predictions(
             rl, pl = incorrect[0]
             emit(correct[0][1].name, pl.name, 1, rl)
     else:
-        e_w = rank_synonyms(mention, gold_names, 1, idx)[0]
+        e_w = preferred_names(ex, kb, 1)[0]
         for rl, pl in incorrect[:3]:
             emit(e_w, pl.name, None, rl)
     return out
-
-
-def tfidf_pairs(
-    enc_input: EncodedInput | None, ex: MentionExample, preferred: str, kb: KnowledgeBase, k: int, mention_index: int
-) -> list[PreferenceTriplet]:
-    """`preferred` against each of the k KB names most similar to the mention that belong to no gold concept."""
-    return [
-        PreferenceTriplet(input=enc_input, preferred=preferred, dispreferred=e_l, mention_index=mention_index)
-        for e_l in kb.hard_negatives(ex.mention, ex.gold_ids, k)
-    ]
 
 
 def check_pairs(triplets: list[PreferenceTriplet], examples: list[MentionExample], kb: KnowledgeBase) -> None:
@@ -138,22 +128,23 @@ def mine_pairs(
 
     Each mention's top `cfg.topk` list (searched at beam width `cfg.topk`)
     is paired by the `cfg.pairs` rule. `cfg.negatives` "tfidf" skips
-    decoding and pairs the nearest gold synonym against the three most
-    mention-similar wrong-concept names instead.
+    decoding and pairs the first `corpus.preferred_names` against the three
+    most mention-similar wrong-concept names instead.
     """
     if cfg.topk < 2:
         raise ConfigError(f"mining needs topk >= 2, got {cfg.topk}")
-    idx = kb.tfidf  # built here, before the workers fork, so they share one index
+    kb.tfidf  # built here, before the workers fork, so they share one index
 
     def mine_one(item: tuple[int, MentionExample]) -> list[PreferenceTriplet]:
         i, ex = item
         enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
-        names = kb.synonyms(ex.gold_ids)
         if cfg.negatives == "tfidf":
-            mined = tfidf_pairs(enc, ex, rank_synonyms(ex.mention, names, 1, idx)[0], kb, 3, i)
+            e_w = preferred_names(ex, kb, 1)[0]
+            mined = [PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i)
+                     for e_l in kb.hard_negatives(ex.mention, ex.gold_ids, 3)]
         else:
             preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
-            mined = triplets_from_predictions(enc, preds, ex.gold_ids, ex.mention, names, idx, cfg.pairs, i)
+            mined = triplets_from_predictions(enc, preds, ex, kb, cfg.pairs, i)
         check_pairs(mined, examples, kb)
         return mined
 

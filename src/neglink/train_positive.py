@@ -1,11 +1,12 @@
 """Stage-1 training: generate TF-IDF-selected gold synonyms.
 
-Each mention contributes one instance per selected synonym (top-k by
-trigram similarity to the mention, over the union of all its gold
-concepts' names). The objective is label-smoothed cross-entropy over the
-entity tokens, teacher-forced behind the prompt. Per-instance loss is the
-mean over that instance's target positions; batch loss is the mean over
-instances, so short and long names weigh equally.
+Each mention contributes one instance per selected name, its top-k
+`corpus.preferred_names`: its explicit targets, or else its gold synonyms
+ranked by trigram similarity to the mention over the union of all its
+gold concepts' names. The objective is label-smoothed cross-entropy over
+the entity tokens, teacher-forced behind the prompt. Per-instance loss is
+the mean over that instance's target positions; batch loss is the mean
+over instances, so short and long names weigh equally.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 from . import model, optim
 from .beam import name_tokens
 from .config import RunConfig
-from .corpus import EncodedInput, MentionExample, render
+from .corpus import EncodedInput, MentionExample, preferred_names, render
 from .kb import KnowledgeBase
 from .model import Checkpoint, ForwardCache
-from .tfidf import rank_synonyms
 from .vocab import Vocab
 
 
@@ -34,20 +34,11 @@ class PositiveInstance:
 def build_positive_set(
     examples: list[MentionExample], kb: KnowledgeBase, vocab: Vocab, cfg: RunConfig
 ) -> list[PositiveInstance]:
-    """One instance per (example, selected synonym), in rank order.
-
-    Each example's `cfg.syn_topk` most mention-similar gold synonyms are
-    selected; examples carrying explicit targets (synthetic pre-training
-    data) use their first `cfg.syn_topk` verbatim instead.
-    """
+    """One instance per name of each example's `cfg.syn_topk` `corpus.preferred_names`, in rank order."""
     instances: list[PositiveInstance] = []
     for ex in examples:
         enc = render(ex, vocab, max_ctx=cfg.max_ctx)
-        if ex.targets is not None:
-            targets = list(ex.targets)[: cfg.syn_topk]
-        else:
-            targets = rank_synonyms(ex.mention, kb.synonyms(ex.gold_ids), cfg.syn_topk, kb.tfidf)
-        for name in targets:
+        for name in preferred_names(ex, kb, cfg.syn_topk):
             tokens = tuple(name_tokens(name, vocab))
             instances.append(PositiveInstance(input=enc, target=tokens, target_name=name))
     return instances

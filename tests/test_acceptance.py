@@ -254,7 +254,7 @@ def test_a5_mining_matches_brute_force_rules(verdict):
         gold_ids = frozenset({cid})
         gold_names = list(kb.concepts[cid].names)
         mention = _mutate(pool[rng.integers(len(pool))], rng, alphabet)
-        got = triplets_from_predictions(enc, preds, gold_ids, mention, gold_names, idx)
+        got = triplets_from_predictions(enc, preds, MentionExample("", mention, "", gold_ids), kb)
         got_set = {(t.preferred, t.dispreferred, t.rank_w, t.rank_l) for t in got}
         want = _reference_pairs(preds, gold_ids, mention, gold_names, idx)
         assert len(got) == len(got_set), f"trial {trial}: duplicate triplets"

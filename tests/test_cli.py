@@ -53,9 +53,7 @@ def pipeline(tmp_path_factory):
     cache = str(root / "cache")
 
     run("kb", "build", "--kb", kb, "--mentions", train, "--mentions", test, "--out", cache)
-    run("synth", "--kb", kb, "--cap", "2",
-        "--out-mentions", str(root / "synth.jsonl"),
-        "--out-pairs", str(root / "synth_pairs.jsonl"))
+    run("synth", "--kb", kb, "--cap", "2", "--out-mentions", str(root / "synth.jsonl"))
     run("train-positive", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
         "--out", str(root / "s1.ckpt"))
     run("mine", *FAST, "--kb", kb, "--mentions", train, "--cache", cache,
@@ -88,34 +86,35 @@ def test_synth_outputs(pipeline):
     for rec in mentions:
         assert rec["kind"] in ("definition", "synonym")
         assert rec["targets"] and rec["gold_ids"]
-    _, pairs = read_jsonl(root / "synth_pairs.jsonl")
-    assert pairs
-    for rec in pairs:
-        assert rec["e_w"] != rec["e_l"]
-        assert 0 <= rec["mention_index"] < len(mentions)
 
 
 def test_synthetic_pretraining_runs_through_both_stages_and_its_pairs_align(pipeline, tmp_path):
-    """README's pre-training recipe: both stages on `synth`'s files, then stage 1 on the task mentions from there."""
+    """README's pre-training recipe: stage 1 on `synth`'s mentions, TF-IDF pairs mined for them by that model,
+    stage 2 on the pairs, then stage 1 on the task mentions from there."""
     root, kb, train, test, cache = pipeline
-    mentions, pairs = str(root / "synth.jsonl"), str(root / "synth_pairs.jsonl")
+    mentions, pairs, p1 = str(root / "synth.jsonl"), str(tmp_path / "synth_pairs.jsonl"), tmp_path / "p1.ckpt"
     inputs = ["--kb", kb, "--cache", cache]
-    run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", mentions,
-        "--out", str(tmp_path / "p1.ckpt"))
-    run("train-negative", *FAST, *inputs, "--mentions", mentions, "--ckpt", str(tmp_path / "p1.ckpt"), "--pairs", pairs,
+    run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", mentions, "--out", str(p1))
+    run("mine", *FAST, "--set", "negatives=tfidf", *inputs, "--mentions", mentions, "--ckpt", str(p1),
+        "--out", pairs)
+    run("train-negative", *FAST, *inputs, "--mentions", mentions, "--ckpt", str(p1), "--pairs", pairs,
         "--out", str(tmp_path / "p2.ckpt"))
     run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train,
         "--init", str(tmp_path / "p2.ckpt"), "--out", str(tmp_path / "s1.ckpt"))
-    assert _header_of(tmp_path / "p2.ckpt")["inputs"]["ckpt"] == artifacts.sha256_file(tmp_path / "p1.ckpt")
+    assert _header_of(tmp_path / "p2.ckpt")["inputs"]["ckpt"] == artifacts.sha256_file(p1)
     # every pair joins the mention the stages load at its index: the target is gold, the negative is not
     knowledge = load_kb(kb)
     examples, dropped = prepare_mentions(mentions, knowledge)
     assert dropped == 0 and len(examples) == len(read_jsonl(mentions)[1])
     header, records = read_jsonl(pairs)
-    assert header["inputs"] == {"kb": artifacts.sha256_file(kb), "mentions": artifacts.sha256_file(mentions)}
+    files = {"kb": kb, "mentions": mentions, "ckpt": p1,
+             "vocab": Path(cache, "vocab.json"), "trie": Path(cache, "trie.bin")}
+    assert header["inputs"] == {name: artifacts.sha256_file(f) for name, f in files.items()}
     assert records
     for rec in records:
+        assert 0 <= rec["mention_index"] < len(examples)
         gold = examples[rec["mention_index"]].gold_ids
+        assert rec["e_w"] == examples[rec["mention_index"]].targets[0]
         assert knowledge.align(rec["e_w"]) & gold and not knowledge.align(rec["e_l"]) & gold
 
 
@@ -282,7 +281,6 @@ HEADER_CASES = {
     "kb-build": (RunConfig(), ["cache/vocab.json", "cache/kb_info.json", "cache/trie.bin"],
                  {"kb": "KB", "mentions0": "TRAIN", "mentions1": "TEST"}),
     "synth-mentions": (RunConfig(), ["synth.jsonl"], {"kb": "KB"}),
-    "synth-pairs": (RunConfig(), ["synth_pairs.jsonl"], {"kb": "KB", "mentions": "synth.jsonl"}),
     "train-positive": (FAST_CONFIG, ["s1.ckpt", "s1.ckpt.losses.jsonl"],
                        {"kb": "KB", "mentions": "TRAIN", "vocab": "VOCAB"}),
     "train-positive-init": (dataclasses.replace(FAST_CONFIG, pos_steps=1), ["init.ckpt", "init.ckpt.losses.jsonl"],
@@ -448,7 +446,7 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     inputs = ["--kb", kb, "--cache", str(no_trie)]
     s1, preds = ["--ckpt", str(root / "s1.ckpt")], ["--preds", str(root / "preds_s1.jsonl")]
     for argv in (
-        ["synth", "--kb", kb, "--cap", "1", "--out-mentions", str(out / "m.jsonl"), "--out-pairs", str(out / "p.jsonl")],
+        ["synth", "--kb", kb, "--cap", "1", "--out-mentions", str(out / "m.jsonl")],
         ["train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train, "--out", str(out / "a.ckpt")],
         ["train-negative", *FAST, *inputs, "--mentions", train, *s1, "--pairs", str(root / "pairs.jsonl"),
          "--out", str(out / "b.ckpt")],
@@ -475,7 +473,6 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("train-positive", ["--set", "syn_topk=0"]),
     ("eval-b", ["--resamples", "1"]),
     ("eval", ["--k", "0"]),
-    ("synth", ["--k", "0"]),
     ("synth", ["--cap", "0"]),
     ("train-positive", ["--set", "grad_clip=nan"]),
     ("gradcheck", ["--coords", "0"]),
@@ -487,8 +484,8 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("link", ["--set", "negatives=bogus"]),
     ("link", ["--set", "pairs=bogus"]),
     ("train-positive", ["--set", "seed=-1"]),
-], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-k-0",
-        "synth-cap-0", "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
+], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-cap-0",
+        "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
         "link-max_ctx-negative", "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus",
         "seed-negative"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
@@ -502,8 +499,7 @@ def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
         "eval-b": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl"),
                    "--preds-b", str(root / "preds_s1.jsonl")],
         "eval": ["eval", *inputs, "--mentions", test, "--preds", str(root / "preds_s2.jsonl")],
-        "synth": ["synth", "--kb", kb, "--out-mentions", str(tmp_path / "m.jsonl"),
-                  "--out-pairs", str(tmp_path / "p.jsonl")],
+        "synth": ["synth", "--kb", kb, "--out-mentions", str(tmp_path / "m.jsonl")],
         "gradcheck": ["gradcheck"],
     }[command]
     caplog.clear()
@@ -882,7 +878,8 @@ def test_incomplete_predictions_exit_2(pipeline, tmp_path, caplog, command, case
 
 @pytest.fixture(scope="module")
 def other_inputs(pipeline, tmp_path_factory):
-    """A KB with one more concept and its cache, and s1's predictions for the first 24 train mentions."""
+    """A KB with one more concept and its cache, s1's predictions for the first 24 train mentions, and a 2-step
+    stage-1 checkpoint other than s1."""
     root, kb, train, test, cache = pipeline
     other = tmp_path_factory.mktemp("other")
     kb2, mentions2, preds2 = other / "kb.jsonl", other / "mentions.jsonl", other / "preds.jsonl"
@@ -891,10 +888,12 @@ def other_inputs(pipeline, tmp_path_factory):
     run("link", *FAST, "--kb", kb, "--mentions", str(mentions2), "--cache", cache,
         "--ckpt", str(root / "s1.ckpt"), "--out", str(preds2))
     run("kb", "build", "--kb", str(kb2), "--mentions", train, "--mentions", test, "--out", str(other / "cache"))
-    return {"kb": str(kb2), "cache": str(other / "cache"), "preds": str(preds2)}
+    run("train-positive", *FAST, "--set", "pos_steps=2", "--kb", kb, "--mentions", train, "--cache", cache,
+        "--out", str(other / "other.ckpt"))
+    return {"kb": str(kb2), "cache": str(other / "cache"), "preds": str(preds2), "ckpt": str(other / "other.ckpt")}
 
 
-@pytest.mark.parametrize("case", ["pairs-mentions", "pairs-kb", "preds", "preds-b", "analyze-ckpt"])
+@pytest.mark.parametrize("case", ["pairs-mentions", "pairs-kb", "pairs-ckpt", "preds", "preds-b", "analyze-ckpt"])
 def test_a_file_written_for_other_inputs_exit_2_naming_it(pipeline, other_inputs, tmp_path, caplog, case):
     root, kb, train, test, cache = pipeline
     longer = tmp_path / "longer.jsonl"  # train's 48 mentions and 24 more: every mention_index is in range
@@ -902,12 +901,15 @@ def test_a_file_written_for_other_inputs_exit_2_naming_it(pipeline, other_inputs
     pairs, preds = str(root / "pairs.jsonl"), str(root / "preds_s2.jsonl")
     out = ["--out", str(tmp_path / "out")]
     s1 = ["--ckpt", str(root / "s1.ckpt")]
-    train_negative = ["train-negative", *FAST, *s1, "--pairs", pairs, *out]
+    train_negative = ["train-negative", *FAST, "--pairs", pairs, *out]
     evaluate = ["eval", "--kb", kb, "--mentions", test, "--cache", cache, *out]
     argv, named = {
-        "pairs-mentions": (train_negative + ["--kb", kb, "--cache", cache, "--mentions", str(longer)], pairs),
-        "pairs-kb": (train_negative + ["--kb", other_inputs["kb"], "--cache", other_inputs["cache"],
+        "pairs-mentions": (train_negative + [*s1, "--kb", kb, "--cache", cache, "--mentions", str(longer)], pairs),
+        "pairs-kb": (train_negative + [*s1, "--kb", other_inputs["kb"], "--cache", other_inputs["cache"],
                                        "--mentions", train], pairs),
+        # stage 2 would train against a model, and use it as the dpo reference, that did not mine the pairs
+        "pairs-ckpt": (train_negative + ["--ckpt", other_inputs["ckpt"], "--kb", kb, "--cache", cache,
+                                         "--mentions", train], pairs),
         # as many mentions as the predictions cover, but other ones
         "preds": (evaluate + ["--preds", other_inputs["preds"]], other_inputs["preds"]),
         "preds-b": (evaluate + ["--preds", preds, "--preds-b", other_inputs["preds"]], other_inputs["preds"]),
@@ -988,8 +990,7 @@ def test_headers_record_the_command_options_that_change_an_output(pipeline, tmp_
         headers.append(_header_of(out))
     assert [h["options"] for h in headers] == [{"k": 5, "resamples": 100}, {"k": 5, "resamples": 50}]
     assert {**headers[0], "options": None} == {**headers[1], "options": None}
-    for synthesized in ("synth.jsonl", "synth_pairs.jsonl"):
-        assert _header_of(root / synthesized)["options"] == {"cap": 2, "k": 3}
+    assert _header_of(root / "synth.jsonl")["options"] == {"cap": 2}
     assert "options" not in _header_of(root / "pairs.jsonl")
 
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from neglink import model
+from neglink.beam import Prediction, name_tokens, sequence_score
 from neglink.config import RunConfig
 from neglink.corpus import (
     MAX_INPUT_TOKENS,
@@ -13,12 +15,16 @@ from neglink.corpus import (
     filter_linkable,
     load_abbreviations,
     load_mentions,
+    preferred_names,
     prepare_mentions,
     preprocess,
     render,
 )
 from neglink.errors import MentionFormatError
+from neglink.evaluate import logprob_gap_report
 from neglink.kb import Concept, build_kb
+from neglink.train_negative import triplets_from_predictions
+from neglink.train_positive import build_positive_set
 from neglink.vocab import Vocab
 
 
@@ -66,6 +72,7 @@ def test_load_mentions_order_and_fields(tmp_path):
         {"mention": "x", "gold_ids": [3]},
         {"mention": "x", "gold_ids": ["C1"], "fold": "a"},
         {"mention": "x", "gold_ids": ["C1"], "targets": [1]},
+        {"mention": "x", "gold_ids": ["C1"], "targets": []},
         {"mention": "x", "gold_ids": ["C1"], "fold": True},  # a bool is not fold 1
         {"left": 5, "mention": "x", "gold_ids": ["C1"]},
         {"mention": "x", "right": ["x"], "gold_ids": ["C1"]},
@@ -178,3 +185,21 @@ def test_prepare_mentions_pipeline(tmp_path):
     kept, dropped = prepare_mentions(path, kb, ab)
     assert dropped == 1
     assert kept[0].mention == "aspirin"
+
+
+def test_preferred_names_put_targets_first_in_stage_1_mining_rule_c_and_the_gap_report():
+    kb = build_kb([Concept("C1", ("abc", "abd", "xyz")), Concept("C2", ("abe",))])
+    vocab = Vocab.from_texts(kb.names() + ["m is"])
+    ckpt = model.init_checkpoint(vocab, 4, 0)
+    cfg = RunConfig(syn_topk=3)
+    plain = example(mention="abc")
+    targeted = example(mention="abc", targets=("xyz",))
+    assert preferred_names(plain, kb, 3) == ["abc", "abd", "xyz"]  # by similarity to the mention
+    assert preferred_names(targeted, kb, 3) == ["xyz"]
+    wrong = [Prediction(name="abe", ids=frozenset({"C2"}), score=-1.0)]  # no correct name: rule (c), the fallback
+    for ex, best in ((plain, "abc"), (targeted, "xyz")):
+        assert [i.target_name for i in build_positive_set([ex], kb, vocab, cfg)] == preferred_names(ex, kb, 3)
+        enc = render(ex, vocab, max_ctx=cfg.max_ctx)
+        assert [t.preferred for t in triplets_from_predictions(enc, wrong, ex, kb)] == [best]
+        gaps = [b for b in logprob_gap_report(ckpt, [ex], [wrong], kb, cfg.max_ctx) if b.count]
+        assert [g.mean_gap for g in gaps] == [sequence_score(ckpt, enc, name_tokens(best, vocab)) - -1.0]

@@ -4,8 +4,8 @@ An install of neglink needs numpy alone. Tests may use more (SciPy is their
 independent reference), but `src/neglink` may not.
 
 Within the package, imports follow the layers: the TF-IDF module is a leaf
-that the KB builds on, and neither evaluation nor stage 2 reaches into
-stage 1.
+that the KB builds on, neither evaluation nor stage 2 reaches into
+stage 1, and the synthetic data generator reaches into neither stage.
 """
 
 from __future__ import annotations
@@ -54,3 +54,7 @@ def test_tfidf_is_a_leaf_and_stage_2_and_evaluation_do_not_import_stage_1():
     assert "tfidf" in neglink_imports("kb")
     for module in ("evaluate", "train_negative"):
         assert "train_positive" not in neglink_imports(module), module
+
+
+def test_synth_imports_neither_training_stage():
+    assert not neglink_imports("synth") & {"train_positive", "train_negative"}

@@ -1,4 +1,4 @@
-"""KB-derived synthetic training data: templates, targets, pairs.
+"""KB-derived synthetic training data: templates, targets, and the pairs mined for them.
 
 The generators return ordinary `corpus.MentionExample`s: the concept's id
 is the one gold id, the generation target the one target, and the right
@@ -7,6 +7,7 @@ context starts with the template of the generator that made it.
 
 from __future__ import annotations
 
+from neglink import model
 from neglink.config import RunConfig
 from neglink.corpus import render
 from neglink.kb import Concept, build_kb
@@ -15,9 +16,10 @@ from neglink.synth import (
     SYNONYM_TEMPLATE,
     gen_definition_examples,
     gen_pretrain_examples,
-    gen_pretrain_pairs,
     gen_synonym_examples,
 )
+from neglink.train_negative import mine_pairs
+from neglink.trie import build_trie
 from neglink.vocab import Vocab
 
 
@@ -80,18 +82,20 @@ def test_generation_is_deterministic():
     assert gen_pretrain_examples(kb) == gen_pretrain_examples(kb)
 
 
-def test_pretrain_pairs_prefer_target_against_other_concept_names():
+def test_tfidf_mining_prefers_each_target_against_other_concept_names():
     kb = make_kb()
     examples = gen_pretrain_examples(kb)
-    pairs = gen_pretrain_pairs(kb, k=2, examples=examples)
+    vocab = Vocab.from_texts(kb.names() + [DEFINITION_TEMPLATE, SYNONYM_TEMPLATE, "some thing alone. is"])
+    ckpt = model.init_checkpoint(vocab, 8, 0)
+    pairs = mine_pairs(ckpt, examples, kb, build_trie(kb.names(), vocab), RunConfig(negatives="tfidf"))
     assert pairs
+    by_example: dict[int, list[str]] = {}
     for t in pairs:
-        ex = examples[t.mention_index]
-        assert t.preferred == ex.targets[0]
-        assert ex.gold_ids & kb.align(t.preferred)
-        assert not ex.gold_ids & kb.align(t.dispreferred)
-    # every example contributes at most k pairs
-    per_example = {}
-    for t in pairs:
-        per_example[t.mention_index] = per_example.get(t.mention_index, 0) + 1
-    assert max(per_example.values()) <= 2
+        assert t.preferred == examples[t.mention_index].targets[0]
+        by_example.setdefault(t.mention_index, []).append(t.dispreferred)
+    # every example contributes its three hardest other-concept names, in rank order
+    assert sorted(by_example) == list(range(len(examples)))
+    for i, negatives in by_example.items():
+        ex = examples[i]
+        assert negatives == kb.hard_negatives(ex.mention, ex.gold_ids, 3)
+        assert len(negatives) <= 3

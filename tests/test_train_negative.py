@@ -15,7 +15,6 @@ from neglink.config import LOSS_KINDS, RunConfig
 from neglink.corpus import EncodedInput, MentionExample, render
 from neglink.errors import ConfigError, FormatError
 from neglink.kb import Concept, build_kb
-from neglink.tfidf import build_index
 from neglink.train_negative import (
     PreferenceTriplet,
     dedup_triplets,
@@ -74,15 +73,13 @@ def predictions_from_labels(labels):
 
 def test_pairing_rules_match_brute_force_enumeration():
     rng = random.Random(6)
-    corpus = ["gold name", "namex"]
-    idx = build_index(corpus)
+    kb = build_kb([Concept("G", ("gold name",)), Concept("X", ("namex",))])
+    ex = MentionExample("", "gold", "", frozenset({"G"}))
     for trial in range(1000):
         n = rng.randrange(1, 7)
         labels = [rng.random() < 0.45 for _ in range(n)]
         preds = predictions_from_labels(labels)
-        got = triplets_from_predictions(
-            DUMMY, preds, frozenset({"G"}), "gold", ["gold name"], idx
-        )
+        got = triplets_from_predictions(DUMMY, preds, ex, kb)
         if any(labels):
             want = brute_force_pairs(labels)
             got_pairs = {(t.rank_w, t.rank_l) for t in got}
@@ -97,12 +94,10 @@ def test_pairing_rules_match_brute_force_enumeration():
 
 
 def test_pairs_all_mode_crosses_every_correct_with_every_incorrect():
-    idx = build_index(["g"])
+    kb = build_kb([Concept("G", ("g",))])
     labels = [True, False, True, False]
     preds = predictions_from_labels(labels)
-    got = triplets_from_predictions(
-        DUMMY, preds, frozenset({"G"}), "m", ["g"], idx, pairs="all"
-    )
+    got = triplets_from_predictions(DUMMY, preds, MentionExample("", "m", "", frozenset({"G"})), kb, pairs="all")
     want = {(1, 2), (1, 4), (3, 2), (3, 4)}
     assert {(t.rank_w, t.rank_l) for t in got} == want
 
