@@ -3,7 +3,7 @@
 Walks through the first layer of the linker: the KB file format, name
 normalization, the name -> identifier alignment map (including names
 shared by several concepts), and the KB's trigram similarity index
-(`kb.tfidf`) used to pick training synonyms and hard negatives.
+(`kb.tfidf`) used to pick training synonyms.
 
 Run from the repository root:
 
@@ -62,10 +62,11 @@ def main() -> None:
     for s in rank_synonyms(mention, kb.synonyms(frozenset({concept.id})), 3, idx):
         print(f"  {s!r}  sim={similarity(mention, s, idx):.4f}")
 
-    # kb.hard_negatives finds the most confusable names of *other* concepts;
-    # these are what preference training pushes the model away from.
-    print(f"\nhard negatives for {mention!r} (excluding {concept.id}):")
-    for s in kb.hard_negatives(mention, frozenset({concept.id}), 3):
+    # The sibling's names are the confusable ones. Preference training does
+    # not look them up: it mines the wrong names the model itself ranks in
+    # its top k (demos/04), and on this KB those are mostly the sibling's.
+    print(f"\nmention {mention!r}, nearest names of the sibling {partner.id}:")
+    for s in rank_synonyms(mention, kb.synonyms(frozenset({partner.id})), 3, idx):
         print(f"  {s!r}  sim={similarity(mention, s, idx):.4f}  ids={sorted(kb.align(s))}")
 
 

@@ -50,8 +50,6 @@ class RunConfig:
     beta: float = 0.1
     cpo_lambda: float = 1.0
     simpo_gamma: float = 0.5
-    negatives: str = "pred"
-    pairs: str = "filtered"
     # shared optimizer constants
     weight_decay: float = 0.01
     grad_clip: float = 0.1
@@ -85,8 +83,6 @@ class RunConfig:
             ("beta", self.beta > 0, "be > 0"),
             ("cpo_lambda", self.cpo_lambda >= 0, "be >= 0"),
             ("simpo_gamma", self.simpo_gamma >= 0, "be >= 0"),
-            ("negatives", self.negatives in ("pred", "tfidf"), "be 'pred' or 'tfidf'"),
-            ("pairs", self.pairs in ("filtered", "all"), "be 'filtered' or 'all'"),
             ("weight_decay", self.weight_decay >= 0, "be >= 0"),
             ("grad_clip", self.grad_clip > 0, "be > 0"),
             ("adam_beta1", 0 < self.adam_beta1 < 1, "lie in (0, 1)"),

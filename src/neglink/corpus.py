@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,13 +62,12 @@ _RECORD_KINDS = {"left": "a string or null", "mention": "a string", "right": "a 
                  "gold_ids": "a list of strings", "fold": "an integer or null", "targets": "a list of strings or null"}
 
 
-def load_mentions(path: str | Path) -> list[MentionExample]:
-    """Load a line-delimited JSON mention file, preserving file order.
+def read_mentions(path: str | Path) -> Iterator[tuple[int, MentionExample]]:
+    """(line number, example) for each record of a line-delimited JSON mention file, in file order.
 
     Each line: {"left": str?, "mention": str, "right": str?,
     "gold_ids": [str, ...], "fold": int?, "targets": [str, ...]?}.
     """
-    out: list[MentionExample] = []
     records = artifacts.read_records(path, _RECORD_KINDS, MentionFormatError)
     for lineno, (left, mention, right, gold, fold, targets) in records:
         if not mention.strip():
@@ -77,8 +77,7 @@ def load_mentions(path: str | Path) -> list[MentionExample]:
         if targets == []:  # `preferred_names` would give the mention no name to generate
             raise MentionFormatError(f"{path}: line {lineno}: empty 'targets'")
         targets = None if targets is None else tuple(targets)
-        out.append(MentionExample(left or "", mention, right or "", frozenset(gold), fold, targets))
-    return out
+        yield lineno, MentionExample(left or "", mention, right or "", frozenset(gold), fold, targets)
 
 
 def load_abbreviations(path: str | Path) -> dict[str, str]:
@@ -172,8 +171,15 @@ def prepare_mentions(
     """Load -> preprocess -> filter pipeline used by every CLI stage.
 
     Downstream artifacts refer to examples by index into the returned list,
-    so all stages must call this with identical inputs.
+    so all stages must call this with identical inputs. Every target must
+    be a name of `kb` that aligns to a gold id of its mention.
     """
     abbrev = load_abbreviations(abbrev_path) if abbrev_path else {}
-    examples = [preprocess(ex, abbrev) for ex in load_mentions(mentions_path)]
-    return filter_linkable(examples, kb)
+    records = list(read_mentions(mentions_path))
+    for lineno, ex in records:
+        for name in ex.targets or ():
+            ids = kb.align(name)
+            if not ids & ex.gold_ids:
+                why = f"aligns to {sorted(ids)}, not to a gold id" if ids else "is not a KB name"
+                raise MentionFormatError(f"{mentions_path}: line {lineno}: target {name!r:.60} {why}")
+    return filter_linkable([preprocess(ex, abbrev) for _, ex in records], kb)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import artifacts
 from .errors import KBFormatError
-from .tfidf import TfIdfIndex, build_index, rank_synonyms
+from .tfidf import TfIdfIndex, build_index
 
 log = logging.getLogger(__name__)
 
@@ -62,10 +62,6 @@ class KnowledgeBase:
     def tfidf(self) -> TfIdfIndex:
         """The index over `names()`, built on first use: a KB does not change after loading, so it cannot go stale."""
         return build_index(self.names())
-
-    def hard_negatives(self, mention: str, exclude: frozenset[str], k: int) -> list[str]:
-        """The k most mention-similar names aligned only outside `exclude`, ranked as `rank_synonyms` ranks."""
-        return rank_synonyms(mention, [n for n in self.names() if not (self.align(n) & exclude)], k, self.tfidf)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):

@@ -14,10 +14,9 @@ template clause as the right context, the concept's id as `gold_ids`, and
 as `targets` one real name of the same concept, chosen by trigram
 similarity. So every stage reads these mentions like human-annotated
 ones, and `corpus.preferred_names` makes the target the name they should
-generate. Stage 1 trains on it. `mine --set negatives=tfidf` prefers it
-against the most mention-similar names of other concepts, the
-pre-training pairs; plain `mine` pairs the model's own top-k mistakes and
-prefers the target where no prediction is correct (rule (c)).
+generate. Stage 1 trains on it, and `mine` pairs the pre-training model's
+own top-k mistakes, preferring the target where no prediction is correct
+(rule (c)).
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ dispreferred) triplets:
       (`corpus.preferred_names`: its target, else its TF-IDF-nearest gold
       synonym) is paired with each of the top-3 incorrect predictions.
 
-`negatives=tfidf` skips decoding: it pairs the same preferred name
-against the three most mention-similar names of no gold concept. On
-`synth`'s mentions that is the target against the closest names of other
-concepts, the pre-training pairs.
+Both sides of every pair come from the model's own top-k, except the
+preferred name of rule (c). On `synth`'s mentions the same rules mine the
+pre-training pairs, and rule (c) prefers each mention's target.
 
 Each mention is mined on its own (render, decode, pairing rules,
 invariant check), so `workers.map_split` mines contiguous runs of the
@@ -66,7 +65,6 @@ def triplets_from_predictions(
     predictions: list[Prediction],
     ex: MentionExample,
     kb: KnowledgeBase,
-    pairs: str = "filtered",
     mention_index: int | None = None,
 ) -> list[PreferenceTriplet]:
     """Apply the pairing rules to `ex`'s top-k prediction list."""
@@ -85,9 +83,9 @@ def triplets_from_predictions(
     if correct:
         for rw, pw in correct:
             for rl, pl in incorrect:
-                if pairs == "all" or rl < rw:
+                if rl < rw:
                     emit(pw.name, pl.name, rw, rl)
-        if pairs != "all" and correct[0][0] == 1 and incorrect:
+        if correct[0][0] == 1 and incorrect:
             rl, pl = incorrect[0]
             emit(correct[0][1].name, pl.name, 1, rl)
     else:
@@ -127,9 +125,7 @@ def mine_pairs(
     """Mine the preference dataset from the model's constrained predictions.
 
     Each mention's top `cfg.topk` list (searched at beam width `cfg.topk`)
-    is paired by the `cfg.pairs` rule. `cfg.negatives` "tfidf" skips
-    decoding and pairs the first `corpus.preferred_names` against the three
-    most mention-similar wrong-concept names instead.
+    is paired by rules (a)-(c).
     """
     if cfg.topk < 2:
         raise ConfigError(f"mining needs topk >= 2, got {cfg.topk}")
@@ -138,13 +134,8 @@ def mine_pairs(
     def mine_one(item: tuple[int, MentionExample]) -> list[PreferenceTriplet]:
         i, ex = item
         enc = render(ex, ckpt.vocab, max_ctx=cfg.max_ctx)
-        if cfg.negatives == "tfidf":
-            e_w = preferred_names(ex, kb, 1)[0]
-            mined = [PreferenceTriplet(input=enc, preferred=e_w, dispreferred=e_l, mention_index=i)
-                     for e_l in kb.hard_negatives(ex.mention, ex.gold_ids, 3)]
-        else:
-            preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
-            mined = triplets_from_predictions(enc, preds, ex, kb, cfg.pairs, i)
+        preds = constrained_beam_search(ckpt, enc, trie, kb, beam=cfg.topk, k=cfg.topk)
+        mined = triplets_from_predictions(enc, preds, ex, kb, i)
         check_pairs(mined, examples, kb)
         return mined
 

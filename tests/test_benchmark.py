@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from neglink.benchmark import gen_benchmark, write_benchmark
-from neglink.corpus import load_mentions
+from neglink.corpus import read_mentions
 from neglink.kb import load_kb
 
 
@@ -40,7 +40,7 @@ def test_mentions_are_linkable_and_kinds_mixed(tmp_path):
     kb = load_kb(tmp_path / "kb.jsonl")
     name_owner = kb.name_index
     for fname in ("train.jsonl", "test.jsonl"):
-        examples = load_mentions(tmp_path / fname)
+        examples = [ex for _, ex in read_mentions(tmp_path / fname)]
         kinds = {"easy": 0, "variant": 0, "ambig": 0}
         for ex in examples:
             assert ex.gold_ids <= kb.concepts.keys()
@@ -62,7 +62,7 @@ def test_written_files_round_trip(tmp_path):
     assert lines == bench.concepts
     kb = load_kb(tmp_path / "kb.jsonl")
     assert kb.rejected_count == 0
-    train = load_mentions(tmp_path / "train.jsonl")
+    train = [ex for _, ex in read_mentions(tmp_path / "train.jsonl")]
     assert len(train) == 15
 
 

@@ -89,20 +89,20 @@ def test_synth_outputs(pipeline):
 
 
 def test_synthetic_pretraining_runs_through_both_stages_and_its_pairs_align(pipeline, tmp_path):
-    """README's pre-training recipe: stage 1 on `synth`'s mentions, TF-IDF pairs mined for them by that model,
-    stage 2 on the pairs, then stage 1 on the task mentions from there."""
+    """README's pre-training recipe: stage 1 on `synth`'s mentions, pairs mined from that model's own top-k on
+    them, stage 2 on the pairs, then stage 1 on the task mentions from there."""
     root, kb, train, test, cache = pipeline
     mentions, pairs, p1 = str(root / "synth.jsonl"), str(tmp_path / "synth_pairs.jsonl"), tmp_path / "p1.ckpt"
     inputs = ["--kb", kb, "--cache", cache]
     run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", mentions, "--out", str(p1))
-    run("mine", *FAST, "--set", "negatives=tfidf", *inputs, "--mentions", mentions, "--ckpt", str(p1),
-        "--out", pairs)
+    run("mine", *FAST, *inputs, "--mentions", mentions, "--ckpt", str(p1), "--out", pairs)
     run("train-negative", *FAST, *inputs, "--mentions", mentions, "--ckpt", str(p1), "--pairs", pairs,
         "--out", str(tmp_path / "p2.ckpt"))
     run("train-positive", *FAST, "--set", "pos_steps=2", *inputs, "--mentions", train,
         "--init", str(tmp_path / "p2.ckpt"), "--out", str(tmp_path / "s1.ckpt"))
     assert _header_of(tmp_path / "p2.ckpt")["inputs"]["ckpt"] == artifacts.sha256_file(p1)
-    # every pair joins the mention the stages load at its index: the target is gold, the negative is not
+    # every pair joins the mention the stages load at its index and keeps the mining rules there, and a rule (c)
+    # pair, which no prediction of the mention's top k backs, prefers the mention's target
     knowledge = load_kb(kb)
     examples, dropped = prepare_mentions(mentions, knowledge)
     assert dropped == 0 and len(examples) == len(read_jsonl(mentions)[1])
@@ -113,9 +113,10 @@ def test_synthetic_pretraining_runs_through_both_stages_and_its_pairs_align(pipe
     assert records
     for rec in records:
         assert 0 <= rec["mention_index"] < len(examples)
-        gold = examples[rec["mention_index"]].gold_ids
-        assert rec["e_w"] == examples[rec["mention_index"]].targets[0]
-        assert knowledge.align(rec["e_w"]) & gold and not knowledge.align(rec["e_l"]) & gold
+        ex = examples[rec["mention_index"]]
+        assert knowledge.align(rec["e_w"]) & ex.gold_ids and not knowledge.align(rec["e_l"]) & ex.gold_ids
+        assert rec["rank_l"] is not None and (rec["rank_w"] is not None or rec["e_w"] == ex.targets[0])
+    assert any(rec["rank_w"] is None for rec in records)
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -138,6 +139,23 @@ def test_a_header_only_line_is_skipped_on_line_1_only(pipeline, tmp_path, caplog
         assert rc == 0 and errors == []
     else:
         assert rc == 2 and errors == [f"{path}: {message}"]
+
+
+def test_a_target_of_another_concept_exits_2_before_training(pipeline, tmp_path, caplog):
+    root, kb, train, test, cache = pipeline
+    records = [json.loads(line) for line in Path(train).read_text(encoding="utf-8").splitlines()]
+    gold = set(records[0]["gold_ids"])
+    other = next(name for c in map(json.loads, Path(kb).read_text(encoding="utf-8").splitlines())
+                 if c["id"] not in gold for name in c["names"])
+    records[0]["targets"] = [other]
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    caplog.clear()
+    assert main(["train-positive", *FAST, "--kb", kb, "--mentions", str(path), "--cache", cache,
+                 "--out", str(tmp_path / "s1.ckpt")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: line 1: target {other!r} aligns to ")
+    assert not (tmp_path / "s1.ckpt").exists()
 
 
 def test_checkpoint_stages_and_losses(pipeline):
@@ -469,7 +487,7 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
 @pytest.mark.parametrize("command, extra", [
     ("link", ["--set", "beam=2", "--set", "topk=5"]),
     ("mine", ["--set", "topk=1"]),
-    ("mine", ["--set", "negatives=none"]),
+    ("mine", ["--set", "negatives=tfidf"]),
     ("train-positive", ["--set", "syn_topk=0"]),
     ("eval-b", ["--resamples", "1"]),
     ("eval", ["--k", "0"]),

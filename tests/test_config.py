@@ -102,7 +102,7 @@ def test_every_setting_rejects_an_out_of_range_value():
         "seed": "-1", "hidden_dim": "1", "max_ctx": "-3", "syn_topk": "0", "beam": "0", "topk": "0",
         "pos_lr": "-1e-3", "pos_steps": "0", "pos_batch": "0", "pos_warmup": "-1", "label_smoothing": "1",
         "neg_lr": "-1e-3", "neg_epochs": "0", "neg_batch": "0", "neg_warmup": "-1", "loss": "hinge",
-        "beta": "0", "cpo_lambda": "-1", "simpo_gamma": "-0.5", "negatives": "bogus", "pairs": "bogus",
+        "beta": "0", "cpo_lambda": "-1", "simpo_gamma": "-0.5",
         "weight_decay": "-0.01", "grad_clip": "0", "adam_beta1": "1", "adam_beta2": "0", "adam_eps": "0",
     }
     assert sorted(bad) == sorted(f.name for f in dataclasses.fields(RunConfig))

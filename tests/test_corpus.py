@@ -14,7 +14,7 @@ from neglink.corpus import (
     MentionExample,
     filter_linkable,
     load_abbreviations,
-    load_mentions,
+    read_mentions,
     preferred_names,
     prepare_mentions,
     preprocess,
@@ -53,7 +53,7 @@ def test_load_mentions_order_and_fields(tmp_path):
             json.dumps({"mention": "x", "gold_ids": ["C9"], "targets": ["name one"]}),
         ],
     )
-    got = load_mentions(path)
+    got = [ex for _, ex in read_mentions(path)]
     assert got[0].left_context == "a"
     assert got[0].gold_ids == frozenset({"C1", "C2"})
     assert got[0].fold == 3
@@ -81,7 +81,7 @@ def test_load_mentions_order_and_fields(tmp_path):
 def test_malformed_mention_records(tmp_path, record):
     path = write_lines(tmp_path, "m.jsonl", [json.dumps(record)])
     with pytest.raises(MentionFormatError) as err:
-        load_mentions(path)
+        list(read_mentions(path))
     assert "line 1" in str(err.value)
 
 
@@ -185,6 +185,21 @@ def test_prepare_mentions_pipeline(tmp_path):
     kept, dropped = prepare_mentions(path, kb, ab)
     assert dropped == 1
     assert kept[0].mention == "aspirin"
+
+
+@pytest.mark.parametrize("target, why", [
+    ("abe", "target 'abe' aligns to ['C2'], not to a gold id"),
+    ("abx", "target 'abx' is not a KB name"),
+], ids=["another-concept", "no-kb-name"])
+def test_prepare_mentions_rejects_a_target_that_names_no_gold_concept(tmp_path, target, why):
+    kb = build_kb([Concept("C1", ("abc", "abd")), Concept("C2", ("abe",))])
+    good = {"mention": "abc", "gold_ids": ["C1"], "targets": ["abd"]}
+    path = write_lines(tmp_path, "m.jsonl", [json.dumps(good), json.dumps({**good, "targets": ["abd", target]})])
+    with pytest.raises(MentionFormatError) as err:
+        prepare_mentions(path, kb)
+    assert str(err.value) == f"{path}: line 2: {why}"
+    path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    assert prepare_mentions(path, kb)[0][0].targets == ("abd",)
 
 
 def test_preferred_names_put_targets_first_in_stage_1_mining_rule_c_and_the_gap_report():

@@ -132,18 +132,3 @@ def test_tfidf_is_built_once_on_first_use_over_all_names(monkeypatch):
     first = kb.tfidf
     assert kb.tfidf is first
     assert built == [["a", "b", "c"]]
-
-
-def test_hard_negatives_excludes_gold_ids():
-    kb = build_kb(
-        [
-            Concept("C1", ("aspirin", "asa"), None),
-            Concept("C2", ("aspirin tablet",), None),
-            Concept("C3", ("ibuprofen",), None),
-        ]
-    )
-    negs = kb.hard_negatives("aspirin", exclude=frozenset({"C1"}), k=2)
-    assert "aspirin" not in negs
-    assert "asa" not in negs
-    assert negs[0] == "aspirin tablet"
-    assert len(negs) == 2

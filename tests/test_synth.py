@@ -1,4 +1,4 @@
-"""KB-derived synthetic training data: templates, targets, and the pairs mined for them.
+"""KB-derived synthetic training data: templates and targets.
 
 The generators return ordinary `corpus.MentionExample`s: the concept's id
 is the one gold id, the generation target the one target, and the right
@@ -7,7 +7,6 @@ context starts with the template of the generator that made it.
 
 from __future__ import annotations
 
-from neglink import model
 from neglink.config import RunConfig
 from neglink.corpus import render
 from neglink.kb import Concept, build_kb
@@ -18,8 +17,6 @@ from neglink.synth import (
     gen_pretrain_examples,
     gen_synonym_examples,
 )
-from neglink.train_negative import mine_pairs
-from neglink.trie import build_trie
 from neglink.vocab import Vocab
 
 
@@ -80,22 +77,3 @@ def test_examples_render_like_ordinary_mentions():
 def test_generation_is_deterministic():
     kb = make_kb()
     assert gen_pretrain_examples(kb) == gen_pretrain_examples(kb)
-
-
-def test_tfidf_mining_prefers_each_target_against_other_concept_names():
-    kb = make_kb()
-    examples = gen_pretrain_examples(kb)
-    vocab = Vocab.from_texts(kb.names() + [DEFINITION_TEMPLATE, SYNONYM_TEMPLATE, "some thing alone. is"])
-    ckpt = model.init_checkpoint(vocab, 8, 0)
-    pairs = mine_pairs(ckpt, examples, kb, build_trie(kb.names(), vocab), RunConfig(negatives="tfidf"))
-    assert pairs
-    by_example: dict[int, list[str]] = {}
-    for t in pairs:
-        assert t.preferred == examples[t.mention_index].targets[0]
-        by_example.setdefault(t.mention_index, []).append(t.dispreferred)
-    # every example contributes its three hardest other-concept names, in rank order
-    assert sorted(by_example) == list(range(len(examples)))
-    for i, negatives in by_example.items():
-        ex = examples[i]
-        assert negatives == kb.hard_negatives(ex.mention, ex.gold_ids, 3)
-        assert len(negatives) <= 3

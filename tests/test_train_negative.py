@@ -93,15 +93,6 @@ def test_pairing_rules_match_brute_force_enumeration():
             assert all(t.rank_w is None for t in got)
 
 
-def test_pairs_all_mode_crosses_every_correct_with_every_incorrect():
-    kb = build_kb([Concept("G", ("g",))])
-    labels = [True, False, True, False]
-    preds = predictions_from_labels(labels)
-    got = triplets_from_predictions(DUMMY, preds, MentionExample("", "m", "", frozenset({"G"})), kb, pairs="all")
-    want = {(1, 2), (1, 4), (3, 2), (3, 4)}
-    assert {(t.rank_w, t.rank_l) for t in got} == want
-
-
 def test_dedup_triplets_keeps_first():
     a = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", rank_w=1, rank_l=2)
     b = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", rank_w=3, rank_l=4)
@@ -270,18 +261,6 @@ def test_mine_pairs_invariant_violation_is_a_format_error(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with pytest.raises(FormatError, match=r"^mention 1: mined triplet violates invariants: 'bc[de]' vs '\w+'$"):
         mine_pairs(ckpt, examples, kb, trie, RunConfig(topk=3))
-
-
-def test_mine_pairs_tfidf_mode_skips_decoding():
-    kb, vocab, trie, ckpt, examples = linking_setup()
-    triplets = mine_pairs(ckpt, examples, kb, trie, RunConfig(negatives="tfidf"))
-    # nearest gold synonym against three hard negatives per example
-    assert len(triplets) == len(examples) * 2  # only two non-gold names exist per example
-    for t in triplets:
-        ex = examples[t.mention_index]
-        syns = kb.synonyms(ex.gold_ids)
-        assert t.preferred == syns[0] or t.preferred in syns
-        assert t.rank_w is None and t.rank_l is None
 
 
 def test_train_preference_runs_and_freezes_reference():
