@@ -3,7 +3,8 @@
 Compares a trained stage-1 model against an untrained one on the toy
 test set, then walks the full evaluation toolbox: accuracy at several
 cutoffs, a bootstrap paired significance test of the difference, the
-error rate stratified by gold-synonym similarity, and the log-prob gap
+mentions the trained model fixed and broke at rank 1, the error rate
+stratified by gold-synonym similarity, and the log-prob gap
 between positives and decoded negatives stratified by mention-negative
 similarity. Takes about half a minute.
 
@@ -25,6 +26,7 @@ from neglink.evaluate import (
     binned_error_report,
     bootstrap_paired_test,
     evaluate,
+    fixed_and_broken,
     logprob_gap_report,
 )
 from neglink.kb import load_kb
@@ -65,6 +67,8 @@ def main() -> None:
                                  resamples=200, seed=0)
     print(f"mean Acc@1 difference over 200 resamples: {boot.mean_diff:+.4f}")
     print(f"two-sided p-value: {boot.p_value:.2e}")
+    fixed, broken = fixed_and_broken(report_a.per_example, report_b.per_example)
+    print(f"right at rank 1 only when trained (fixed): {fixed}; only when untrained (broken): {broken}")
 
     print("\n=== error rate by gold-synonym similarity ===")
     print("(how mention-like is the *correct* answer? errors cluster where")

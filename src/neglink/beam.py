@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model
 from .corpus import EncodedInput
-from .errors import ConfigError
+from .errors import ConfigError, VocabError
 from .kb import KnowledgeBase
 from .model import Checkpoint, log_softmax
 from .trie import TokenTrie
@@ -68,9 +68,12 @@ def prompt_log_prob(ckpt: Checkpoint, inputs: list[EncodedInput]):
     return cache.dec.H[last, rows], logp[rows, last], cache.dec.tables, scores.tolist()
 
 
-def _check_widths(beam: int, k: int) -> None:
+def _check_search(ckpt: Checkpoint, trie: TokenTrie, beam: int, k: int) -> None:
+    """Once per search: the widths, and every trie token inside the checkpoint's vocabulary."""
     if not (beam >= k >= 1):
         raise ConfigError(f"need beam >= k >= 1, got beam={beam} k={k}")
+    if trie.max_token >= len(ckpt.vocab):
+        raise VocabError(f"trie token id {trie.max_token} outside vocabulary of size {len(ckpt.vocab)}")
 
 
 def constrained_beam_search(
@@ -85,7 +88,7 @@ def constrained_beam_search(
 
     Returns fewer than k predictions only when fewer names are reachable.
     """
-    _check_widths(beam, k)
+    _check_search(ckpt, trie, beam, k)
     return _search(ckpt, [enc_input], trie, kb, beam, k)[0]
 
 
@@ -98,7 +101,7 @@ def constrained_beam_search_batch(
     k: int = 5,
 ) -> list[list[Prediction]]:
     """`constrained_beam_search` for every input, searched CHUNK mentions at a time."""
-    _check_widths(beam, k)
+    _check_search(ckpt, trie, beam, k)
     chunks = [inputs[start : start + CHUNK] for start in range(0, len(inputs), CHUNK)]
     return [preds for done in map_split(lambda chunk: _search(ckpt, chunk, trie, kb, beam, k), chunks)
             for preds in done]

@@ -8,7 +8,7 @@ One subcommand per pipeline stage, file handoff between stages:
     mine            preference pairs from a checkpoint's predictions
     train-negative  stage-2 checkpoint from a pairs file
     link            constrained predictions for a mention file
-    eval            accuracy report, optional paired bootstrap comparison
+    eval            accuracy report, optional paired comparison: bootstrap test, fixed and broken counts
     analyze         similarity-binned errors and log-prob gap tables
     gradcheck       finite-difference verification of all losses
 
@@ -44,7 +44,7 @@ from .errors import (
     VocabError,
     WorkerError,
 )
-from .evaluate import bootstrap_paired_test, binned_error_report, evaluate, logprob_gap_report
+from .evaluate import bootstrap_paired_test, binned_error_report, evaluate, fixed_and_broken, logprob_gap_report
 from .gradcheck import run_gradcheck
 from .kb import KnowledgeBase, load_kb, normalize_name
 from .train_negative import PreferenceTriplet, check_pairs, mine_pairs, train_preference
@@ -361,17 +361,22 @@ def cmd_eval(args) -> int:
             report_a.per_example, report_b.per_example, k=args.k,
             resamples=args.resamples, seed=cfg.seed,
         )
+        fixed, broken = fixed_and_broken(report_a.per_example, report_b.per_example)
         doc["comparison"] = {
             "k": args.k,
             "acc_b": {str(k): v for k, v in report_b.acc_at.items()},
             "mean_diff": boot.mean_diff,
             "p_value": boot.p_value,
+            "fixed": fixed,
+            "broken": broken,
         }
     artifacts.write_json(args.out, _header(args, cfg), {"report": doc})
     for k in ks:
         print(f"Acc@{k} = {report_a.acc_at[k]:.4f}")
     if args.preds_b:
-        print(f"mean_diff@{args.k} = {doc['comparison']['mean_diff']:+.4f}  p = {doc['comparison']['p_value']:.6f}")
+        cmp = doc["comparison"]
+        print(f"mean_diff@{args.k} = {cmp['mean_diff']:+.4f}  p = {cmp['p_value']:.6f}  "
+              f"fixed@1 = {cmp['fixed']}  broken@1 = {cmp['broken']}")
     return 0
 
 
@@ -466,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy report, optional system comparison")
     _add_inputs(p)
     p.add_argument("--preds", required=True)
-    p.add_argument("--preds-b", help="second predictions file for the paired bootstrap test")
+    p.add_argument("--preds-b", help="second predictions file for the paired bootstrap test and the "
+                   "fixed/broken counts at rank 1")
     p.add_argument("--k", type=int, default=5, help="second accuracy cutoff and the bootstrap k")
     p.add_argument("--resamples", type=int, default=100)
     p.add_argument("--out", required=True)

@@ -2,12 +2,20 @@
 
 Rank here always means the 1-based position of the first prediction whose
 identifier set intersects the gold set; None when the gold never appears.
-The bootstrap test resamples example indices with replacement, computes
-the paired Acc@k difference per resample, and runs a two-sided one-sample
-t-test on those differences. The test's p-value is computed in this
-module, from the regularized incomplete beta function. Zero variance is
-degenerate for a t-test, so it is mapped to p=1.0 when the mean
-difference is zero and p=0.0 otherwise.
+The bootstrap test resamples example indices with replacement and
+computes the paired Acc@k difference per resample. The spread of those
+resampled differences estimates the standard error of the observed one,
+so the statistic is t = mean / sd (the resamples' mean and sample
+standard deviation), taken two-sided with n - 1 degrees of freedom for n
+examples. The number of resamples sharpens both estimates but does not
+enter the statistic: more resamples cannot make a difference
+significant. The p-value is computed in this module, from the
+regularized incomplete beta function. Zero spread is degenerate, so it is
+mapped to p=1.0 when the mean difference is zero and p=0.0 otherwise.
+
+`eval --preds-b` also counts the mentions the two systems disagree on at
+rank 1 (`fixed_and_broken`): the same Acc@1 gain can come from a few
+fixes or from many fixes and almost as many breaks.
 """
 
 from __future__ import annotations
@@ -103,11 +111,19 @@ def bootstrap_paired_test(
     for i in range(resamples):
         idx = rng.integers(0, n, size=n)
         diffs[i] = hit_a[idx].mean() - hit_b[idx].mean()
-    mean = float(diffs.mean())
-    if float(diffs.std(ddof=1)) == 0.0:
+    mean, sd = float(diffs.mean()), float(diffs.std(ddof=1))
+    if sd == 0.0:  # also every n == 1: each resample draws the one example
         return BootstrapResult(p_value=1.0 if mean == 0.0 else 0.0, mean_diff=mean)
-    t = mean / math.sqrt(float(diffs.var(ddof=1)) / resamples)
-    return BootstrapResult(p_value=_t_two_sided_p(t, resamples - 1), mean_diff=mean)
+    return BootstrapResult(p_value=_t_two_sided_p(mean / sd, n - 1), mean_diff=mean)
+
+
+def fixed_and_broken(ranks_a: list[int | None], ranks_b: list[int | None]) -> tuple[int, int]:
+    """(fixed, broken): mentions right at rank 1 in A and wrong in B, and those wrong in A and right in B."""
+    if len(ranks_a) != len(ranks_b):
+        raise ValueError("rank lists differ in length")
+    fixed = sum(1 for a, b in zip(ranks_a, ranks_b) if a == 1 and b != 1)
+    broken = sum(1 for a, b in zip(ranks_a, ranks_b) if a != 1 and b == 1)
+    return fixed, broken
 
 
 def _t_two_sided_p(t: float, df: int) -> float:

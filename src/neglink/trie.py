@@ -8,8 +8,9 @@ name and every KB name remains reachable.
 `insert` is the only way a trie is built, whether from KB names or from a
 file. It records the depth (the token count of its longest name), so
 `max_depth()`, called once per beam search, costs nothing. It also records
-the largest token id, which the CLI checks against the cache vocabulary,
-and it rejects names longer than MAX_DEPTH tokens. It keeps every node's
+the largest token id, which the CLI checks against the cache vocabulary
+and the search against the checkpoint's, and it rejects negative token ids
+and names longer than MAX_DEPTH tokens. It keeps every node's
 children in ascending token order, whatever order the names come in, so
 readers iterate `children` directly instead of sorting it.
 
@@ -55,6 +56,8 @@ class TokenTrie:
         token_ids = [int(t) for t in token_ids]
         if len(token_ids) > MAX_DEPTH:
             raise TrieFormatError(f"{len(token_ids)} tokens, over the trie depth limit of {MAX_DEPTH}")
+        if min(token_ids, default=0) < 0:
+            raise VocabError(f"token id {min(token_ids)} is negative")
         node = self.root
         for t in token_ids:
             children = node.children

@@ -19,6 +19,7 @@ from neglink.beam import (
 )
 from neglink.config import RunConfig
 from neglink.corpus import MentionExample, render
+from neglink.errors import VocabError
 from neglink.kb import Concept, build_kb
 from neglink.trie import build_trie
 from neglink.vocab import Vocab
@@ -54,6 +55,15 @@ def test_wide_beam_equals_exhaustive_enumeration():
     assert [(p.name, round(p.score, 10)) for p in got] == [(n, round(s, 10)) for n, s in want]
     for p in got:
         assert p.ids == kb.align(p.name)
+
+
+def test_a_trie_token_outside_the_vocabulary_is_a_vocab_error():
+    kb, vocab, trie, ckpt, enc = setup({"C1": ["abc"], "C2": ["b"]})
+    trie.insert([vocab.encode_chars("a")[0], len(vocab)])  # a name whose second token has no embedding
+    for search in (lambda: constrained_beam_search(ckpt, enc, trie, kb),
+                   lambda: constrained_beam_search_batch(ckpt, [enc, enc], trie, kb)):
+        with pytest.raises(VocabError, match=f"token id {len(vocab)} outside vocabulary of size {len(vocab)}"):
+            search()
 
 
 def test_beam_scores_match_sequence_scorer():

@@ -228,6 +228,9 @@ def test_eval_paired_comparison(pipeline, capsys):
     cmp_doc = doc["report"]["comparison"]
     assert 0.0 <= cmp_doc["p_value"] <= 1.0
     assert cmp_doc["k"] == 1
+    assert f"fixed@1 = {cmp_doc['fixed']}  broken@1 = {cmp_doc['broken']}" in stdout
+    n, acc_a, acc_b = doc["report"]["n"], doc["report"]["acc_at"]["1"], cmp_doc["acc_b"]["1"]
+    assert cmp_doc["fixed"] - cmp_doc["broken"] == round((acc_a - acc_b) * n)
 
 
 def test_eval_reports_each_fold_and_their_unweighted_mean(pipeline, tmp_path):

@@ -17,6 +17,7 @@ from neglink.evaluate import (
     binned_error_report,
     bootstrap_paired_test,
     evaluate,
+    fixed_and_broken,
     logprob_gap_report,
     ranks_of,
 )
@@ -115,10 +116,35 @@ def test_bootstrap_p_value_matches_scipy_ttest():
         draw = np.random.default_rng(seed)
         draws = [draw.integers(0, n, size=n) for _ in range(100)]
         diffs = np.array([hit_a[idx].mean() - hit_b[idx].mean() for idx in draws])
-        want = float(stats.ttest_1samp(diffs, 0.0).pvalue)
         assert got.mean_diff == float(diffs.mean())
+        sd = float(diffs.std(ddof=1))
+        if sd == 0.0:  # no spread: the degenerate case, mapped by the mean alone
+            assert got.p_value == (1.0 if got.mean_diff == 0.0 else 0.0)
+            continue
+        # Their spread is the standard error of the difference; n examples give n - 1 degrees of freedom.
+        want = 2.0 * float(stats.t.sf(abs(float(diffs.mean()) / sd), n - 1))
         worst = max(worst, abs(got.p_value - want) / want)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("resamples", [100, 10000])
+def test_one_mention_of_300_is_not_significant_at_any_resample_count(resamples):
+    ranks_a: list[int | None] = [1] * 300
+    ranks_b = ranks_a[:-1] + [None]
+    got = bootstrap_paired_test(ranks_a, ranks_b, k=1, resamples=resamples, seed=0)
+    assert got.mean_diff > 0.0
+    assert got.p_value > 0.05
+
+
+def test_fixed_and_broken_count_rank_one_changes():
+    ranks_a = [1, 1, None, 2, 1, None, 3, 1]
+    ranks_b = [1, 2, 1, 1, None, None, 1, 1]
+    # fixed: A right, B wrong at rank 1 (indices 1, 4); broken: A wrong, B right (indices 2, 3, 6)
+    assert fixed_and_broken(ranks_a, ranks_b) == (2, 3)
+    assert fixed_and_broken(ranks_b, ranks_a) == (3, 2)
+    assert fixed_and_broken(ranks_a, list(ranks_a)) == (0, 0)
+    with pytest.raises(ValueError):
+        fixed_and_broken([1], [1, 2])
 
 
 def test_bootstrap_input_validation():

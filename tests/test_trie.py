@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from neglink import artifacts
-from neglink.errors import TrieFormatError
+from neglink.errors import TrieFormatError, VocabError
 from neglink.trie import (
     FORMAT_VERSION,
     MAGIC,
@@ -196,6 +196,13 @@ def test_unencodable_name_reports_the_name():
     with pytest.raises(Exception) as err:
         build_trie(["abz!"], vocab)
     assert "abz!" in str(err.value)
+
+
+def test_a_negative_token_id_is_a_vocab_error_naming_it():
+    trie = TokenTrie()
+    with pytest.raises(VocabError, match="token id -3 is negative"):
+        trie.insert([2, -3, 4])
+    assert trie.size == 0 and not trie.root.children and trie.max_token == -1
 
 
 def walked_depth(trie) -> int:
