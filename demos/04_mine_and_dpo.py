@@ -68,7 +68,7 @@ def main() -> None:
     print("\n=== dpo against the frozen stage-1 reference ===")
     # Before any update the policy equals the reference, so every pair's
     # loss is -ln sigmoid(0) = ln 2.
-    anchor, _ = preference_loss_and_grads(stage1, stage1, triplets[:1], cfg, want_grads=False)
+    anchor, _ = preference_loss_and_grads(stage1, stage1, triplets[:1], cfg)
     print(f"loss at the reference: {anchor:.9f}  (ln 2 = {math.log(2.0):.9f})")
 
     result = train_preference(stage1, triplets, cfg)

@@ -32,7 +32,7 @@ from .kb import KnowledgeBase
 from .model import Checkpoint
 from .tfidf import similarity
 
-FIVE_BINS = ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0))
+ERROR_BINS = 5  # equal-width gold-synonym similarity bins of the binned error report
 GAP_BINS = 10  # equal-width mention-negative similarity bins of the log-prob gap report
 
 
@@ -176,31 +176,32 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise NumericError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
-def _five_bin_index(s: float) -> int:
-    # Left-closed, right-open bins; similarity 1.0 folds into the top bin.
-    return min(int(s / 0.2), 4)
+def _bin_index(s: float, n: int) -> int:
+    # Bin i of n equal-width bins is [i / n, (i + 1) / n); similarity 1.0 folds into the top bin. Multiplying by n,
+    # not dividing by the width, puts each edge in its own bin: 0.6 / 0.2 is 2.9999999999999996, 0.6 * 5 is 3.0.
+    return min(int(s * n), n - 1)
 
 
 def binned_error_report(
     examples: list[MentionExample], prediction_lists: list[list[Prediction]], kb: KnowledgeBase
 ) -> list[BinRecord]:
-    """Acc@1 stratified by the mention's best gold-synonym similarity, one record per bin of FIVE_BINS."""
+    """Acc@1 stratified by the mention's best gold-synonym similarity, one record per bin."""
     if len(examples) != len(prediction_lists):
         raise ValueError("examples and predictions differ in length")
-    counts = [0] * 5
-    errors = [0] * 5
+    counts = [0] * ERROR_BINS
+    errors = [0] * ERROR_BINS
     for ex, preds in zip(examples, prediction_lists):
         best = max(similarity(ex.mention, name, kb.tfidf) for name in kb.synonyms(ex.gold_ids))
-        b = _five_bin_index(best)
+        b = _bin_index(best, ERROR_BINS)
         counts[b] += 1
         if rank_of_gold(preds, ex.gold_ids) != 1:
             errors[b] += 1
     return [
         BinRecord(
-            lo=lo, hi=hi, count=c, errors=e,
+            lo=i / ERROR_BINS, hi=(i + 1) / ERROR_BINS, count=c, errors=e,
             accuracy=None if c == 0 else (c - e) / c,
         )
-        for (lo, hi), c, e in zip(FIVE_BINS, counts, errors)
+        for i, (c, e) in enumerate(zip(counts, errors))
     ]
 
 
@@ -239,7 +240,7 @@ def logprob_gap_report(
             pos_score = sequence_score(ckpt, enc, entity)
         for neg in negatives:
             s = similarity(ex.mention, neg.name, kb.tfidf)
-            b = min(int(s * GAP_BINS), GAP_BINS - 1)
+            b = _bin_index(s, GAP_BINS)
             sums[b] += pos_score - neg.score
             counts[b] += 1
     return [

@@ -58,9 +58,9 @@ def _fixture(seed: int):
 
 def _loss_fn(kind: str, ckpt, ref, instances, triplets):
     if kind == "ce":
-        return lambda want: ce_loss_and_grads(ckpt, instances, smoothing=0.1)
+        return lambda: ce_loss_and_grads(ckpt, instances, smoothing=0.1)
     cfg = RunConfig(loss=kind)
-    return lambda want: preference_loss_and_grads(ckpt, ref, triplets, cfg, want_grads=want)
+    return lambda: preference_loss_and_grads(ckpt, ref, triplets, cfg)
 
 
 def check_loss(kind: str, seed: int, n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> LossCheck:
@@ -72,7 +72,7 @@ def check_loss(kind: str, seed: int, n_coords: int = 20, h: float = 1e-5, tol: f
         raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     ckpt, ref, instances, triplets = _fixture(seed)
     fn = _loss_fn(kind, ckpt, ref, instances, triplets)
-    _, grads = fn(True)
+    _, grads = fn()
     rng = np.random.default_rng(seed * 7919 + 13)
     names = sorted(ckpt.params)
     worst = 0.0
@@ -83,9 +83,9 @@ def check_loss(kind: str, seed: int, n_coords: int = 20, h: float = 1e-5, tol: f
         idx = np.unravel_index(flat, arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        plus, _ = fn(False)
+        plus, _ = fn()
         arr[idx] = orig - h
-        minus, _ = fn(False)
+        minus, _ = fn()
         arr[idx] = orig
         fd = (plus - minus) / (2.0 * h)
         analytic = float(grads[name][idx])

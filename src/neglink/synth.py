@@ -24,15 +24,10 @@ from __future__ import annotations
 from .corpus import MentionExample
 from .errors import ConfigError
 from .kb import KnowledgeBase, normalize_name
-from .tfidf import TfIdfIndex, rank_synonyms
+from .tfidf import rank_synonyms
 
 DEFINITION_TEMPLATE = "is defined as"
 SYNONYM_TEMPLATE = "has synonyms such as"
-
-
-def _nearest_other(name: str, others: list[str], idx: TfIdfIndex, rank: int = 1) -> str | None:
-    ranked = rank_synonyms(name, others, rank, idx)
-    return ranked[rank - 1] if len(ranked) >= rank else None
 
 
 def gen_definition_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExample]:
@@ -49,8 +44,8 @@ def gen_definition_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExam
         right = normalize_name(f"{DEFINITION_TEMPLATE} {concept.definition}")
         for s in concept.names[:cap]:
             others = [n for n in concept.names if n != s]
-            target = _nearest_other(s, others, kb.tfidf) if others else s
-            out.append(MentionExample("", s, right, frozenset({cid}), targets=(target or s,)))
+            target = rank_synonyms(s, others, 1, kb.tfidf)[0] if others else s
+            out.append(MentionExample("", s, right, frozenset({cid}), targets=(target,)))
     return out
 
 
@@ -67,8 +62,8 @@ def gen_synonym_examples(kb: KnowledgeBase, cap: int = 8) -> list[MentionExample
             continue
         for s1 in concept.names[:cap]:
             others = [n for n in concept.names if n != s1]
-            s2 = _nearest_other(s1, others, kb.tfidf)
-            target = _nearest_other(s1, others, kb.tfidf, rank=2) or s2
+            ranked = rank_synonyms(s1, others, 2, kb.tfidf)
+            s2, target = ranked[0], ranked[-1]
             out.append(MentionExample("", s1, f"{SYNONYM_TEMPLATE} {s2}", frozenset({cid}), targets=(target,)))
     return out
 

@@ -18,10 +18,10 @@ pre-training pairs, and rule (c) prefers each mention's target.
 
 Each mention is mined on its own (render, decode, pairing rules,
 invariant check), so `workers.map_split` mines contiguous runs of the
-mentions in forked processes, one per usable CPU. Triplets are then
-deduplicated on (input, preferred, dispreferred), keeping the first
-occurrence in mention order, so the output does not depend on the CPU
-count.
+mentions in forked processes, one per usable CPU. A triplet's equality,
+on (rendered input, preferred, dispreferred), is its one identity:
+mining keeps the first of equal triplets in mention order, so the output
+does not depend on the CPU count, and `check_pairs` rejects a repeat.
 
 Four losses share one margin form; dpo measures log-probs relative to
 the starting checkpoint, which training leaves unmodified and re-scores
@@ -96,27 +96,17 @@ def triplets_from_predictions(
 
 
 def check_pairs(triplets: list[PreferenceTriplet], examples: list[MentionExample], kb: KnowledgeBase) -> None:
-    """Raise FormatError naming the mention unless no triplet repeats and each keeps the mining rules: its preferred
-    name aligns to a gold id of `examples[t.mention_index]`, its dispreferred one is a KB name that aligns to none."""
-    seen: set[tuple] = set()
+    """Raise FormatError naming the mention unless no triplet equals an earlier one (equality is a triplet's one
+    identity, so mentions that render alike share their pairs) and each keeps the mining rules: its preferred name
+    aligns to a gold id of `examples[t.mention_index]`, its dispreferred one is a KB name that aligns to none."""
+    seen: set[PreferenceTriplet] = set()
     for t in triplets:
         i, gold = t.mention_index, examples[t.mention_index].gold_ids
         if not kb.align(t.preferred) & gold or t.dispreferred not in kb.name_index or kb.align(t.dispreferred) & gold:
             raise FormatError(f"mention {i}: mined triplet violates invariants: {t.preferred!r} vs {t.dispreferred!r}")
-        if (i, t.preferred, t.dispreferred) in seen:
+        if t in seen:
             raise FormatError(f"mention {i}: pair {t.preferred!r} vs {t.dispreferred!r} appears twice")
-        seen.add((i, t.preferred, t.dispreferred))
-
-
-def dedup_triplets(triplets: list[PreferenceTriplet]) -> list[PreferenceTriplet]:
-    seen: set[tuple] = set()
-    out = []
-    for t in triplets:
-        key = (t.input, t.preferred, t.dispreferred)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
+        seen.add(t)
 
 
 def mine_pairs(
@@ -139,7 +129,7 @@ def mine_pairs(
         check_pairs(mined, examples, kb)
         return mined
 
-    return dedup_triplets([t for mined in map_split(mine_one, enumerate(examples)) for t in mined])
+    return list(dict.fromkeys(t for mined in map_split(mine_one, enumerate(examples)) for t in mined))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +173,7 @@ def preference_loss_and_grads(
     ref: model.Checkpoint | None,
     triplets: list[PreferenceTriplet],
     cfg: RunConfig,
-    want_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Mean per-pair loss over the batch, plus exact parameter gradients.
 
     Preferred and dispreferred sequences share one forward pass (the batch
@@ -214,12 +203,9 @@ def preference_loss_and_grads(
     losses, dlp_w, dlp_l = preference_loss_values(
         lp[:B], lp[B:], ref_lp[:B], ref_lp[B:], len_w, len_l, cfg
     )
-    loss = float(losses.mean())
-    if not want_grads:
-        return loss, None
     coeffs = np.concatenate([dlp_w, dlp_l]) / B
     dlogits = model.target_dlogits(cache, tg, -(tm * coeffs[:, None]))
-    return loss, model.backward_from_dlogits(ckpt, cache, dlogits)
+    return float(losses.mean()), model.backward_from_dlogits(ckpt, cache, dlogits)
 
 
 # ---------------------------------------------------------------------------

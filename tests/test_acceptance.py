@@ -156,7 +156,7 @@ def test_a3_dpo_loss_is_ln2_at_the_reference(verdict):
         w, l = rng.permutation(len(pool))[:2]
         enc = render(MentionExample("", pool[rng.integers(len(pool))], "", frozenset({"X"})), vocab, max_ctx=cfg.max_ctx)
         t = PreferenceTriplet(input=enc, preferred=pool[w], dispreferred=pool[l])
-        loss, _ = preference_loss_and_grads(ckpt, ref, [t], cfg, want_grads=False)
+        loss, _ = preference_loss_and_grads(ckpt, ref, [t], cfg)
         worst = max(worst, abs(check_finite_loss(loss) - math.log(2.0)))
     verdict("A3 dpo anchor at ln 2", worst <= 1e-9, f"100 triplets, worst |loss - ln 2| = {worst:.2e}")
 

@@ -1,5 +1,5 @@
-"""Every public function and method in `src/neglink` has a caller in the program,
-and every run setting is read by it.
+"""Every public function and method in `src/neglink` has a caller in the program
+and takes no boolean switch, and every run setting is read by it.
 
 A public module-level function, or a public method of a module-level class,
 must be named, as a whole word, somewhere in `src/neglink/`, `demos/` or
@@ -27,17 +27,22 @@ def _program_files() -> list[Path]:
     )
 
 
-def _public_functions(path: Path, lines: list[str]):
-    """(qualified name, name, first line, last line) of each public module-level function
-    and each public method of a module-level class; lines 1-based, inclusive."""
-    tree = ast.parse("".join(lines), filename=str(path))
+def _public_defs(path: Path, source: str):
+    """(qualified name, def node) of each public module-level function and each public method of a module-level
+    class."""
+    tree = ast.parse(source, filename=str(path))
     defs = [(None, node) for node in tree.body]
     defs += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
     for owner, node in defs:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
-            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            qualified = f"{owner}.{node.name}" if owner else node.name
-            yield qualified, node.name, first, node.end_lineno
+            yield (f"{owner}.{node.name}" if owner else node.name), node
+
+
+def _public_functions(path: Path, lines: list[str]):
+    """(qualified name, name, first line, last line) of each public function and method; lines 1-based, inclusive."""
+    for qualified, node in _public_defs(path, "".join(lines)):
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        yield qualified, node.name, first, node.end_lineno
 
 
 def test_every_public_function_has_a_caller_outside_tests():
@@ -53,6 +58,23 @@ def test_every_public_function_has_a_caller_outside_tests():
             if not any(word.search("".join(body)) for body in outside):
                 unused.append(f"{path.stem}.{qualified}")
     assert unused == [], f"public functions and methods with no caller outside tests: {unused}"
+
+
+def test_no_public_function_takes_a_boolean_switch():
+    """A parameter that defaults to True or False is a switch: a second code path that the caller picks. Give each
+    path its own function, or let the caller drop what it does not need."""
+    switches = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, node in _public_defs(path, path.read_text(encoding="utf-8")):
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            defaults = zip(positional[len(positional) - len(a.defaults):], a.defaults)
+            switches += [
+                f"{path.stem}.{qualified}({arg.arg}={d.value})"
+                for arg, d in [*defaults, *zip(a.kwonlyargs, a.kw_defaults)]
+                if isinstance(d, ast.Constant) and isinstance(d.value, bool)
+            ]
+    assert switches == [], f"public functions with a boolean switch: {switches}"
 
 
 def test_every_run_setting_is_read_outside_config():

@@ -1000,6 +1000,31 @@ def test_pairs_that_break_the_mining_rules_exit_2_naming_the_mention(pipeline, t
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
 
 
+def test_a_pair_repeated_under_a_mention_that_renders_the_same_exit_2(pipeline, tmp_path, caplog):
+    """`mine` writes a pair once for two mentions that render to the same input, and `train-negative` rejects the
+    file that repeats it under the second one."""
+    root, kb, train, test, cache = pipeline
+    lines = Path(train).read_text(encoding="utf-8").splitlines(keepends=True)
+    j = json.loads((root / "pairs.jsonl").read_text(encoding="utf-8").splitlines()[1])["mention_index"]
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("".join(lines + [lines[j]]), encoding="utf-8")
+    assert len(prepare_mentions(mentions, load_kb(kb))[0]) == len(lines) + 1
+    inputs = ["--kb", kb, "--mentions", str(mentions), "--cache", cache, "--ckpt", str(root / "s1.ckpt")]
+    bad = tmp_path / "pairs.jsonl"
+    run("mine", *FAST, *inputs, "--out", str(bad))
+    header, *records = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert all(json.loads(r)["mention_index"] < len(lines) for r in records)
+    rec = json.loads(records[0])
+    assert rec["mention_index"] == j
+    rec["mention_index"] = len(lines)
+    bad.write_text(header + "".join(records) + json.dumps(rec) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert main(["train-negative", *FAST, *inputs, "--pairs", str(bad), "--out", str(tmp_path / "s2.ckpt")]) == 2
+    want = f"{bad}: mention {len(lines)}: pair {rec['e_w']!r} vs {rec['e_l']!r} appears twice"
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [want]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mentions.jsonl", "pairs.jsonl"]
+
+
 def test_headers_record_the_command_options_that_change_an_output(pipeline, tmp_path):
     """`eval --resamples` changes the p-value, so two runs that differ in it differ in their header line."""
     root, kb, train, test, cache = pipeline

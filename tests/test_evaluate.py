@@ -186,6 +186,14 @@ def test_binned_error_report_strata():
     assert [b.lo for b in bins] == [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
+def test_binned_error_report_bins_are_left_closed(monkeypatch):
+    """0.6 / 0.2 is 2.9999999999999996 in floats, so dividing by the width would count 0.6 in [0.4, 0.6)."""
+    monkeypatch.setattr(evaluate_module, "similarity", lambda a, b, idx: 0.6)
+    kb = binned_setup()
+    bins = binned_error_report([MentionExample("", "abcdef", "", frozenset({"C1"}))], [[pred("abcdef", {"C1"})]], kb)
+    assert [(b.lo, b.hi, b.count) for b in bins if b.count] == [(0.6, 0.8, 1)]
+
+
 def test_gap_report_uses_top_correct_and_bins_negatives():
     kb = build_kb([Concept("C1", ("aaa",), None), Concept("C2", ("aab",), None),
                    Concept("C3", ("zzz",), None)])

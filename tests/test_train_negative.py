@@ -17,7 +17,6 @@ from neglink.errors import ConfigError, FormatError
 from neglink.kb import Concept, build_kb
 from neglink.train_negative import (
     PreferenceTriplet,
-    dedup_triplets,
     mine_pairs,
     preference_loss_and_grads,
     preference_loss_values,
@@ -93,13 +92,19 @@ def test_pairing_rules_match_brute_force_enumeration():
             assert all(t.rank_w is None for t in got)
 
 
-def test_dedup_triplets_keeps_first():
-    a = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", rank_w=1, rank_l=2)
-    b = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", rank_w=3, rank_l=4)
-    c = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="z")
-    got = dedup_triplets([a, b, c])
-    assert got == [a, c]
-    assert got[0].rank_w == 1
+def test_triplets_equal_on_input_and_names_and_mining_keeps_the_first():
+    """Mention index and ranks are not part of a triplet's identity, so a mention that renders like an earlier one
+    adds no pair: `mine_pairs` keeps the first of equal triplets."""
+    a = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", mention_index=0, rank_w=1, rank_l=2)
+    b = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="y", mention_index=1, rank_w=3, rank_l=4)
+    c = PreferenceTriplet(input=DUMMY, preferred="x", dispreferred="z", mention_index=0, rank_w=1, rank_l=2)
+    assert a == b and hash(a) == hash(b) and a != c
+    kb, vocab, trie, ckpt, examples = linking_setup()
+    once = mine_pairs(ckpt, examples, kb, trie, RunConfig(topk=3))
+    twice = mine_pairs(ckpt, examples + [examples[0]], kb, trie, RunConfig(topk=3))
+    assert any(t.mention_index == 0 for t in once)
+    key = [(t.mention_index, t.rank_w, t.rank_l) for t in once]
+    assert twice == once and [(t.mention_index, t.rank_w, t.rank_l) for t in twice] == key
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +236,9 @@ def test_preference_gradients_match_finite_differences():
                 i = int(rng.integers(flat.size))
                 keep = flat[i]
                 flat[i] = keep + h
-                up, _ = preference_loss_and_grads(ckpt, ref, triplets, cfg, want_grads=False)
+                up, _ = preference_loss_and_grads(ckpt, ref, triplets, cfg)
                 flat[i] = keep - h
-                down, _ = preference_loss_and_grads(ckpt, ref, triplets, cfg, want_grads=False)
+                down, _ = preference_loss_and_grads(ckpt, ref, triplets, cfg)
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 an = grads[name].reshape(-1)[i]
@@ -244,7 +249,7 @@ def test_mine_pairs_respects_invariants_and_dedup():
     kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = mine_pairs(ckpt, examples, kb, trie, RunConfig(topk=3))
     assert triplets
-    assert len(dedup_triplets(triplets)) == len(triplets)
+    assert len(set(triplets)) == len(triplets)
     for t in triplets:
         ex = examples[t.mention_index]
         assert kb.align(t.preferred) & ex.gold_ids
