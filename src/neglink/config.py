@@ -1,4 +1,4 @@
-"""Run configuration: the one settings object, its presets, file parsing, overrides.
+"""Run configuration: the one settings object, its preset, file parsing, overrides.
 
 `RunConfig` holds every hyperparameter of both training stages and of
 decoding; the training loops, losses and CLI read it directly. It checks
@@ -7,11 +7,8 @@ value raises `ConfigError`, whether or not the command uses that setting.
 
 Configuration files are plain text, one `key = value` per line, with `#`
 comments. Precedence, lowest to highest: built-in defaults, named preset,
-config file, `--set key=value` overrides. The named presets carry the published
-per-dataset hyperparameter rows verbatim; they describe the original
-BART-scale recipes and are documentation-grade defaults, not tuned values
-for this package's compact model. The `toy` preset is tuned for the
-bundled confusable benchmark.
+config file, `--set key=value` overrides. The one preset, `toy`, is tuned
+for the bundled confusable benchmark and lists only the settings it changes.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from pathlib import Path
 from . import artifacts
 from .errors import ConfigError
 
-LOSS_KINDS = ("pairwise", "dpo", "cpo", "simpo")
+LOSS_KINDS = ("dpo", "cpo")
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class RunConfig:
     loss: str = "dpo"
     beta: float = 0.1
     cpo_lambda: float = 1.0
-    simpo_gamma: float = 0.5
     # shared optimizer constants
     weight_decay: float = 0.01
     grad_clip: float = 0.1
@@ -82,7 +78,6 @@ class RunConfig:
             ("loss", self.loss in LOSS_KINDS, f"be one of {LOSS_KINDS}"),
             ("beta", self.beta > 0, "be > 0"),
             ("cpo_lambda", self.cpo_lambda >= 0, "be >= 0"),
-            ("simpo_gamma", self.simpo_gamma >= 0, "be >= 0"),
             ("weight_decay", self.weight_decay >= 0, "be >= 0"),
             ("grad_clip", self.grad_clip > 0, "be > 0"),
             ("adam_beta1", 0 < self.adam_beta1 < 1, "lie in (0, 1)"),
@@ -94,25 +89,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
-# Published per-dataset rows (positive-only steps/rate/batch/warmup, then
-# negative-aware epochs/rate/batch), kept verbatim as documentation-grade
-# presets. The pretrain column additionally used negative warmup 1000.
+# Tuned for the bundled confusable benchmark and the compact model.
 PRESETS: dict[str, dict] = {
-    "pretrain": dict(pos_steps=80_000, pos_lr=4e-5, pos_batch=384, pos_warmup=1600,
-                     neg_epochs=5, neg_lr=1e-5, neg_batch=64, neg_warmup=1000),
-    "ncbi": dict(pos_steps=20_000, pos_lr=3e-7, pos_batch=16, pos_warmup=0,
-                 neg_epochs=1, neg_lr=1e-5, neg_batch=16),
-    "bc5cdr": dict(pos_steps=30_000, pos_lr=5e-6, pos_batch=16, pos_warmup=500,
-                   neg_epochs=1, neg_lr=1e-6, neg_batch=16),
-    "cometa": dict(pos_steps=40_000, pos_lr=2e-5, pos_batch=16, pos_warmup=1000,
-                   neg_epochs=1, neg_lr=5e-6, neg_batch=32),
-    "aap": dict(pos_steps=30_000, pos_lr=5e-6, pos_batch=16, pos_warmup=0,
-                neg_epochs=1, neg_lr=5e-6, neg_batch=8),
-    "mm": dict(pos_steps=40_000, pos_lr=3e-5, pos_batch=16, pos_warmup=1000,
-               neg_epochs=1, neg_lr=5e-6, neg_batch=16),
-    # Tuned for the bundled confusable benchmark and the compact model.
-    "toy": dict(pos_steps=900, pos_lr=2e-3, pos_batch=16, pos_warmup=50,
-                neg_epochs=1, neg_lr=1e-4, neg_batch=16, hidden_dim=64),
+    "toy": dict(pos_steps=900, pos_warmup=50, neg_lr=1e-4),
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -1,11 +1,11 @@
 """Finite-difference verification of every training loss.
 
-For each loss (smoothed cross-entropy plus the four preference losses) the
-suite samples random parameter coordinates, perturbs them by ±h, and
-compares the central difference quotient against the analytic gradient at
-relative error |analytic - fd| / max(1, |analytic|). The fixture is a tiny
-model over a fixed micro-corpus; seeds vary the parameter draw and the
-sampled coordinates. A preference batch stacks each pair's input under
+For each loss (smoothed cross-entropy plus the dpo and cpo preference
+losses) the suite samples random parameter coordinates, perturbs them by
+±h, and compares the central difference quotient against the analytic
+gradient at relative error |analytic - fd| / max(1, |analytic|). The
+fixture is a tiny model over a fixed micro-corpus; seeds vary the
+parameter draw and the sampled coordinates. A preference batch stacks each pair's input under
 both of its entities, so the checks cover an encoder row that two decoder
 rows read.
 """

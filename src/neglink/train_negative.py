@@ -23,11 +23,13 @@ on (rendered input, preferred, dispreferred), is its one identity:
 mining keeps the first of equal triplets in mention order, so the output
 does not depend on the CPU count, and `check_pairs` rejects a repeat.
 
-Four losses share one margin form; dpo measures log-probs relative to
-the starting checkpoint, which training leaves unmodified and re-scores
-on every batch so that an untrained model sits at exactly ln 2 per pair.
-Each batch scores the reference before the policy, so the reference's
-activations are freed before the policy's are built.
+Both losses share one margin, beta times the preferred name's log-ratio
+minus the dispreferred one's. dpo measures log-probs relative to the
+starting checkpoint, which training leaves unmodified and re-scores on
+every batch so that an untrained model sits at exactly ln 2 per pair; each
+batch scores the reference before the policy, so the reference's
+activations are freed before the policy's are built. cpo's reference is
+zero, and it adds `cpo_lambda` times the preferred name's per-token NLL.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ def preference_loss_values(
     ref_w: np.ndarray,
     ref_l: np.ndarray,
     len_w: np.ndarray,
-    len_l: np.ndarray,
     cfg: RunConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair losses and d(loss)/d(lp_w), d(loss)/d(lp_l), all (B,).
@@ -150,14 +151,7 @@ def preference_loss_values(
     -log sigma(m) is computed as logaddexp(0, -m) for stability.
     """
     beta = cfg.beta
-    if cfg.loss == "simpo":
-        margin = (beta / len_w) * lp_w - (beta / len_l) * lp_l - cfg.simpo_gamma
-        s = model.sigmoid(-margin)
-        return np.logaddexp(0.0, -margin), -(beta / len_w) * s, (beta / len_l) * s
-    if cfg.loss == "dpo":
-        margin = beta * ((lp_w - ref_w) - (lp_l - ref_l))
-    else:
-        margin = beta * (lp_w - lp_l)
+    margin = beta * ((lp_w - ref_w) - (lp_l - ref_l))
     loss = np.logaddexp(0.0, -margin)
     s = model.sigmoid(-margin)
     dlp_w = -beta * s
@@ -199,10 +193,7 @@ def preference_loss_and_grads(
     cache, tg, tm = model.forward_pairs(ckpt, inputs, entities)
     lp = model.sequence_log_probs(model.target_log_probs(cache.logits, tg)[1], tm)
     len_w = np.array([len(e) for e in entities[:B]], dtype=np.float64)
-    len_l = np.array([len(e) for e in entities[B:]], dtype=np.float64)
-    losses, dlp_w, dlp_l = preference_loss_values(
-        lp[:B], lp[B:], ref_lp[:B], ref_lp[B:], len_w, len_l, cfg
-    )
+    losses, dlp_w, dlp_l = preference_loss_values(lp[:B], lp[B:], ref_lp[:B], ref_lp[B:], len_w, cfg)
     coeffs = np.concatenate([dlp_w, dlp_l]) / B
     dlogits = model.target_dlogits(cache, tg, -(tm * coeffs[:, None]))
     return float(losses.mean()), model.backward_from_dlogits(ckpt, cache, dlogits)

@@ -126,7 +126,7 @@ def test_a1_constrained_decoding_sound_and_complete(verdict):
 
 
 # ---------------------------------------------------------------------------
-# A2: analytic gradients of all five losses vs central finite differences.
+# A2: analytic gradients of all three losses (ce, dpo, cpo) vs central finite differences.
 
 
 def test_a2_all_loss_gradients_match_finite_differences(verdict):

@@ -424,7 +424,7 @@ def test_a_vocab_built_from_another_kb_exit_2_naming_it(pipeline, tmp_path, capl
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seeds", "0", "--coords", "2"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == 5  # cross-entropy plus the four preference losses
+    assert len(lines) == 3  # cross-entropy plus the dpo and cpo preference losses
     assert all(line.endswith("ok") for line in lines)
 
 
@@ -434,6 +434,8 @@ def test_usage_and_version_exit_codes(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    assert main(["link", "--preset", "ncbi"]) == 1  # `toy` is the one preset
+    assert "invalid choice: 'ncbi'" in capsys.readouterr().err
 
 
 def test_missing_inputs_exit_2(pipeline, tmp_path, caplog):
@@ -487,6 +489,14 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "out"]
 
 
+# What the error names for the settings that stage 2 no longer has.
+REMOVED_SETTING_MESSAGES = {
+    "loss=pairwise": "('dpo', 'cpo')",
+    "loss=simpo": "('dpo', 'cpo')",
+    "simpo_gamma=0.5": "unknown config key",
+}
+
+
 @pytest.mark.parametrize("command, extra", [
     ("link", ["--set", "beam=2", "--set", "topk=5"]),
     ("mine", ["--set", "topk=1"]),
@@ -505,10 +515,13 @@ def test_only_the_searching_commands_read_the_trie(pipeline, tmp_path, caplog):
     ("link", ["--set", "negatives=bogus"]),
     ("link", ["--set", "pairs=bogus"]),
     ("train-positive", ["--set", "seed=-1"]),
+    ("link", ["--set", "loss=pairwise"]),
+    ("link", ["--set", "loss=simpo"]),
+    ("link", ["--set", "simpo_gamma=0.5"]),
 ], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-cap-0",
         "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
         "link-max_ctx-negative", "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus",
-        "seed-negative"])
+        "seed-negative", "link-loss-pairwise", "link-loss-simpo", "link-simpo_gamma-gone"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     root, kb, train, test, cache = pipeline
     inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]
@@ -529,6 +542,7 @@ def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     assert len(errors) == 1 and "\n" not in errors[0].getMessage() and errors[0].exc_info is None
     if extra[0] == "--set" and len(extra) == 2:
         assert extra[1].partition("=")[0] in errors[0].getMessage()
+    assert REMOVED_SETTING_MESSAGES.get(extra[-1], "") in errors[0].getMessage()
     assert list(tmp_path.iterdir()) == []
 
 

@@ -19,13 +19,13 @@ def test_defaults():
 
 
 def test_preset_values_applied():
-    cfg = build_config(preset="ncbi")
-    assert cfg.pos_steps == 20_000
-    assert cfg.pos_lr == 3e-7
-    assert cfg.neg_lr == 1e-5
-    assert cfg.neg_batch == 16
+    cfg = build_config(preset="toy")
+    assert cfg.pos_steps == 900
+    assert cfg.pos_warmup == 50
+    assert cfg.neg_lr == 1e-4
     # untouched keys keep their defaults
     assert cfg.beta == 0.1
+    assert cfg.pos_lr == RunConfig().pos_lr
 
 
 def test_all_presets_are_buildable():
@@ -34,31 +34,38 @@ def test_all_presets_are_buildable():
         assert isinstance(cfg, RunConfig)
 
 
+def test_a_preset_lists_only_what_it_changes():
+    defaults = RunConfig()
+    for name, row in PRESETS.items():
+        for key, value in row.items():
+            assert getattr(defaults, key) != value, (name, key)
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
         """
         # a comment
         seed = 9
-        loss = simpo   # trailing comment
+        loss = cpo   # trailing comment
         pos_lr = 1e-4
         """
     )
     raw = parse_config_file(p)
-    assert raw == {"seed": "9", "loss": "simpo", "pos_lr": "1e-4"}
+    assert raw == {"seed": "9", "loss": "cpo", "pos_lr": "1e-4"}
     cfg = build_config(config_file=p)
     assert cfg.seed == 9
-    assert cfg.loss == "simpo"
+    assert cfg.loss == "cpo"
     assert cfg.pos_lr == 1e-4
 
 
 def test_precedence_defaults_preset_file_flags(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("pos_steps = 111\nseed = 5\n")
-    cfg = build_config(preset="ncbi", config_file=p, overrides={"seed": "7"})
+    cfg = build_config(preset="toy", config_file=p, overrides={"seed": "7"})
     assert cfg.pos_steps == 111      # file beats preset
     assert cfg.seed == 7             # flags beat file
-    assert cfg.pos_lr == 3e-7        # preset beats defaults
+    assert cfg.pos_warmup == 50      # preset beats defaults
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -102,7 +109,7 @@ def test_every_setting_rejects_an_out_of_range_value():
         "seed": "-1", "hidden_dim": "1", "max_ctx": "-3", "syn_topk": "0", "beam": "0", "topk": "0",
         "pos_lr": "-1e-3", "pos_steps": "0", "pos_batch": "0", "pos_warmup": "-1", "label_smoothing": "1",
         "neg_lr": "-1e-3", "neg_epochs": "0", "neg_batch": "0", "neg_warmup": "-1", "loss": "hinge",
-        "beta": "0", "cpo_lambda": "-1", "simpo_gamma": "-0.5",
+        "beta": "0", "cpo_lambda": "-1",
         "weight_decay": "-0.01", "grad_clip": "0", "adam_beta1": "1", "adam_beta2": "0", "adam_eps": "0",
     }
     assert sorted(bad) == sorted(f.name for f in dataclasses.fields(RunConfig))

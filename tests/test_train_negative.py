@@ -1,4 +1,4 @@
-"""Preference mining rules and the four preference losses."""
+"""Preference mining rules and the dpo and cpo preference losses."""
 
 from __future__ import annotations
 
@@ -115,10 +115,10 @@ def arrays(*vals):
     return tuple(np.array([v], dtype=np.float64) for v in vals)
 
 
-def test_pairwise_loss_hand_value():
-    lp_w, lp_l, rw, rl, lw, ll = arrays(-1.0, -2.0, 0.0, 0.0, 3.0, 4.0)
-    cfg = pconfig("pairwise", beta=0.1)
-    loss, dw, dl = preference_loss_values(lp_w, lp_l, rw, rl, lw, ll, cfg)
+def test_cpo_without_nll_loss_hand_value():
+    lp_w, lp_l, rw, rl, lw = arrays(-1.0, -2.0, 0.0, 0.0, 3.0)
+    cfg = pconfig("cpo", beta=0.1, cpo_lambda=0.0)
+    loss, dw, dl = preference_loss_values(lp_w, lp_l, rw, rl, lw, cfg)
     # margin is 0.1, loss = ln(1 + e^(-0.1))
     want = math.log1p(math.exp(-0.1))
     assert abs(loss[0] - want) < 1e-15
@@ -131,42 +131,30 @@ def test_dpo_loss_at_reference_is_ln2_exactly():
     rng = np.random.default_rng(12)
     lp = rng.normal(size=100) * 5
     cfg = pconfig("dpo", beta=0.1)
-    loss, dw, dl = preference_loss_values(lp, lp - 3.0, lp, lp - 3.0,
-                                          np.full(100, 4.0), np.full(100, 6.0), cfg)
+    loss, dw, dl = preference_loss_values(lp, lp - 3.0, lp, lp - 3.0, np.full(100, 4.0), cfg)
     np.testing.assert_array_equal(loss, np.full(100, math.log(2.0)))
     np.testing.assert_array_equal(dw, np.full(100, -0.05))
     np.testing.assert_array_equal(dl, np.full(100, 0.05))
 
 
 def test_dpo_margin_uses_reference_offsets():
-    lp_w, lp_l, rw, rl, lw, ll = arrays(-1.0, -5.0, -2.0, -4.0, 2.0, 2.0)
+    lp_w, lp_l, rw, rl, lw = arrays(-1.0, -5.0, -2.0, -4.0, 2.0)
     cfg = pconfig("dpo", beta=0.1)
-    loss, _, _ = preference_loss_values(lp_w, lp_l, rw, rl, lw, ll, cfg)
+    loss, _, _ = preference_loss_values(lp_w, lp_l, rw, rl, lw, cfg)
     # margin = 0.1 * ((-1 + 2) - (-5 + 4)) = 0.2
     want = math.log1p(math.exp(-0.2))
     assert abs(loss[0] - want) < 1e-15
 
 
 def test_cpo_adds_length_normalized_nll():
-    lp_w, lp_l, rw, rl, lw, ll = arrays(-3.0, -4.0, 0.0, 0.0, 3.0, 4.0)
-    base_cfg = pconfig("pairwise", beta=0.1)
+    lp_w, lp_l, rw, rl, lw = arrays(-3.0, -4.0, 0.0, 0.0, 3.0)
+    base_cfg = pconfig("cpo", beta=0.1, cpo_lambda=0.0)
     cpo_cfg = pconfig("cpo", beta=0.1, cpo_lambda=1.0)
-    base, bw, bl = preference_loss_values(lp_w, lp_l, rw, rl, lw, ll, base_cfg)
-    got, gw, gl = preference_loss_values(lp_w, lp_l, rw, rl, lw, ll, cpo_cfg)
+    base, bw, bl = preference_loss_values(lp_w, lp_l, rw, rl, lw, base_cfg)
+    got, gw, gl = preference_loss_values(lp_w, lp_l, rw, rl, lw, cpo_cfg)
     assert abs(got[0] - (base[0] + 3.0 / 3.0)) < 1e-15
     assert abs(gw[0] - (bw[0] - 1.0 / 3.0)) < 1e-15
     assert gl[0] == bl[0]
-
-
-def test_simpo_margin_is_length_normalized_with_target_margin():
-    lp_w, lp_l, rw, rl, lw, ll = arrays(-2.0, -6.0, 0.0, 0.0, 2.0, 3.0)
-    cfg = pconfig("simpo", beta=0.1, simpo_gamma=0.5)
-    loss, dw, dl = preference_loss_values(lp_w, lp_l, rw, rl, lw, ll, cfg)
-    margin = 0.1 * (-2.0 / 2.0) - 0.1 * (-6.0 / 3.0) - 0.5
-    assert abs(loss[0] - math.log1p(math.exp(-margin))) < 1e-15
-    s = 1.0 / (1.0 + math.exp(margin))
-    assert abs(dw[0] - (-(0.1 / 2.0) * s)) < 1e-15
-    assert abs(dl[0] - ((0.1 / 3.0) * s)) < 1e-15
 
 
 def test_loss_kind_validation():
@@ -174,7 +162,7 @@ def test_loss_kind_validation():
         pconfig("unknown")
     with pytest.raises(ConfigError):
         pconfig("dpo", beta=0.0)
-    assert set(LOSS_KINDS) == {"pairwise", "dpo", "cpo", "simpo"}
+    assert set(LOSS_KINDS) == {"dpo", "cpo"}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +313,7 @@ def test_each_step_scores_the_reference_first_and_encodes_each_input_once(monkey
 def test_train_preference_zero_rate_is_identity():
     kb, vocab, trie, ckpt, examples = linking_setup()
     triplets = [make_triplet(vocab, examples[0], "abc", "bcd")]
-    cfg = pconfig("simpo", lr=0.0, seed=3)
+    cfg = pconfig("cpo", lr=0.0, seed=3)
     result = train_preference(ckpt, triplets, cfg)
     for name, p in ckpt.params.items():
         assert np.array_equal(result.checkpoint.params[name], p)
