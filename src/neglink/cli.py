@@ -375,7 +375,7 @@ def cmd_eval(args) -> int:
         print(f"Acc@{k} = {report_a.acc_at[k]:.4f}")
     if args.preds_b:
         cmp = doc["comparison"]
-        print(f"mean_diff@{args.k} = {cmp['mean_diff']:+.4f}  p = {cmp['p_value']:.6f}  "
+        print(f"mean_diff@{args.k} = {cmp['mean_diff']:+.4f}  p = {cmp['p_value']:.3g}  "
               f"fixed@1 = {cmp['fixed']}  broken@1 = {cmp['broken']}")
     return 0
 

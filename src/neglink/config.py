@@ -1,7 +1,10 @@
 """Run configuration: the one settings object, its preset, file parsing, overrides.
 
-`RunConfig` holds every hyperparameter of both training stages and of
-decoding; the training loops, losses and CLI read it directly. It checks
+`RunConfig` holds the hyperparameters that vary between runs: the seed,
+model size, each stage's steps, rate, batch and warmup, the stage-2 loss,
+and decoding. The training loops, losses and CLI read it directly. The
+AdamW constants and clipping (`optim`) and the stage-1 label smoothing
+(`train_positive`) are fixed, as in the paper's recipe. It checks
 every value once, when it is built: a non-finite float or an out-of-range
 value raises `ConfigError`, whether or not the command uses that setting.
 
@@ -37,7 +40,6 @@ class RunConfig:
     pos_steps: int = 1000
     pos_batch: int = 16
     pos_warmup: int = 0
-    label_smoothing: float = 0.1
     # stage 2
     neg_lr: float = 5e-4
     neg_epochs: int = 1
@@ -46,12 +48,6 @@ class RunConfig:
     loss: str = "dpo"
     beta: float = 0.1
     cpo_lambda: float = 1.0
-    # shared optimizer constants
-    weight_decay: float = 0.01
-    grad_clip: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         # Every comparison is written so that NaN fails it.
@@ -70,7 +66,6 @@ class RunConfig:
             ("pos_steps", self.pos_steps >= 1, "be >= 1"),
             ("pos_batch", self.pos_batch >= 1, "be >= 1"),
             ("pos_warmup", self.pos_warmup >= 0, "be >= 0"),
-            ("label_smoothing", 0 <= self.label_smoothing < 1, "lie in [0, 1)"),
             ("neg_lr", self.neg_lr >= 0, "be >= 0"),
             ("neg_epochs", self.neg_epochs >= 1, "be >= 1"),
             ("neg_batch", self.neg_batch >= 1, "be >= 1"),
@@ -78,11 +73,6 @@ class RunConfig:
             ("loss", self.loss in LOSS_KINDS, f"be one of {LOSS_KINDS}"),
             ("beta", self.beta > 0, "be > 0"),
             ("cpo_lambda", self.cpo_lambda >= 0, "be >= 0"),
-            ("weight_decay", self.weight_decay >= 0, "be >= 0"),
-            ("grad_clip", self.grad_clip > 0, "be > 0"),
-            ("adam_beta1", 0 < self.adam_beta1 < 1, "lie in (0, 1)"),
-            ("adam_beta2", 0 < self.adam_beta2 < 1, "lie in (0, 1)"),
-            ("adam_eps", self.adam_eps > 0, "be > 0"),
         ]
         for name, ok, rule in rules:
             if not ok:

@@ -23,7 +23,7 @@ from .config import LOSS_KINDS, RunConfig
 from .corpus import MentionExample, render
 from .errors import ConfigError
 from .train_negative import PreferenceTriplet, preference_loss_and_grads
-from .train_positive import PositiveInstance, ce_loss_and_grads
+from .train_positive import LABEL_SMOOTHING, PositiveInstance, ce_loss_and_grads
 from .vocab import Vocab
 
 ALL_LOSSES = ("ce",) + LOSS_KINDS
@@ -58,7 +58,7 @@ def _fixture(seed: int):
 
 def _loss_fn(kind: str, ckpt, ref, instances, triplets):
     if kind == "ce":
-        return lambda: ce_loss_and_grads(ckpt, instances, smoothing=0.1)
+        return lambda: ce_loss_and_grads(ckpt, instances, LABEL_SMOOTHING)
     cfg = RunConfig(loss=kind)
     return lambda: preference_loss_and_grads(ckpt, ref, triplets, cfg)
 

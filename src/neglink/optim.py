@@ -6,8 +6,11 @@ steps (step t, 0-based, uses rate lr * min(1, (t+1)/warmup_steps)) and
 then stays constant; no decay schedule. Weight decay is decoupled and
 scaled by the effective rate, so a zero learning rate leaves parameters
 bitwise unchanged. Gradients are clipped jointly: if the global L2 norm
-across every array exceeds grad_clip, all arrays are scaled by
-grad_clip / norm before the moment updates.
+across every array exceeds GRAD_CLIP, all arrays are scaled by
+GRAD_CLIP / norm before the moment updates.
+
+The Adam constants, the weight decay and the clipping norm are fixed for
+both stages; only the rate, batch, warmup and length vary between runs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .model import Checkpoint, check_finite_loss, copy_checkpoint
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+GRAD_CLIP = 0.1  # global L2 norm
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -64,20 +72,19 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    cfg: RunConfig,
     learning_rate: float,
     warmup_steps: int,
 ) -> float:
     """One in-place update over all parameters. Returns the rate used.
 
-    The stage's base rate and warmup come from the caller, the Adam
-    constants and the weight decay from `cfg`. Parameter names are visited
-    in sorted order so the arithmetic sequence is identical between runs.
+    The stage's base rate and warmup come from the caller. Parameter names
+    are visited in sorted order so the arithmetic sequence is identical
+    between runs.
     """
     state.step += 1
     t = state.step
     lr = effective_rate(learning_rate, warmup_steps, t - 1)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name in sorted(params):
@@ -87,8 +94,8 @@ def adamw_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
-        p -= lr * cfg.weight_decay * p
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        p -= lr * WEIGHT_DECAY * p
     return lr
 
 
@@ -102,7 +109,7 @@ def train_loop(
     ckpt: Checkpoint,
     items: Sequence,
     loss_and_grads: Callable[[Checkpoint, list], tuple[float, dict[str, np.ndarray]]],
-    cfg: RunConfig,
+    seed: int,
     learning_rate: float,
     batch_size: int,
     warmup_steps: int,
@@ -111,10 +118,10 @@ def train_loop(
     """`steps` clipped AdamW steps on a copy of `ckpt`, which is not modified.
 
     Each epoch draws one permutation of `items` from a generator seeded with
-    `cfg.seed` and slices it into batches of `batch_size`; an epoch's short
+    `seed` and slices it into batches of `batch_size`; an epoch's short
     last batch is kept, and a `steps` that is not a multiple of the epoch
     length stops mid-epoch. The rate warms up over `warmup_steps` to
-    `learning_rate`; clipping, Adam and weight decay read `cfg`.
+    `learning_rate`.
     `loss_and_grads(ckpt, batch)` returns the batch loss and the gradient of
     every parameter. The copy starts with a fresh optimizer state.
     """
@@ -122,7 +129,7 @@ def train_loop(
         raise ValueError("nothing to train on")
     out = copy_checkpoint(ckpt)
     state = OptimizerState.fresh(out.params)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     loss_log: list[tuple[int, float]] = []
     step = 0
     while step < steps:
@@ -133,8 +140,8 @@ def train_loop(
             batch = [items[i] for i in order[start : start + batch_size]]
             loss, grads = loss_and_grads(out, batch)
             check_finite_loss(loss, step_index=step)
-            clip_grads(grads, cfg.grad_clip)
-            adamw_step(out.params, grads, state, cfg, learning_rate, warmup_steps)
+            clip_grads(grads, GRAD_CLIP)
+            adamw_step(out.params, grads, state, learning_rate, warmup_steps)
             loss_log.append((step, loss))
             step += 1
     return TrainResult(checkpoint=out, loss_log=loss_log)

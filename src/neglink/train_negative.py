@@ -219,5 +219,5 @@ def train_preference(
     steps = cfg.neg_epochs * math.ceil(len(triplets) / cfg.neg_batch)
     return optim.train_loop(
         ckpt, triplets, lambda c, batch: preference_loss_and_grads(c, ref, batch, cfg),
-        cfg, cfg.neg_lr, cfg.neg_batch, cfg.neg_warmup, steps,
+        cfg.seed, cfg.neg_lr, cfg.neg_batch, cfg.neg_warmup, steps,
     )

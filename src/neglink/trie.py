@@ -74,15 +74,6 @@ class TokenTrie:
         self.depth = max(self.depth, len(token_ids))
         self.max_token = max(self.max_token, max(token_ids, default=-1))
 
-    def node_at(self, prefix) -> TrieNode:
-        node = self.root
-        for t in prefix:
-            child = node.children.get(int(t))
-            if child is None:
-                raise ValueError(f"prefix {tuple(prefix)} is not a path in the trie")
-            node = child
-        return node
-
     def contains(self, token_ids) -> bool:
         node = self.root
         for t in token_ids:
@@ -110,7 +101,11 @@ def build_trie(names: list[str], vocab: Vocab) -> TokenTrie:
 
 def allowed_next(trie: TokenTrie, prefix, eos_id: int) -> list[int]:
     """Legal next token ids after `prefix`, ascending; EOS iff terminal."""
-    node = trie.node_at(prefix)
+    node = trie.root
+    for t in prefix:
+        node = node.children.get(int(t))
+        if node is None:
+            raise ValueError(f"prefix {tuple(prefix)} is not a path in the trie")
     out = list(node.children)
     if node.terminal:
         out.append(eos_id)

@@ -5,7 +5,8 @@ A public module-level function, or a public method of a module-level class,
 must be named, as a whole word, somewhere in `src/neglink/`, `demos/` or
 `perfbench/` outside its own definition. One that only tests call is
 test-only API: fold it into its caller or let the test build what it needs.
-A `RunConfig` field that no module but `config.py` reads is a dead setting.
+A `RunConfig` field that no module but `config.py` reads is a dead setting,
+and one that README.md does not name is an undocumented one.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def test_every_run_setting_is_read_outside_config():
     }
     unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
     assert unread == [], f"RunConfig fields read nowhere in src/neglink outside config.py: {unread}"
+
+
+def test_every_run_setting_is_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [f.name for f in dataclasses.fields(RunConfig) if f"`{f.name}`" not in readme]
+    assert missing == [], f"RunConfig fields README.md does not name: {missing}"
 
 
 def test_every_output_header_is_built_in_one_place():

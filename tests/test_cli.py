@@ -227,6 +227,7 @@ def test_eval_paired_comparison(pipeline, capsys):
     doc = json.loads(out.read_text(encoding="utf-8"))
     cmp_doc = doc["report"]["comparison"]
     assert 0.0 <= cmp_doc["p_value"] <= 1.0
+    assert f"  p = {cmp_doc['p_value']:.3g}  " in stdout
     assert cmp_doc["k"] == 1
     assert f"fixed@1 = {cmp_doc['fixed']}  broken@1 = {cmp_doc['broken']}" in stdout
     n, acc_a, acc_b = doc["report"]["n"], doc["report"]["acc_at"]["1"], cmp_doc["acc_b"]["1"]
@@ -494,6 +495,7 @@ REMOVED_SETTING_MESSAGES = {
     "loss=pairwise": "('dpo', 'cpo')",
     "loss=simpo": "('dpo', 'cpo')",
     "simpo_gamma=0.5": "unknown config key",
+    "weight_decay=0.1": "unknown config key",
 }
 
 
@@ -505,7 +507,7 @@ REMOVED_SETTING_MESSAGES = {
     ("eval-b", ["--resamples", "1"]),
     ("eval", ["--k", "0"]),
     ("synth", ["--cap", "0"]),
-    ("train-positive", ["--set", "grad_clip=nan"]),
+    ("train-positive", ["--set", "beta=nan"]),
     ("gradcheck", ["--coords", "0"]),
     ("gradcheck", ["--tol", "nan"]),
     ("gradcheck", ["--seeds", "-1"]),
@@ -518,10 +520,12 @@ REMOVED_SETTING_MESSAGES = {
     ("link", ["--set", "loss=pairwise"]),
     ("link", ["--set", "loss=simpo"]),
     ("link", ["--set", "simpo_gamma=0.5"]),
+    ("train-positive", ["--set", "weight_decay=0.1"]),
 ], ids=["beam-under-topk", "topk-1", "negatives-unknown", "syn_topk-0", "resamples-1", "k-0", "synth-cap-0",
-        "grad_clip-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
+        "beta-nan", "gradcheck-coords-0", "gradcheck-tol-nan", "gradcheck-seed-negative",
         "link-max_ctx-negative", "link-syn_topk-0", "link-hidden_dim-1", "link-negatives-bogus", "link-pairs-bogus",
-        "seed-negative", "link-loss-pairwise", "link-loss-simpo", "link-simpo_gamma-gone"])
+        "seed-negative", "link-loss-pairwise", "link-loss-simpo", "link-simpo_gamma-gone",
+        "weight_decay-gone"])
 def test_bad_run_settings_exit_2(pipeline, tmp_path, caplog, command, extra):
     root, kb, train, test, cache = pipeline
     inputs = ["--kb", kb, "--cache", cache, "--out", str(tmp_path / "out")]

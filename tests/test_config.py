@@ -71,6 +71,10 @@ def test_precedence_defaults_preset_file_flags(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         build_config(overrides={"nope": "1"})
+    # fixed training constants, kept in optim.py and train_positive.py, are not settings
+    for key in ("weight_decay", "grad_clip", "adam_beta1", "adam_beta2", "adam_eps", "label_smoothing"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_config(overrides={key: "0.1"})
     p = tmp_path / "run.cfg"
     p.write_text("mystery = 3\n")
     with pytest.raises(ConfigError):
@@ -90,7 +94,7 @@ def test_bad_values_rejected(tmp_path):
 
 def test_non_finite_float_settings_rejected():
     floats = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("float", float)]
-    assert "grad_clip" in floats
+    assert "beta" in floats
     for key in floats:
         for raw in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=key):
@@ -107,10 +111,9 @@ def test_every_setting_rejects_an_out_of_range_value():
     # One bad value per field: a field added without a rule in RunConfig.__post_init__ fails here.
     bad = {
         "seed": "-1", "hidden_dim": "1", "max_ctx": "-3", "syn_topk": "0", "beam": "0", "topk": "0",
-        "pos_lr": "-1e-3", "pos_steps": "0", "pos_batch": "0", "pos_warmup": "-1", "label_smoothing": "1",
+        "pos_lr": "-1e-3", "pos_steps": "0", "pos_batch": "0", "pos_warmup": "-1",
         "neg_lr": "-1e-3", "neg_epochs": "0", "neg_batch": "0", "neg_warmup": "-1", "loss": "hinge",
         "beta": "0", "cpo_lambda": "-1",
-        "weight_decay": "-0.01", "grad_clip": "0", "adam_beta1": "1", "adam_beta2": "0", "adam_eps": "0",
     }
     assert sorted(bad) == sorted(f.name for f in dataclasses.fields(RunConfig))
     for key, raw in bad.items():

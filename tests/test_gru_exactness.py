@@ -28,7 +28,7 @@ from neglink.config import build_config
 from neglink.corpus import prepare_mentions, render
 from neglink.kb import load_kb
 from neglink.train_negative import PreferenceTriplet, preference_loss_and_grads
-from neglink.train_positive import build_positive_set, ce_loss_and_grads, train
+from neglink.train_positive import LABEL_SMOOTHING, build_positive_set, ce_loss_and_grads, train
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 ROWS = [1, 5, 16, 32]
@@ -204,7 +204,7 @@ def assert_same(got, want):
 def test_in_place_backward_equals_the_former_on_a_stage1_batch(toy, monkeypatch):
     _, cfg, ckpt, _, instances = toy
     picked = [instances[i] for i in np.random.default_rng(3).choice(len(instances), cfg.pos_batch, replace=False)]
-    assert_same(*gradients_both_ways(monkeypatch, lambda: ce_loss_and_grads(ckpt, picked, cfg.label_smoothing)))
+    assert_same(*gradients_both_ways(monkeypatch, lambda: ce_loss_and_grads(ckpt, picked, LABEL_SMOOTHING)))
 
 
 def test_in_place_backward_equals_the_former_on_a_dpo_batch(toy, monkeypatch):

@@ -5,7 +5,8 @@ independent reference), but `src/neglink` may not.
 
 Within the package, imports follow the layers: the TF-IDF module is a leaf
 that the KB builds on, neither evaluation nor stage 2 reaches into
-stage 1, and the synthetic data generator reaches into neither stage.
+stage 1, the synthetic data generator reaches into neither stage, and the
+optimizer reads no run configuration.
 """
 
 from __future__ import annotations
@@ -58,3 +59,7 @@ def test_tfidf_is_a_leaf_and_stage_2_and_evaluation_do_not_import_stage_1():
 
 def test_synth_imports_neither_training_stage():
     assert not neglink_imports("synth") & {"train_positive", "train_negative"}
+
+
+def test_optim_reads_no_config():
+    assert "config" not in neglink_imports("optim")
